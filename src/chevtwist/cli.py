@@ -21,7 +21,7 @@ from .errors import CertificateMismatch
 from .gf import Fq, is_prime
 from .groups import GroupCtx, GroupKind, generators
 from .polyring import RingDesc, fixed_element, parse_poly
-from .twist import reidemeister_count, report_to_csv, twisted_orbits
+from .twist import reidemeister_count, report_to_csv
 from .witness import (
     FAMILY_SL,
     FAMILY_SO_EVEN,
@@ -53,6 +53,8 @@ _GROUP_FAMILIES = {
 
 def _field_from_flags(p, e, q):
     if q is not None:
+        if q < 3:
+            raise click.UsageError(f"--q {q} is not an odd prime power")
         base = 2
         while q % base:
             base += 1
@@ -273,12 +275,11 @@ def reidemeister(group, n, q, p, e, aut_text, cap, burnside_cap, expect_count, o
         ctx = GroupCtx(_GROUP_FAMILIES[group](n), field)
         sigma = parse_group_aut(aut_text, ctx)
         result = reidemeister_count(ctx, sigma, cap=cap, burnside_cap=burnside_cap)
-        report = twisted_orbits(ctx, sigma, cap=cap)
         run_line = _run_line(
             "reidemeister", group=group, n=n, q=field.q,
             aut=render_group_aut(sigma), cap=cap, burnside_cap=burnside_cap,
         )
-        _emit(run_line + "\n" + report_to_csv(report, method=result.method), out, fmt)
+        _emit(run_line + "\n" + report_to_csv(result.report, method=result.method), out, fmt)
         if expect_count is not None and result.count != expect_count:
             click.echo(
                 f"count {result.count} != expected {expect_count}", err=True

@@ -86,3 +86,7 @@ class BadRank(ValueError):
 
 class CertificateMismatch(RuntimeError):
     """Two independent computations of a certificate disagree."""
+
+
+class NotInGroup(ValueError):
+    """Matrix is not an element of the enumerated finite group."""

@@ -142,6 +142,11 @@ class Fq:
         self._neg = neg
         self._inv = inv
         self._frob = frob
+        # base-p digits of each code, and the matrix over F_p of multiplication
+        # by each code on the basis 1, w, ..., w^(e-1): column k holds the
+        # digits of c * w^k.  Matrix products over F_q run through these.
+        self._digits = np.array(digits, dtype=np.int32)
+        self._mulmat = self._digits[mul[:, p ** np.arange(e)]].transpose(0, 2, 1).copy()
         # rank of each code in the coefficient-lexicographic total order
         order = sorted(range(q), key=lambda c: digits[c])
         rank = np.zeros(q, dtype=np.int32)

@@ -13,13 +13,17 @@ in a fixed total order on scalars, so equality of cosets is equality of
 matrices.
 
 Finite groups enumerate by breadth-first closure of root-subgroup
-generators; the closure runs on uint8 code arrays with table-driven
-matrix products, which keeps 10^4..10^5 element groups comfortable.
+generators, on stacks of uint8 code arrays.  One kernel, mat_mul, does
+every stack product as an integer matmul over F_p (over F_q each entry
+is first expanded to its multiplication matrix over F_p), and an element
+is found by searching its byte key among the group's keys, sorted once.
+This keeps 10^4..10^5 element groups comfortable.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +31,7 @@ import numpy as np
 from .errors import (
     CapExceeded,
     NoForm,
+    NotInGroup,
     NotProjective,
     SizeMismatch,
     Unsupported,
@@ -315,7 +320,7 @@ class GrpElem:
     equality and hashing are plain matrix comparisons.
     """
 
-    __slots__ = ("ctx", "mat", "proj_canonical")
+    __slots__ = ("ctx", "mat")
 
     def __init__(self, ctx: GroupCtx, mat: Mat, check: bool = True):
         if check and not is_member(ctx, mat):
@@ -324,7 +329,6 @@ class GrpElem:
             mat = canonical_rep(ctx, mat)
         self.ctx = ctx
         self.mat = mat
-        self.proj_canonical = ctx.projective
 
     def __mul__(self, other):
         if not isinstance(other, GrpElem):
@@ -457,31 +461,41 @@ def codes_to_mat(field: Fq, arr: np.ndarray) -> Mat:
     return Mat([[field.from_code(int(c)) for c in row] for row in arr])
 
 
+def mat_mul(field: Fq, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Exact product of F_q code matrices, broadcasting over leading axes.
+
+    Over F_p it is one integer matmul, reduced mod p.  Over F_q, q = p^e,
+    each entry of B becomes its e x e multiplication matrix over F_p and
+    each entry of A its row of digits, so one F_p matmul gives the digits
+    of the product; reduction waits until the product is complete.
+    """
+    p, e = field.p, field.e
+    if e == 1:
+        return (A.astype(np.int32) @ B.astype(np.int32) % p).astype(np.uint8)
+    if A.size < B.size:
+        # expand the operand with fewer matrices: AB = (B^T A^T)^T
+        return mat_mul(field, B.swapaxes(-1, -2), A.swapaxes(-1, -2)).swapaxes(-1, -2)
+    k, m = B.shape[-2:]
+    digits = field._digits[A].reshape(A.shape[:-1] + (k * e,))
+    big = np.moveaxis(field._mulmat[B], -1, -3).reshape(B.shape[:-2] + (k * e, m * e))
+    prod = digits @ big % p
+    codes = prod.reshape(-1, e) @ p ** np.arange(e)
+    return codes.reshape(prod.shape[:-1] + (m,)).astype(np.uint8)
+
+
 def mul_stack(field: Fq, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """(k,n,n) stack times a single (n,n) matrix, exact over F_q."""
-    P = field._mul[A[:, :, :, None], B[None, None, :, :]]
-    acc = P[:, :, 0, :]
-    for j in range(1, A.shape[2]):
-        acc = field._add[acc, P[:, :, j, :]]
-    return acc
+    return mat_mul(field, A, B)
 
 
 def mul_left_stack(field: Fq, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Single (n,n) matrix times a (k,n,n) stack."""
-    P = field._mul[A[None, :, :, None], B[:, None, :, :]]
-    acc = P[:, :, 0, :]
-    for j in range(1, A.shape[1]):
-        acc = field._add[acc, P[:, :, j, :]]
-    return acc
+    return mat_mul(field, A, B)
 
 
 def mul_pairwise(field: Fq, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Elementwise stack product: (k,n,n) times (k,n,n)."""
-    P = field._mul[A[:, :, :, None], B[:, None, :, :]]
-    acc = P[:, :, 0, :]
-    for j in range(1, A.shape[2]):
-        acc = field._add[acc, P[:, :, j, :]]
-    return acc
+    return mat_mul(field, A, B)
 
 
 def canonical_stack(ctx: GroupCtx, stack: np.ndarray) -> np.ndarray:
@@ -507,13 +521,28 @@ def canonical_stack(ctx: GroupCtx, stack: np.ndarray) -> np.ndarray:
     return best
 
 
-class FiniteGroup:
-    """Fully enumerated finite matrix group, elements as uint8 code arrays."""
+def _keys(stack: np.ndarray) -> np.ndarray:
+    """Each matrix of a uint8 stack as one fixed-width byte key."""
+    flat = np.ascontiguousarray(stack).reshape(stack.shape[0], -1)
+    return flat.view(np.dtype((np.void, flat.shape[1]))).ravel()
 
-    def __init__(self, ctx: GroupCtx, codes: np.ndarray, index: dict):
+
+# products per block of Cayley-table rows
+_CAYLEY_BLOCK = 1 << 15
+
+
+class FiniteGroup:
+    """Fully enumerated finite matrix group, elements as uint8 code arrays.
+
+    Lookup finds an element's byte key among the keys sorted once.
+    """
+
+    def __init__(self, ctx: GroupCtx, codes: np.ndarray):
         self.ctx = ctx
         self.codes = codes
-        self.index = index
+        keys = _keys(codes)
+        self._by_key = np.argsort(keys)
+        self._sorted_keys = keys[self._by_key]
         self._inv = None
         self._cayley = None
 
@@ -527,37 +556,40 @@ class FiniteGroup:
     def elements(self):
         return [self.elem(i) for i in range(self.order)]
 
-    def key_of(self, arr: np.ndarray) -> bytes:
-        return arr.tobytes()
-
     def index_of(self, g) -> int:
         if isinstance(g, GrpElem):
-            arr = mat_to_codes(g.mat)
-        elif isinstance(g, Mat):
-            arr = mat_to_codes(canonical_rep(self.ctx, g) if self.ctx.projective else g)
-        else:
-            arr = g
-        return self.index[arr.tobytes()]
+            g = g.mat
+        arr = mat_to_codes(g) if isinstance(g, Mat) else g
+        return int(self.indices_of_stack(arr[None])[0])
 
     def indices_of_stack(self, stack: np.ndarray) -> np.ndarray:
         if self.ctx.projective:
             stack = canonical_stack(self.ctx, stack)
-        idx = self.index
-        return np.fromiter(
-            (idx[a.tobytes()] for a in stack), dtype=np.int64, count=stack.shape[0]
-        )
+        keys = _keys(stack)
+        pos = np.minimum(np.searchsorted(self._sorted_keys, keys), self.order - 1)
+        missing = self._sorted_keys[pos] != keys
+        if missing.any():
+            raise NotInGroup(
+                f"{int(missing.sum())} of {len(keys)} matrices are not elements of "
+                f"the enumerated group {self.ctx!r}"
+            )
+        return self._by_key[pos]
 
     def inverse_indices(self) -> np.ndarray:
+        """Index of each element's inverse x^(|G|-1), by square-and-multiply
+        over the whole stack."""
         if self._inv is None:
             field = self.ctx.field
-            out = np.empty(self.order, dtype=np.int64)
-            for i in range(self.order):
-                inv_mat = codes_to_mat(field, self.codes[i]).inverse()
-                arr = mat_to_codes(inv_mat)
-                if self.ctx.projective:
-                    arr = mat_to_codes(canonical_rep(self.ctx, codes_to_mat(field, arr)))
-                out[i] = self.index[arr.tobytes()]
-            self._inv = out
+            k = max(self.order - 1, 1)  # the trivial group is its own inverse
+            base, acc = self.codes, None
+            while True:
+                if k & 1:
+                    acc = base if acc is None else mul_pairwise(field, acc, base)
+                k >>= 1
+                if not k:
+                    break
+                base = mul_pairwise(field, base, base)
+            self._inv = self.indices_of_stack(acc)
         return self._inv
 
     def cayley(self, cap: int = 4096) -> np.ndarray:
@@ -565,40 +597,46 @@ class FiniteGroup:
             if self.order > cap:
                 raise CapExceeded(f"Cayley table for order {self.order} exceeds cap {cap}")
             field = self.ctx.field
+            codes = self.codes
+            rows = max(1, _CAYLEY_BLOCK // self.order)
             table = np.empty((self.order, self.order), dtype=np.int32)
-            for i in range(self.order):
-                prods = mul_left_stack(field, self.codes[i], self.codes)
-                table[i] = self.indices_of_stack(prods)
+            for i in range(0, self.order, rows):
+                block = mat_mul(field, codes[i:i + rows, None], codes[None])
+                table[i:i + rows] = self.indices_of_stack(
+                    block.reshape((-1,) + codes.shape[1:])
+                ).reshape(-1, self.order)
             self._cayley = table
         return self._cayley
 
 
 @functools.lru_cache(maxsize=32)
 def enumerate_group(ctx: GroupCtx, cap: int = ENUM_CAP) -> FiniteGroup:
-    """Breadth-first closure of the root generators; deterministic order."""
+    """Breadth-first closure of the root generators; deterministic order.
+
+    Each level multiplies the frontier on the right by every generator,
+    generator-major, and a product joins the group where it first appears.
+    """
     if not ctx.is_finite:
         raise Unsupported("cannot enumerate over an infinite ring")
     field = ctx.field
     gens = [mat_to_codes(g.mat) for g in generators(ctx)]
-    ident = mat_to_codes(ctx.identity().mat)
-    elems = [ident]
-    index = {ident.tobytes(): 0}
-    frontier = ident[None, :, :]
+    frontier = mat_to_codes(ctx.identity().mat)[None]
+    levels = [frontier]
+    seen = _keys(frontier)
     while frontier.shape[0]:
         prods = np.concatenate([mul_stack(field, frontier, g) for g in gens])
         if ctx.projective:
             prods = canonical_stack(ctx, prods)
-        fresh = []
-        for arr in prods:
-            key = arr.tobytes()
-            if key not in index:
-                index[key] = len(elems)
-                elems.append(arr)
-                fresh.append(arr)
-        if len(elems) > cap:
+        keys = _keys(prods)
+        _, first = np.unique(keys, return_index=True)
+        first.sort()
+        first = first[~np.isin(keys[first], seen)]
+        frontier = prods[first]
+        levels.append(frontier)
+        seen = np.concatenate([seen, keys[first]])
+        if len(seen) > cap:
             raise CapExceeded(f"group enumeration exceeded cap {cap}")
-        frontier = np.stack(fresh) if fresh else np.empty((0,) + ident.shape, dtype=np.uint8)
-    return FiniteGroup(ctx, np.stack(elems), index)
+    return FiniteGroup(ctx, np.concatenate(levels))
 
 
 # ---------------------------------------------------------------------------
@@ -656,9 +694,7 @@ def center(ctx: GroupCtx, enum_cap: int = CENTER_ENUM_CAP):
         dim = len(basis)
         if field.q ** dim > enum_cap:
             raise CapExceeded(f"center kernel of dimension {dim} too large to enumerate")
-        import itertools as _it
-
-        for coefs in _it.product(field.elements(), repeat=dim):
+        for coefs in itertools.product(field.elements(), repeat=dim):
             acc = None
             for c, m in zip(coefs, basis):
                 term = m * c

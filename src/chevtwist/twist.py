@@ -1,26 +1,36 @@
 """Twisted conjugation: orbits, Reidemeister counts, decision procedures.
 
-The action is g . x = g x sigma(g)^(-1).  Orbit partitions come from a
-union-find sweep over generator actions; the count is cross-checked by
-the averaged fixed-point count over the whole group (the Burnside form)
-whenever the group is small enough to afford the quadratic pass.
+The action is g . x = g x sigma(g)^(-1).  Each generator acts on the
+enumerated group as an index permutation, computed with one stack product
+and one sorted-key lookup; orbits are the connected components of these
+permutations, found by propagating the least index along them and
+pointer jumping.  The count is cross-checked by the averaged fixed-point
+count over the whole group (the Burnside form) whenever the group is small
+enough to afford the quadratic pass.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .auts import GroupAut
-from .errors import CapExceeded, IncompatibleKind, PreconditionFailed, Unsupported
+from .auts import GroupAut, b_matrix
+from .errors import (
+    CapExceeded,
+    CertificateMismatch,
+    IncompatibleKind,
+    PreconditionFailed,
+    Unsupported,
+)
 from .groups import (
+    ENUM_CAP,
     FiniteGroup,
     GroupCtx,
     GrpElem,
-    codes_to_mat,
     enumerate_group,
     generators,
     mat_to_codes,
@@ -29,7 +39,6 @@ from .groups import (
 )
 from .matrices import Mat, nullspace
 
-ENUM_CAP = 1_000_000
 BURNSIDE_CAP = 2_000
 LINEAR_DIM_CAP = 8
 
@@ -60,27 +69,7 @@ class ReidemeisterResult:
     method: str
     group_order: int
     burnside_count: int | None = None
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the smaller index as representative for determinism
-            if ra > rb:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
+    report: TwistedOrbitReport | None = dataclasses.field(default=None, repr=False)
 
 
 def _aut_index_images(G: FiniteGroup, sigma: GroupAut) -> np.ndarray:
@@ -91,11 +80,8 @@ def _aut_index_images(G: FiniteGroup, sigma: GroupAut) -> np.ndarray:
         return np.arange(G.order, dtype=np.int64)
     stack = G.codes
     if sigma.graph == "tinv":
-        mats = [codes_to_mat(field, stack[i]).inverse().transpose() for i in range(G.order)]
-        stack = np.stack([mat_to_codes(m) for m in mats])
+        stack = stack[G.inverse_indices()].swapaxes(1, 2)
     elif sigma.graph == "B":
-        from .auts import b_matrix
-
         B = mat_to_codes(b_matrix(ctx.kind.n, ctx.scalars))
         stack = mul_stack(field, mul_left_stack(field, B, stack), B)
     if sigma.ring is not None:
@@ -122,27 +108,31 @@ def _twisted_generator_actions(G: FiniteGroup, sigma: GroupAut):
 
 
 def twisted_orbits(ctx: GroupCtx, sigma: GroupAut, cap: int = ENUM_CAP) -> TwistedOrbitReport:
-    """Partition the full finite group into twisted conjugacy orbits."""
+    """Partition the full finite group into twisted conjugacy orbits.
+
+    Orbits are listed by their least element index, which is also their
+    representative.
+    """
     G = enumerate_group(ctx, cap)
-    uf = _UnionFind(G.order)
-    for action in _twisted_generator_actions(G, sigma):
-        for x in range(G.order):
-            uf.union(x, int(action[x]))
-    roots = {}
-    sizes = []
-    reps = []
-    for x in range(G.order):
-        r = uf.find(x)
-        if r not in roots:
-            roots[r] = len(sizes)
-            sizes.append(0)
-            reps.append(G.elem(x))
-        sizes[roots[r]] += 1
-    assert sum(sizes) == G.order, "orbit sizes do not partition the group"
+    actions = _twisted_generator_actions(G, sigma)
+    # every label stays an index in its own orbit and only decreases; at
+    # the fixed point each orbit carries its least index
+    label = np.arange(G.order)
+    while True:
+        before = label
+        for perm in actions:
+            label = np.minimum(label, label[perm])
+            label[perm] = np.minimum(label[perm], label)
+        label = label[label]
+        if np.array_equal(label, before):
+            break
+    roots, sizes = np.unique(label, return_counts=True)
+    if sizes.sum() != G.order:
+        raise CertificateMismatch("orbit sizes do not partition the group")
     return TwistedOrbitReport(
         aut=sigma,
-        orbit_representatives=reps,
-        orbit_sizes=sizes,
+        orbit_representatives=[G.elem(int(r)) for r in roots],
+        orbit_sizes=sizes.tolist(),
         group_order=G.order,
     )
 
@@ -158,7 +148,8 @@ def _burnside_count(G: FiniteGroup, sigma: GroupAut, cayley_cap: int) -> int:
         perm = table[table[g, :], s]
         total += int((perm == idx).sum())
     count, rem = divmod(total, G.order)
-    assert rem == 0, "fixed point total not divisible by the group order"
+    if rem:
+        raise CertificateMismatch("fixed point total not divisible by the group order")
     return count
 
 
@@ -171,8 +162,9 @@ def reidemeister_count(
     """Number of twisted conjugacy classes of a finite instance.
 
     Always runs the orbit partition; also runs the averaged fixed-point
-    count when the group order is within burnside_cap, and asserts the
-    two methods agree.
+    count when the group order is within burnside_cap, and raises
+    CertificateMismatch unless the two methods agree.  The result carries
+    the orbit report it counted.
     """
     report = twisted_orbits(ctx, sigma, cap)
     burnside = None
@@ -180,15 +172,17 @@ def reidemeister_count(
     if report.group_order <= burnside_cap:
         G = enumerate_group(ctx, cap)
         burnside = _burnside_count(G, sigma, burnside_cap)
-        assert burnside == report.count, (
-            f"method disagreement: partition {report.count}, burnside {burnside}"
-        )
+        if burnside != report.count:
+            raise CertificateMismatch(
+                f"method disagreement: partition {report.count}, burnside {burnside}"
+            )
         method = "orbit-partition+burnside"
     return ReidemeisterResult(
         count=report.count,
         method=method,
         group_order=report.group_order,
         burnside_count=burnside,
+        report=report,
     )
 
 
@@ -263,7 +257,8 @@ def _orbit_search(x: GrpElem, y: GrpElem, sigma: GroupAut, cap: int):
     if y not in seen:
         return False, None
     g = seen[y]
-    assert twist_step(g, x, sigma) == y, "witness failed verification"
+    if twist_step(g, x, sigma) != y:
+        raise CertificateMismatch("witness failed verification")
     return True, g
 
 
@@ -348,7 +343,8 @@ def power_reduction_check(x: GrpElem, y: GrpElem, sigma: GroupAut, r: int) -> bo
         zr = sigma(zr)
     if zr == z:
         conj = z * (x ** r) * z.inverse()
-        assert conj == y ** r, "power reduction witness failed"
+        if conj != y ** r:
+            raise CertificateMismatch("power reduction witness failed")
         return True
     ok2, _ = are_twisted_conjugate(x ** r, y ** r, GroupAut.identity(ctx))
     return bool(ok2)
@@ -378,7 +374,8 @@ def quotient_count_comparison(
         raise IncompatibleKind("automorphism must live on the source context")
     big = reidemeister_count(ctx_big, sigma, cap, burnside_cap)
     down = reidemeister_count(ctx_quot, descend_aut(sigma, ctx_quot), cap, burnside_cap)
-    assert big.count >= down.count, "quotient count exceeded the source count"
+    if big.count < down.count:
+        raise CertificateMismatch("quotient count exceeded the source count")
     return big.count, down.count, big.count >= down.count
 
 

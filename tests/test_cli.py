@@ -2,8 +2,10 @@
 
 import pathlib
 
+import pytest
 from click.testing import CliRunner
 
+from chevtwist import twist
 from chevtwist.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -126,6 +128,27 @@ def test_output_file(tmp_path):
 def test_bad_q_rejected():
     res = run_cli("reidemeister", "--group", "SL", "--n", "2", "--q", "12", "--aut", "id")
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("q", ["0", "1"])
+def test_q_below_three_rejected(q):
+    res = run_cli("reidemeister", "--group", "SL", "--n", "2", "--q", q, "--aut", "id")
+    assert res.exit_code == 2
+    assert "not an odd prime power" in res.output
+
+
+def test_reidemeister_partitions_once(monkeypatch):
+    calls = []
+    real = twist.twisted_orbits
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(twist, "twisted_orbits", counted)
+    res = run_cli("reidemeister", "--group", "SL", "--n", "2", "--q", "3", "--aut", "id")
+    assert res.output == (GOLDEN / "reidemeister_sl2_f3.csv").read_text()
+    assert len(calls) == 1
 
 
 def test_library_errors_surface_with_context():

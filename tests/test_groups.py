@@ -2,19 +2,30 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from chevtwist.errors import NoForm, NotProjective, SizeMismatch, Unsupported
+from chevtwist.errors import (
+    CapExceeded,
+    NoForm,
+    NotInGroup,
+    NotProjective,
+    SizeMismatch,
+    Unsupported,
+)
 from chevtwist.gf import Fq
 from chevtwist.groups import (
     GroupCtx,
     GroupKind,
     canonical_rep,
     center,
+    codes_to_mat,
     enumerate_group,
     form_matrix,
     generators,
     is_member,
+    mat_mul,
+    mat_to_codes,
     order_sl,
     order_sp,
     projective_canonicalize,
@@ -172,6 +183,13 @@ def test_enumeration_cap_is_an_error():
         enumerate_group.__wrapped__(GroupCtx(GroupKind.sl(2), F3), 10)
 
 
+def test_enumeration_cap_just_below_the_order():
+    ctx = GroupCtx(GroupKind.sl(3), F3)
+    with pytest.raises(CapExceeded):
+        enumerate_group(ctx, cap=order_sl(3, 3) - 1)
+    assert enumerate_group(ctx, cap=order_sl(3, 3)).order == order_sl(3, 3)
+
+
 def test_enumeration_deterministic():
     ctx = GroupCtx(GroupKind.sl(2), F3)
     a = enumerate_group.__wrapped__(ctx, 1_000_000)
@@ -249,3 +267,57 @@ def test_matrix_text_roundtrip():
     ctx = GroupCtx(GroupKind.sl(2), F9)
     g = ctx.elem([[F9.elem((1, 1)), F9.one], [F9.zero, F9.elem((1, 1)) ** (-1)]])
     assert ctx.parse_elem(str(g)) == g
+
+
+@pytest.mark.parametrize("p, e", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (3, 4)])
+def test_mat_mul_matches_mat_products(p, e):
+    field = Fq(p, e)
+    rng = np.random.default_rng(p * 10 + e)
+    for n in range(2, 6):
+        stack = rng.integers(0, field.q, (3, n, n), dtype=np.uint8)
+        other = rng.integers(0, field.q, (3, n, n), dtype=np.uint8)
+        single = rng.integers(0, field.q, (n, n), dtype=np.uint8)
+        cases = [
+            (mat_mul(field, stack, single), [(a, single) for a in stack]),
+            (mat_mul(field, single, stack), [(single, b) for b in stack]),
+            (mat_mul(field, stack, other), list(zip(stack, other))),
+        ]
+        for got, pairs in cases:
+            for prod, (a, b) in zip(got, pairs):
+                want = codes_to_mat(field, a) * codes_to_mat(field, b)
+                assert codes_to_mat(field, prod) == want
+
+
+@pytest.mark.parametrize("kind, field", [
+    (GroupKind.sl(2), Fq(3, 3)),
+    (GroupKind.so_odd(2), F3),
+    (GroupKind.psl(2), F9),
+])
+def test_inverse_indices_match_mat_inverse(kind, field):
+    ctx = GroupCtx(kind, field)
+    G = enumerate_group(ctx)
+    inv = G.inverse_indices()
+    for i in random.Random(3).sample(range(G.order), 40):
+        assert G.elem(int(inv[i])) == G.elem(i).inverse()
+
+
+def test_index_of_round_trips():
+    for ctx in [GroupCtx(GroupKind.sl(2), F9), GroupCtx(GroupKind.psp(2), F3)]:
+        G = enumerate_group(ctx)
+        for i in random.Random(4).sample(range(G.order), 20):
+            assert G.index_of(G.elem(i)) == i
+            assert G.index_of(G.elem(i).mat) == i
+
+
+def test_index_of_non_member_raises():
+    # diag(2,1,2,1,1) lies in SO_5(F_3) but outside the root-generated
+    # Omega_5(F_3) that the enumeration produces
+    ctx = GroupCtx(GroupKind.so_odd(2), F3)
+    G = enumerate_group(ctx)
+    outside = Mat([[F3.elem(d if i == j else 0) for j in range(5)] for i, d in enumerate([2, 1, 2, 1, 1])])
+    assert is_member(ctx, outside)
+    with pytest.raises(NotInGroup):
+        G.index_of(outside)
+    stack = np.stack([G.codes[7], mat_to_codes(outside)])
+    with pytest.raises(NotInGroup):
+        G.indices_of_stack(stack)

@@ -5,7 +5,13 @@ import random
 import pytest
 
 from chevtwist.auts import GroupAut
-from chevtwist.errors import IncompatibleKind, PreconditionFailed, Unsupported
+from chevtwist import twist
+from chevtwist.errors import (
+    CertificateMismatch,
+    IncompatibleKind,
+    PreconditionFailed,
+    Unsupported,
+)
 from chevtwist.gf import Fq
 from chevtwist.groups import GroupCtx, GroupKind, enumerate_group, generators
 from chevtwist.twist import (
@@ -295,3 +301,32 @@ def test_quotient_comparison_sp4():
     big, quot, ok = quotient_count_comparison(sp4, psp4, GroupAut.identity(sp4))
     assert ok
     assert big >= quot >= 1
+
+
+def test_method_disagreement_raises(monkeypatch):
+    real = twist._burnside_count
+    monkeypatch.setattr(twist, "_burnside_count", lambda *args: real(*args) + 1)
+    with pytest.raises(CertificateMismatch):
+        reidemeister_count(SL2_F3, GroupAut.identity(SL2_F3))
+
+
+# orbit-size multisets {size: multiplicity} of the ordinary conjugacy
+# classes; PSp_4(3) and Omega_5(3) are isomorphic, so theirs agree
+OMEGA5_CLASSES = {1: 1, 40: 2, 45: 1, 240: 1, 270: 1, 360: 2, 480: 1, 540: 1,
+                  720: 2, 1440: 1, 2160: 3, 2880: 2, 3240: 1, 5184: 1}
+
+
+@pytest.mark.parametrize("kind, count, sizes", [
+    (GroupKind.sp(2), 34, {1: 2, 40: 4, 90: 1, 240: 2, 360: 4, 480: 2, 540: 3, 1440: 4,
+                           2160: 4, 2880: 4, 4320: 1, 5184: 2, 6480: 1}),
+    (GroupKind.psp(2), 20, OMEGA5_CLASSES),
+    (GroupKind.so_odd(2), 20, OMEGA5_CLASSES),
+])
+def test_class_counts_of_order_25920_and_51840(kind, count, sizes):
+    ctx = GroupCtx(kind, F3)
+    res = reidemeister_count(ctx, GroupAut.identity(ctx))
+    assert res.count == count
+    got = {}
+    for size in res.report.orbit_sizes:
+        got[size] = got.get(size, 0) + 1
+    assert got == sizes
