@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from .errors import (
     BadRank,
+    CertificateMismatch,
     IncompatibleKind,
+    ParseError,
     TrialityUnsupported,
 )
-from .gf import Fq
 from .groups import GroupCtx, GrpElem, form_matrix, GroupKind
 from .matrices import Mat
 from .polyring import RingAut
@@ -46,22 +47,23 @@ def b_matrix(n: int, scalars) -> Mat:
     """
     if n < 3:
         raise BadRank("reflection matrix needs rank >= 3")
-    if isinstance(scalars, Fq):
-        one, zero = scalars.one, scalars.zero
-    else:
-        one, zero = scalars.one, scalars.zero
-    size = 2 * n
-    rows = [[one if i == j else zero for j in range(size)] for i in range(size)]
-    rows[n - 1][n - 1] = zero
-    rows[2 * n - 1][2 * n - 1] = zero
-    rows[n - 1][2 * n - 1] = one
-    rows[2 * n - 1][n - 1] = one
-    B = Mat(rows)
-    ident = Mat.identity(size, one, zero)
-    assert B * B == ident, "reflection matrix is not an involution"
+    one, zero = scalars.one, scalars.zero
+    perm = b_swap(n)
+    B = Mat([[one if j == perm[i] else zero for j in range(2 * n)] for i in range(2 * n)])
+    if B * B != Mat.identity(2 * n, one, zero):
+        raise CertificateMismatch("reflection matrix is not an involution")
     A = form_matrix(GroupKind.so_even(n), n, scalars)
-    assert B.transpose() * A * B == A, "reflection matrix breaks the form"
+    if B.transpose() * A * B != A:
+        raise CertificateMismatch("reflection matrix breaks the form")
     return B
+
+
+def b_swap(n: int) -> list:
+    """The coordinate permutation of the reflection matrix: conjugating by
+    it permutes rows and columns alike, swapping n-1 and 2n-1."""
+    perm = list(range(2 * n))
+    perm[n - 1], perm[2 * n - 1] = 2 * n - 1, n - 1
+    return perm
 
 
 class GroupAut:
@@ -119,8 +121,8 @@ class GroupAut:
             return mat
         if self.graph == "tinv":
             return mat.inverse().transpose()
-        B = b_matrix(self.ctx.kind.n, self.ctx.scalars)
-        return B * mat * B
+        perm = b_swap(self.ctx.kind.n)
+        return Mat([[mat[i, j] for j in perm] for i in perm])
 
     def _apply_ring(self, mat: Mat) -> Mat:
         if self.ring is None:
@@ -241,7 +243,7 @@ def parse_group_aut(text: str, ctx: GroupCtx) -> GroupAut:
         elif pairs:
             pairs[-1][1] += ";" + seg
         else:
-            raise ValueError(f"cannot parse automorphism {text!r}")
+            raise ParseError(f"cannot parse automorphism {text!r}")
     inner = None
     ring = None
     graph = None
@@ -254,7 +256,7 @@ def parse_group_aut(text: str, ctx: GroupCtx) -> GroupAut:
             val = val.strip()
             graph = None if val == "none" else val
         else:
-            raise ValueError(f"unknown automorphism part {key!r}")
+            raise ParseError(f"unknown automorphism part {key!r}")
     return GroupAut(ctx, inner=inner, ring=ring, graph=graph)
 
 
@@ -265,16 +267,19 @@ def _parse_ring_part(val: str, ctx: GroupCtx):
     for piece in _split_top(val):
         piece = piece.strip()
         if piece.startswith("frob^"):
-            frob = int(piece[len("frob^"):])
+            try:
+                frob = int(piece[len("frob^"):])
+            except ValueError:
+                raise ParseError(f"bad Frobenius power {piece!r}") from None
         elif piece.startswith("frob"):
             frob = 1
         elif piece.startswith("mobius(") and piece.endswith(")"):
             body = piece[len("mobius("):-1]
             mobius = tuple(ctx.field.parse(x) for x in body.split(","))
             if len(mobius) != 4:
-                raise ValueError("mobius needs four parameters")
+                raise ParseError("mobius needs four parameters")
         else:
-            raise ValueError(f"unknown ring part {piece!r}")
+            raise ParseError(f"unknown ring part {piece!r}")
     if ctx.is_finite:
         if mobius is not None:
             raise IncompatibleKind("mobius part needs a polynomial ring context")

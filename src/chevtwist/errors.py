@@ -90,3 +90,7 @@ class CertificateMismatch(RuntimeError):
 
 class NotInGroup(ValueError):
     """Matrix is not an element of the enumerated finite group."""
+
+
+class ParseError(ValueError):
+    """Text input does not follow the expected grammar."""

@@ -17,7 +17,7 @@ import itertools
 
 import numpy as np
 
-from .errors import MixedFields, NotPrime, Unsupported
+from .errors import MixedFields, NotPrime, ParseError, Unsupported
 
 DEFAULT_CAP = 81
 
@@ -225,20 +225,23 @@ class Fq:
         if s.startswith("(") and s.endswith(")"):
             s = s[1:-1]
         if not s:
-            raise ValueError("empty field element")
+            raise ParseError("empty field element")
         digits = [0] * self.e
         for term in s.split("+"):
-            if not term:
-                raise ValueError(f"bad field element {text!r}")
-            if GEN_SYMBOL in term:
-                coefpart, _, varpart = term.partition(GEN_SYMBOL)
-                coef = int(coefpart[:-1]) if coefpart else 1
-                k = int(varpart[1:]) if varpart.startswith("^") else 1
-            else:
-                coef = int(term)
-                k = 0
-            if k >= self.e:
-                raise ValueError(f"{text!r} has degree >= {self.e}")
+            try:
+                if GEN_SYMBOL in term:
+                    coefpart, _, varpart = term.partition(GEN_SYMBOL)
+                    if coefpart and not coefpart.endswith("*"):
+                        raise ParseError(f"bad field element {text!r}")
+                    coef = int(coefpart[:-1]) if coefpart else 1
+                    k = int(varpart[1:]) if varpart.startswith("^") else 1
+                else:
+                    coef = int(term)
+                    k = 0
+            except ValueError:
+                raise ParseError(f"bad field element {text!r}") from None
+            if not 0 <= k < self.e:
+                raise ParseError(f"{text!r} has a degree outside 0..{self.e - 1}")
             digits[k] = (digits[k] + coef) % self.p
         return self.elem(digits)
 

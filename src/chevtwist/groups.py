@@ -500,7 +500,7 @@ def mul_pairwise(field: Fq, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def canonical_stack(ctx: GroupCtx, stack: np.ndarray) -> np.ndarray:
     lams = ctx._center_codes()
-    if len(lams) <= 1:
+    if len(lams) <= 1 or not len(stack):
         return stack
     field = ctx.field
     k = stack.shape[0]
@@ -521,14 +521,22 @@ def canonical_stack(ctx: GroupCtx, stack: np.ndarray) -> np.ndarray:
     return best
 
 
-def _keys(stack: np.ndarray) -> np.ndarray:
+def stack_keys(stack: np.ndarray) -> np.ndarray:
     """Each matrix of a uint8 stack as one fixed-width byte key."""
-    flat = np.ascontiguousarray(stack).reshape(stack.shape[0], -1)
-    return flat.view(np.dtype((np.void, flat.shape[1]))).ravel()
+    width = stack.shape[-2] * stack.shape[-1]
+    flat = np.ascontiguousarray(stack).reshape(stack.shape[0], width)
+    return flat.view(np.dtype((np.void, width))).ravel()
 
 
-# products per block of Cayley-table rows
-_CAYLEY_BLOCK = 1 << 15
+def first_new(keys: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of each key not in seen."""
+    _, first = np.unique(keys, return_index=True)
+    first.sort()
+    return first[~np.isin(keys[first], seen)]
+
+
+# matrix products per block of a broadcast product, bounding its temporaries
+PRODUCT_BLOCK = 1 << 15
 
 
 class FiniteGroup:
@@ -540,7 +548,7 @@ class FiniteGroup:
     def __init__(self, ctx: GroupCtx, codes: np.ndarray):
         self.ctx = ctx
         self.codes = codes
-        keys = _keys(codes)
+        keys = stack_keys(codes)
         self._by_key = np.argsort(keys)
         self._sorted_keys = keys[self._by_key]
         self._inv = None
@@ -565,7 +573,7 @@ class FiniteGroup:
     def indices_of_stack(self, stack: np.ndarray) -> np.ndarray:
         if self.ctx.projective:
             stack = canonical_stack(self.ctx, stack)
-        keys = _keys(stack)
+        keys = stack_keys(stack)
         pos = np.minimum(np.searchsorted(self._sorted_keys, keys), self.order - 1)
         missing = self._sorted_keys[pos] != keys
         if missing.any():
@@ -598,7 +606,7 @@ class FiniteGroup:
                 raise CapExceeded(f"Cayley table for order {self.order} exceeds cap {cap}")
             field = self.ctx.field
             codes = self.codes
-            rows = max(1, _CAYLEY_BLOCK // self.order)
+            rows = max(1, PRODUCT_BLOCK // self.order)
             table = np.empty((self.order, self.order), dtype=np.int32)
             for i in range(0, self.order, rows):
                 block = mat_mul(field, codes[i:i + rows, None], codes[None])
@@ -622,15 +630,13 @@ def enumerate_group(ctx: GroupCtx, cap: int = ENUM_CAP) -> FiniteGroup:
     gens = [mat_to_codes(g.mat) for g in generators(ctx)]
     frontier = mat_to_codes(ctx.identity().mat)[None]
     levels = [frontier]
-    seen = _keys(frontier)
+    seen = stack_keys(frontier)
     while frontier.shape[0]:
         prods = np.concatenate([mul_stack(field, frontier, g) for g in gens])
         if ctx.projective:
             prods = canonical_stack(ctx, prods)
-        keys = _keys(prods)
-        _, first = np.unique(keys, return_index=True)
-        first.sort()
-        first = first[~np.isin(keys[first], seen)]
+        keys = stack_keys(prods)
+        first = first_new(keys, seen)
         frontier = prods[first]
         levels.append(frontier)
         seen = np.concatenate([seen, keys[first]])

@@ -7,6 +7,13 @@ permutations, found by propagating the least index along them and
 pointer jumping.  The count is cross-checked by the averaged fixed-point
 count over the whole group (the Burnside form) whenever the group is small
 enough to afford the quadratic pass.
+
+The orbit of a single element is searched breadth first on code stacks,
+without enumerating the group: each level applies every generator and
+inverse to the frontier with broadcast products and keeps the first
+occurrence of each new element, with a witness carried alongside.  The
+decision procedure verifies the witness it returns with the per-element
+action.
 """
 
 from __future__ import annotations
@@ -14,11 +21,13 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .auts import GroupAut, b_matrix
+from .auts import GroupAut, b_swap
 from .errors import (
     CapExceeded,
     CertificateMismatch,
@@ -31,11 +40,17 @@ from .groups import (
     FiniteGroup,
     GroupCtx,
     GrpElem,
+    PRODUCT_BLOCK,
+    canonical_stack,
+    codes_to_mat,
     enumerate_group,
+    first_new,
     generators,
+    mat_mul,
     mat_to_codes,
     mul_left_stack,
     mul_stack,
+    stack_keys,
 )
 from .matrices import Mat, nullspace
 
@@ -82,8 +97,8 @@ def _aut_index_images(G: FiniteGroup, sigma: GroupAut) -> np.ndarray:
     if sigma.graph == "tinv":
         stack = stack[G.inverse_indices()].swapaxes(1, 2)
     elif sigma.graph == "B":
-        B = mat_to_codes(b_matrix(ctx.kind.n, ctx.scalars))
-        stack = mul_stack(field, mul_left_stack(field, B, stack), B)
+        perm = b_swap(ctx.kind.n)
+        stack = stack[:, perm][:, :, perm]
     if sigma.ring is not None:
         k = sigma.ring  # finite contexts carry a Frobenius power
         for _ in range(k % field.e):
@@ -226,37 +241,79 @@ def are_twisted_conjugate(
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def twisted_orbit_of(x: GrpElem, sigma: GroupAut, cap: int = ENUM_CAP) -> dict:
-    """The orbit of x as a map element -> witness, every witness verified.
+def _orbit_stacks(x: GrpElem, sigma: GroupAut, cap: int):
+    """The twisted orbit of x as code stacks in discovery order: the byte
+    keys of its elements, the elements, and a witness for each.
 
-    Breadth-first sweep over generator actions (and their inverses); the
-    witness for y satisfies y = g x sigma(g)^(-1).
+    Level by level: the images of a block of the frontier under every step
+    come from one broadcast product, frontier-major, and a product joins
+    the orbit where it first appears.  Its witness is the step times its
+    parent's witness; in projective contexts that is any matrix of the
+    coset, canonicalised only when it becomes a GrpElem.
     """
     ctx = x.ctx
+    if sigma.ctx != ctx:
+        raise IncompatibleKind("mismatched contexts in twisted action")
+    field = ctx.field
     gens = generators(ctx)
-    steps = gens + [g.inverse() for g in gens]
-    seen = {x: ctx.identity()}
-    frontier = [x]
-    while frontier:
-        fresh = []
-        for cur in frontier:
-            w = seen[cur]
-            for h in steps:
-                nxt = twist_step(h, cur, sigma)
-                if nxt not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded("twisted orbit exceeded cap")
-                    seen[nxt] = h * w
-                    fresh.append(nxt)
-        frontier = fresh
-    return seen
+    inverses = [g.inverse() for g in gens]
+    steps = gens + inverses
+    left = np.stack([mat_to_codes(h.mat) for h in steps])
+    # sigma(h)^(-1) = sigma(h^(-1)): each step's inverse is the opposite step
+    right = np.stack([mat_to_codes(sigma(h).mat) for h in inverses + gens])
+    rows = max(1, PRODUCT_BLOCK // len(steps))
+    frontier = mat_to_codes(x.mat)[None]
+    witness = mat_to_codes(ctx.identity().mat)[None]
+    elems, witnesses = [frontier], [witness]
+    seen = stack_keys(frontier)
+    while len(frontier):
+        level, level_witnesses = [], []
+        for start in range(0, len(frontier), rows):
+            block = frontier[start:start + rows, None]
+            prods = mat_mul(field, mat_mul(field, left[None], block), right[None])
+            prods = prods.reshape((-1,) + prods.shape[2:])
+            if ctx.projective:
+                prods = canonical_stack(ctx, prods)
+            keys = stack_keys(prods)
+            first = first_new(keys, seen)
+            if len(first) and len(seen) + len(first) > cap:
+                raise CapExceeded("twisted orbit exceeded cap")
+            parent, step = np.divmod(first, len(steps))
+            found = mat_mul(field, left[step], witness[start + parent])
+            seen = np.concatenate([seen, keys[first]])
+            level.append(prods[first])
+            level_witnesses.append(found)
+        frontier, witness = np.concatenate(level), np.concatenate(level_witnesses)
+        elems.append(frontier)
+        witnesses.append(witness)
+    return seen, np.concatenate(elems), np.concatenate(witnesses)
+
+
+def twisted_orbit_of(x: GrpElem, sigma: GroupAut, cap: int = ENUM_CAP) -> dict:
+    """The orbit of x as a map element -> witness g, y = g x sigma(g)^(-1).
+
+    Breadth-first over the generators and their inverses, on code stacks;
+    the map lists the orbit in discovery order.  Raises CapExceeded when
+    the orbit has more than cap elements.  The witnesses are exact
+    products but are not verified here; are_twisted_conjugate verifies the
+    one witness it returns.
+    """
+    ctx = x.ctx
+    field = ctx.field
+    _, elems, witnesses = _orbit_stacks(x, sigma, cap)
+    return {
+        GrpElem(ctx, codes_to_mat(field, y), check=False):
+            GrpElem(ctx, codes_to_mat(field, g), check=False)
+        for y, g in zip(elems, witnesses)
+    }
 
 
 def _orbit_search(x: GrpElem, y: GrpElem, sigma: GroupAut, cap: int):
-    seen = twisted_orbit_of(x, sigma, cap)
-    if y not in seen:
+    keys, _, witnesses = _orbit_stacks(x, sigma, cap)
+    hit = np.flatnonzero(keys == stack_keys(mat_to_codes(y.mat)[None]))
+    if not len(hit):
         return False, None
-    g = seen[y]
+    g = GrpElem(x.ctx, codes_to_mat(x.ctx.field, witnesses[hit[0]]), check=False)
     if twist_step(g, x, sigma) != y:
         raise CertificateMismatch("witness failed verification")
     return True, g
@@ -264,8 +321,6 @@ def _orbit_search(x: GrpElem, y: GrpElem, sigma: GroupAut, cap: int):
 
 def _sampled_search(x: GrpElem, y: GrpElem, sigma: GroupAut, seed: int, samples: int):
     """Random-product probe for a witness; inconclusive on failure."""
-    import random
-
     rng = random.Random(seed)
     ctx = x.ctx
     gens = generators(ctx)
@@ -302,8 +357,6 @@ def _plain_conjugacy_linear(x: GrpElem, y: GrpElem):
         return False, None
     if len(basis) > LINEAR_DIM_CAP:
         return None, None
-    import itertools
-
     for coefs in itertools.product(field.elements(), repeat=len(basis)):
         entries = [field.zero] * (N * N)
         for c, vec in zip(coefs, basis):

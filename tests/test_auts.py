@@ -11,7 +11,7 @@ from chevtwist.auts import (
     parse_group_aut,
     render_group_aut,
 )
-from chevtwist.errors import BadRank, IncompatibleKind, TrialityUnsupported
+from chevtwist.errors import BadRank, IncompatibleKind, ParseError, TrialityUnsupported
 from chevtwist.gf import Fq
 from chevtwist.groups import (
     GroupCtx,
@@ -59,6 +59,22 @@ def test_b_matrix_swaps_last_hyperbolic_pair():
 def test_b_matrix_bad_rank():
     with pytest.raises(BadRank):
         b_matrix(2, F3)
+
+
+@pytest.mark.parametrize("scalars", [F3, RingDesc(F3, ["t"])], ids=["F3", "F3[t]_t"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_graph_part_b_is_conjugation_by_b(n, scalars):
+    # any square matrix will do: the graph part is conjugation by B on
+    # matrices, group members or not
+    ctx = GroupCtx(GroupKind.so_even(n), scalars)
+    B = b_matrix(n, scalars)
+    entries = [ctx.scalar(c) for c in range(3)]
+    if not ctx.is_finite:
+        entries.append(1 / RatFrac.t(F3))
+    rng = random.Random(n)
+    for _ in range(5):
+        M = Mat([[rng.choice(entries) for _ in range(2 * n)] for _ in range(2 * n)])
+        assert GroupAut(ctx, graph="B")._apply_graph(M) == B * M * B
 
 
 def test_graph_part_kind_restrictions():
@@ -208,6 +224,16 @@ def test_aut_grammar_roundtrip():
     assert parse_group_aut("inner=1,1;0,1;ring=frob^1", ctx) == sigma
     eps = parse_group_aut("graph=tinv", GroupCtx(GroupKind.sl(3), F3))
     assert eps.graph == "tinv"
+
+
+@pytest.mark.parametrize("text", [
+    "inner=[[1,1],[0,1]]", "inner=1,x;0,1", "inner=1,w^-1;0,1", "inner=1,2/w;0,1",
+    "ring=frob^x", "ring=flip",
+    "shift=1", "1,1;0,1",
+])
+def test_aut_grammar_rejects_malformed_text(text):
+    with pytest.raises(ParseError):
+        parse_group_aut(text, GroupCtx(GroupKind.sl(2), F9))
 
 
 def test_aut_grammar_ring_context():

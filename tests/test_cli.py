@@ -155,3 +155,11 @@ def test_library_errors_surface_with_context():
     res = run_cli("fixed-s", "--p", "3", "--denoms", "t", "--f", "t")
     assert res.exit_code == 1
     assert "UnitInput" in res.output
+
+
+def test_malformed_aut_matrix_is_a_typed_error():
+    res = run_cli("reidemeister", "--group", "SL", "--n", "2", "--q", "5",
+                  "--aut", "inner=[[1,1],[0,1]]")
+    assert res.exit_code == 1
+    assert "chevtwist.errors.ParseError" in res.output
+    assert "builtins" not in res.output

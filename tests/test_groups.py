@@ -18,6 +18,7 @@ from chevtwist.groups import (
     GroupCtx,
     GroupKind,
     canonical_rep,
+    canonical_stack,
     center,
     codes_to_mat,
     enumerate_group,
@@ -321,3 +322,10 @@ def test_index_of_non_member_raises():
     stack = np.stack([G.codes[7], mat_to_codes(outside)])
     with pytest.raises(NotInGroup):
         G.indices_of_stack(stack)
+
+
+def test_empty_stacks():
+    empty = np.empty((0, 2, 2), np.uint8)
+    for ctx in [GroupCtx(GroupKind.psl(2), F3), GroupCtx(GroupKind.sl(2), F9)]:
+        assert canonical_stack(ctx, empty).shape == (0, 2, 2)
+        assert enumerate_group(ctx).indices_of_stack(empty).shape == (0,)

@@ -7,6 +7,7 @@ import pytest
 from chevtwist.auts import GroupAut
 from chevtwist import twist
 from chevtwist.errors import (
+    CapExceeded,
     CertificateMismatch,
     IncompatibleKind,
     PreconditionFailed,
@@ -22,6 +23,7 @@ from chevtwist.twist import (
     reidemeister_count,
     report_to_csv,
     twist_step,
+    twisted_orbit_of,
     twisted_orbits,
 )
 
@@ -31,6 +33,7 @@ F9 = Fq(3, 2)
 SL2_F3 = GroupCtx(GroupKind.sl(2), F3)
 PSL2_F3 = GroupCtx(GroupKind.psl(2), F3)
 SL2_F9 = GroupCtx(GroupKind.sl(2), F9)
+SL3_F3 = GroupCtx(GroupKind.sl(3), F3)
 
 
 def _random_elem(ctx, rng, steps=5):
@@ -330,3 +333,47 @@ def test_class_counts_of_order_25920_and_51840(kind, count, sizes):
     for size in res.report.orbit_sizes:
         got[size] = got.get(size, 0) + 1
     assert got == sizes
+
+
+def _reference_orbit(x, sigma):
+    """Per-element breadth-first search: the oracle for twisted_orbit_of."""
+    gens = generators(x.ctx)
+    steps = gens + [g.inverse() for g in gens]
+    seen = {x: x.ctx.identity()}
+    frontier = [x]
+    while frontier:
+        fresh = []
+        for cur in frontier:
+            for h in steps:
+                nxt = twist_step(h, cur, sigma)
+                if nxt not in seen:
+                    seen[nxt] = h * seen[cur]
+                    fresh.append(nxt)
+        frontier = fresh
+    return seen
+
+
+@pytest.mark.parametrize("ctx, sigma, which", [
+    (SL2_F3, GroupAut(SL2_F3, graph="tinv"), None),
+    (PSL2_F3, GroupAut.identity(PSL2_F3), None),
+    (SL2_F9, GroupAut(SL2_F9, ring=1), [0, 1]),  # orbits of size 30 and 120
+    (SL3_F3, GroupAut(SL3_F3, graph="tinv"), [0]),  # the orbit of size 234
+], ids=["SL2_F3-tinv", "PSL2_F3-id", "SL2_F9-frob", "SL3_F3-tinv"])
+def test_twisted_orbit_of_matches_reference(ctx, sigma, which):
+    reps = twisted_orbits(ctx, sigma).orbit_representatives
+    for x in reps if which is None else [reps[i] for i in which]:
+        orbit = twisted_orbit_of(x, sigma)
+        assert list(orbit.items()) == list(_reference_orbit(x, sigma).items())
+        for y, w in orbit.items():
+            assert twist_step(w, x, sigma) == y
+
+
+def test_twisted_orbit_of_cap_is_exact():
+    frob = GroupAut(SL2_F9, ring=1)
+    reps = twisted_orbits(SL2_F9, frob).orbit_representatives[:4]
+    sizes = [len(twisted_orbit_of(x, frob)) for x in reps]
+    assert sizes == [30, 120, 120, 180]
+    for x, size in zip(reps, sizes):
+        with pytest.raises(CapExceeded):
+            twisted_orbit_of(x, frob, cap=size - 1)
+        assert len(twisted_orbit_of(x, frob, cap=size)) == size
