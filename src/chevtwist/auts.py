@@ -18,6 +18,8 @@ pair) for the even orthogonal kinds.  Other kinds admit no graph part.
 
 from __future__ import annotations
 
+import re
+
 from .errors import (
     BadRank,
     CertificateMismatch,
@@ -28,8 +30,6 @@ from .errors import (
 from .groups import GroupCtx, GrpElem, form_matrix, GroupKind
 from .matrices import Mat
 from .polyring import RingAut
-
-GRAPH_PARTS = (None, "tinv", "B")
 
 _GRAPH_FAMILIES = {
     "tinv": ("SL", "PSL"),
@@ -210,7 +210,10 @@ def aut_order_on(sigma: GroupAut, elems, cap: int = 64):
 
 
 # ---------------------------------------------------------------------------
-# text grammar: inner=<matrix>;ring=frob^r[,mobius(a,b,c,d)];graph=none|tinv|B
+# text grammar: inner=<matrix>;ring=frob[^r][,mobius(a,b,c,d)];graph=none|tinv|B
+# (any subset of the parts, each at most once, in any order; or id).  Matrix
+# entries and mobius parameters are in the scalar grammar of gf.evaluate,
+# matrix entries over a ring context being fractions `num / den`.
 
 
 def render_group_aut(sigma: GroupAut) -> str:
@@ -232,75 +235,35 @@ def parse_group_aut(text: str, ctx: GroupCtx) -> GroupAut:
     s = text.strip()
     if s in ("", "id", "identity"):
         return GroupAut.identity(ctx)
-    # split on ';' but glue segments without '=' to the previous value
-    # (matrix rows inside inner=... are themselves ';'-separated)
-    raw = s.split(";")
-    pairs = []
-    for seg in raw:
-        if "=" in seg.split(",")[0]:
-            key, _, val = seg.partition("=")
-            pairs.append([key.strip(), val])
-        elif pairs:
-            pairs[-1][1] += ";" + seg
-        else:
-            raise ParseError(f"cannot parse automorphism {text!r}")
-    inner = None
-    ring = None
-    graph = None
-    for key, val in pairs:
-        if key == "inner":
-            inner = ctx.parse_elem(val)
-        elif key == "ring":
-            ring = _parse_ring_part(val, ctx)
-        elif key == "graph":
-            val = val.strip()
-            graph = None if val == "none" else val
-        else:
-            raise ParseError(f"unknown automorphism part {key!r}")
-    return GroupAut(ctx, inner=inner, ring=ring, graph=graph)
+    # a part starts at the text or after a ';' followed by `key=`; the ';'s
+    # inside inner=<matrix> separate its rows and are followed by entries
+    parts = {}
+    for part in re.split(r";(?=\s*\w+\s*=)", s):
+        key, eq, val = part.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ParseError(f"cannot parse automorphism {text[:60]!r}")
+        if key not in ("inner", "ring", "graph"):
+            raise ParseError(f"unknown automorphism part {key[:60]!r}")
+        if key in parts:
+            raise ParseError(f"repeated automorphism part {key!r}")
+        parts[key] = val.strip()
+    inner = ctx.parse_elem(parts["inner"]) if "inner" in parts else None
+    ring = _parse_ring_part(parts["ring"], ctx) if "ring" in parts else None
+    graph = parts.get("graph")
+    return GroupAut(ctx, inner=inner, ring=ring, graph=None if graph == "none" else graph)
 
 
 def _parse_ring_part(val: str, ctx: GroupCtx):
-    val = val.strip()
-    frob = 0
-    mobius = None
-    for piece in _split_top(val):
-        piece = piece.strip()
-        if piece.startswith("frob^"):
-            try:
-                frob = int(piece[len("frob^"):])
-            except ValueError:
-                raise ParseError(f"bad Frobenius power {piece!r}") from None
-        elif piece.startswith("frob"):
-            frob = 1
-        elif piece.startswith("mobius(") and piece.endswith(")"):
-            body = piece[len("mobius("):-1]
-            mobius = tuple(ctx.field.parse(x) for x in body.split(","))
-            if len(mobius) != 4:
-                raise ParseError("mobius needs four parameters")
-        else:
-            raise ParseError(f"unknown ring part {piece!r}")
+    m = re.fullmatch(r"frob(?:\^(\d+))?\s*(?:,\s*mobius\((.*)\))?", val)
+    if m is None:
+        raise ParseError(f"cannot parse ring part {val[:60]!r}")
+    frob = 1 if m[1] is None else int(m[1])
     if ctx.is_finite:
-        if mobius is not None:
+        if m[2] is not None:
             raise IncompatibleKind("mobius part needs a polynomial ring context")
         return frob
-    if mobius is None:
-        field = ctx.field
-        mobius = (field.one, field.zero, field.zero, field.one)
+    mobius = (1, 0, 0, 1) if m[2] is None else tuple(ctx.field.parse(x) for x in m[2].split(","))
+    if len(mobius) != 4:
+        raise ParseError("mobius needs four parameters")
     return RingAut(ctx.scalars, frob, mobius)
-
-
-def _split_top(s: str):
-    out, depth, cur = [], 0, []
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            out.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    out.append("".join(cur))
-    return [x for x in out if x]

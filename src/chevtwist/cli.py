@@ -19,9 +19,9 @@ import click
 from .auts import GroupAut, parse_group_aut, render_group_aut
 from .errors import CertificateMismatch
 from .gf import Fq, is_prime
-from .groups import GroupCtx, GroupKind, generators
+from .groups import ENUM_CAP, GroupCtx, GroupKind, generators
 from .polyring import RingDesc, fixed_element, parse_poly
-from .twist import reidemeister_count, report_to_csv
+from .twist import BURNSIDE_CAP, reidemeister_count, report_to_csv
 from .witness import (
     FAMILY_SL,
     FAMILY_SO_EVEN,
@@ -263,8 +263,8 @@ def witness_check(p, e, denoms, group, n, f_text, m_max, r_max, k_max, out, fmt)
 @click.option("--p", type=int, default=None)
 @click.option("--e", type=int, default=1, show_default=True)
 @click.option("--aut", "aut_text", default="id", show_default=True, help="automorphism grammar or 'id'")
-@click.option("--cap", type=int, default=1_000_000, show_default=True)
-@click.option("--burnside-cap", type=int, default=2_000, show_default=True)
+@click.option("--cap", type=int, default=ENUM_CAP, show_default=True)
+@click.option("--burnside-cap", type=int, default=BURNSIDE_CAP, show_default=True)
 @click.option("--expect-count", type=int, default=None, help="fail unless the count matches")
 @_add_options(out_opts)
 def reidemeister(group, n, q, p, e, aut_text, cap, burnside_cap, expect_count, out, fmt):

@@ -89,7 +89,8 @@ class CertificateMismatch(RuntimeError):
 
 
 class NotInGroup(ValueError):
-    """Matrix is not an element of the enumerated finite group."""
+    """Matrix is not an element of the group it was given for: a group
+    context (wrong determinant or form) or an enumerated finite group."""
 
 
 class ParseError(ValueError):

@@ -9,11 +9,20 @@ scale this library targets (q <= 81 by default).
 The modulus is the lexicographically least monic irreducible of degree e,
 coefficients compared from the constant term up.  For e = 1 this yields
 the polynomial t itself, so prime fields need no special casing.
+
+Text forms: elements render as `2*w^2+w+1` (w the class of t modulo the
+modulus).  `evaluate` reads the one scalar grammar every text input of the
+library shares: integers, named symbols (`w` here; `t` as well for
+polynomials), `+`, `-`, `*`, `^` with a literal natural exponent, and
+parentheses.  There is no implicit multiplication (`2w` is an error), and
+any other text raises `ParseError`.
 """
 
 from __future__ import annotations
 
+import ast
 import itertools
+import operator
 
 import numpy as np
 
@@ -22,6 +31,43 @@ from .errors import MixedFields, NotPrime, ParseError, Unsupported
 DEFAULT_CAP = 81
 
 GEN_SYMBOL = "w"
+
+
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+
+
+def evaluate(text: str, lift, symbols):
+    """Value of the arithmetic expression `text`: integer literals go
+    through `lift`, names are looked up in `symbols`, and the operators are
+    unary `-`, `+`, `-`, `*` and `^` (or `**`) with a literal natural
+    exponent.  Anything else raises ParseError quoting the input."""
+
+    def bad():
+        return ParseError(f"cannot parse {text[:60]!r}")
+
+    def walk(node):
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return lift(node.value)
+        if isinstance(node, ast.Name) and node.id in symbols:
+            return symbols[node.id]
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return -walk(node.operand)
+        if isinstance(node, ast.BinOp):
+            if type(node.op) in _BINOPS:
+                return _BINOPS[type(node.op)](walk(node.left), walk(node.right))
+            k = node.right
+            if isinstance(node.op, ast.Pow) and isinstance(k, ast.Constant) and type(k.value) is int:
+                return walk(node.left) ** k.value
+        raise bad()
+
+    try:
+        body = ast.parse(text.strip().replace("^", "**"), mode="eval").body
+    except (SyntaxError, ValueError, MemoryError, RecursionError):
+        raise bad() from None
+    try:
+        return walk(body)
+    except RecursionError:
+        raise bad() from None
 
 
 def is_prime(n: int) -> bool:
@@ -220,30 +266,13 @@ class Fq:
                 terms.append(var if c == 1 else f"{c}*{var}")
         return "+".join(terms) if terms else "0"
 
+    @property
+    def symbols(self) -> dict:
+        """The names of the text grammar: the generator w when e > 1."""
+        return {GEN_SYMBOL: self.elem((0, 1))} if self.e > 1 else {}
+
     def parse(self, text: str) -> "FqElem":
-        s = text.replace(" ", "")
-        if s.startswith("(") and s.endswith(")"):
-            s = s[1:-1]
-        if not s:
-            raise ParseError("empty field element")
-        digits = [0] * self.e
-        for term in s.split("+"):
-            try:
-                if GEN_SYMBOL in term:
-                    coefpart, _, varpart = term.partition(GEN_SYMBOL)
-                    if coefpart and not coefpart.endswith("*"):
-                        raise ParseError(f"bad field element {text!r}")
-                    coef = int(coefpart[:-1]) if coefpart else 1
-                    k = int(varpart[1:]) if varpart.startswith("^") else 1
-                else:
-                    coef = int(term)
-                    k = 0
-            except ValueError:
-                raise ParseError(f"bad field element {text!r}") from None
-            if not 0 <= k < self.e:
-                raise ParseError(f"{text!r} has a degree outside 0..{self.e - 1}")
-            digits[k] = (digits[k] + coef) % self.p
-        return self.elem(digits)
+        return evaluate(text, self.elem, self.symbols)
 
     def __eq__(self, other):
         return (

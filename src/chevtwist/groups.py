@@ -160,9 +160,7 @@ def form_matrix(kind: GroupKind, n: int, scalars) -> Mat:
 
 
 def _scalar_one_zero(scalars):
-    if isinstance(scalars, Fq):
-        return scalars.one, scalars.zero
-    if isinstance(scalars, RingDesc):
+    if isinstance(scalars, (Fq, RingDesc)):
         return scalars.one, scalars.zero
     raise TypeError(f"unsupported scalar domain {scalars!r}")
 
@@ -324,7 +322,7 @@ class GrpElem:
 
     def __init__(self, ctx: GroupCtx, mat: Mat, check: bool = True):
         if check and not is_member(ctx, mat):
-            raise ValueError(f"matrix is not a member of {ctx!r}")
+            raise NotInGroup(f"matrix is not a member of {ctx!r}")
         if ctx.projective:
             mat = canonical_rep(ctx, mat)
         self.ctx = ctx

@@ -8,6 +8,11 @@ containment in F_q(t).
 
 Factorization is trial division against sieve-generated irreducibles; all
 inputs here stay at small degree, so no clever algorithms are needed.
+
+Text forms: polynomials render as `2*t^2+(w+1)*t+1` and fractions as
+`num / den`.  `parse_poly` reads the scalar grammar of `gf.evaluate` with
+the names t and w; `parse_frac` adds `/`, which may appear once, as the
+fraction bar.
 """
 
 from __future__ import annotations
@@ -22,12 +27,13 @@ from .errors import (
     MixedFields,
     NotInRing,
     NotStabilizing,
+    ParseError,
     Singular,
     UnitInput,
     Unsupported,
     ZeroPolynomial,
 )
-from .gf import Fq, FqElem
+from .gf import Fq, FqElem, evaluate
 
 FACTOR_DEGREE_CAP = 64
 _SIEVE_BUDGET = 2_000_000
@@ -267,43 +273,10 @@ def _as_poly(field, other):
 
 
 def parse_poly(field: Fq, text: str) -> Poly:
-    """Parse the c_k*t^k+...+c_0 grammar (whitespace tolerated)."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty polynomial")
-    out = Poly.zero(field)
-    for term in _split_terms(s):
-        coef_text, k = _split_power(term)
-        c = field.parse(coef_text) if coef_text else field.one
-        mono = Poly(field, (0,) * k + (1,)) if k else Poly.one(field)
-        out = out + mono * c
-    return out
-
-
-def _split_terms(s):
-    terms, depth, cur = [], 0, []
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "+" and depth == 0:
-            terms.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    terms.append("".join(cur))
-    return [t for t in terms if t]
-
-
-def _split_power(term):
-    if VAR not in term:
-        return term, 0
-    head, _, tail = term.partition(VAR)
-    k = int(tail[1:]) if tail.startswith("^") else 1
-    if head.endswith("*"):
-        head = head[:-1]
-    return head, k
+    """Read a polynomial in the `gf.evaluate` grammar over the names t and w."""
+    names = {k: Poly.const(field, v) for k, v in field.symbols.items()}
+    names[VAR] = Poly.t(field)
+    return evaluate(text, lambda c: Poly.const(field, c), names)
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
@@ -556,10 +529,11 @@ class RatFrac:
 
 
 def parse_frac(field: Fq, text: str) -> RatFrac:
-    if "/" in text:
-        num_text, _, den_text = text.partition("/")
-        return RatFrac(parse_poly(field, num_text), parse_poly(field, den_text))
-    return RatFrac(parse_poly(field, text))
+    """Read `num` or `num / den`: one fraction bar between two polynomials."""
+    parts = text.split("/")
+    if len(parts) > 2:
+        raise ParseError(f"more than one '/' in {text[:60]!r}")
+    return RatFrac(*(parse_poly(field, part) for part in parts))
 
 
 class RingDesc:

@@ -231,7 +231,7 @@ def are_twisted_conjugate(
         return _plain_conjugacy_linear(x, y)
     if strategy == "sample":
         return _sampled_search(x, y, sigma, seed, samples)
-    if strategy in ("auto", "orbit", "full"):
+    if strategy in ("auto", "orbit"):
         try:
             return _orbit_search(x, y, sigma, cap)
         except CapExceeded:

@@ -163,3 +163,20 @@ def test_malformed_aut_matrix_is_a_typed_error():
     assert res.exit_code == 1
     assert "chevtwist.errors.ParseError" in res.output
     assert "builtins" not in res.output
+
+
+def test_non_member_aut_matrix_is_a_typed_error():
+    res = run_cli("reidemeister", "--group", "SL", "--n", "2", "--q", "5",
+                  "--aut", "inner=1,1;0,2")
+    assert res.exit_code == 1
+    assert "chevtwist.errors.NotInGroup" in res.output
+    assert "builtins" not in res.output
+
+
+def test_denoms_flag_reads_minus():
+    minus = run_cli("fixed-s", "--p", "3", "--denoms", "t-1", "--f", "t")
+    plus = run_cli("fixed-s", "--p", "3", "--denoms", "t+2", "--f", "t")
+    assert minus.exit_code == plus.exit_code == 0
+    rows = plus.output.splitlines()[1:]
+    assert rows == ["s", "2*t^4+t^3+2*t^2 / t^2+t+1"]
+    assert minus.output.splitlines()[1:] == rows

@@ -1,0 +1,194 @@
+"""The scalar text grammar shared by field elements, polynomials, fractions,
+matrices and automorphisms: fixed misreads, rejected text, and round trips
+of every rendered form."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chevtwist.auts import GroupAut, parse_group_aut, render_group_aut
+from chevtwist.errors import ParseError
+from chevtwist.gf import Fq, evaluate
+from chevtwist.groups import GroupCtx, GroupKind, generators
+from chevtwist.polyring import (
+    Poly,
+    RatFrac,
+    RingDesc,
+    parse_frac,
+    parse_poly,
+    ring_automorphisms,
+)
+
+F3 = Fq(3)
+F9 = Fq(3, 2)
+FIELDS = {(p, e): Fq(p, e) for p, e in [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (3, 4)]}
+
+SL2_F9 = GroupCtx(GroupKind.sl(2), F9)
+SL3_F3 = GroupCtx(GroupKind.sl(3), F3)
+R3 = RingDesc(F3, ["t"])
+R9 = RingDesc(F9, ["t"])
+SL2_R3 = GroupCtx(GroupKind.sl(2), R3)
+SL2_R9 = GroupCtx(GroupKind.sl(2), R9)
+
+READERS = {
+    "poly": lambda s: parse_poly(F3, s),
+    "frac": lambda s: parse_frac(F3, s),
+    "F9": F9.parse,
+    "aut": lambda s: parse_group_aut(s, SL2_F9),
+}
+
+# the modulus of F_9 is t^2+1, so w*w = 2
+MISREADS = [
+    ("poly", "t-1", Poly.from_elems(F3, [2, 1])),
+    ("poly", "t*t", Poly.from_elems(F3, [0, 0, 1])),
+    ("F9", "w*w", F9.elem(2)),
+    ("F9", "w-1", F9.elem((2, 1))),
+    ("poly", "t+", ParseError),
+    ("poly", "t)(", ParseError),
+    ("frac", "t/t/t", ParseError),
+    ("poly", "2 3", ParseError),
+    ("aut", "ring=frobenius", ParseError),
+    ("aut", "inner=1,1;0,1;inner=1,2;0,1", ParseError),
+    ("poly", "t^2*2", Poly.from_elems(F3, [0, 0, 2])),
+    ("poly", "t^", ParseError),
+    ("poly", "t^2t", ParseError),
+    ("poly", "2t", ParseError),
+    ("F9", "w^5", F9.elem((0, 1))),
+]
+
+
+@pytest.mark.parametrize("reader, text, expected", MISREADS)
+def test_former_misreads(reader, text, expected):
+    if expected is ParseError:
+        with pytest.raises(ParseError):
+            READERS[reader](text)
+    else:
+        assert READERS[reader](text) == expected
+
+
+@pytest.mark.parametrize("text", [
+    "", " ", "t/2", "t^-1", "t**-1", "2^t", "t^(1+1)", "1.5", "True", "'t'",
+    "x", "w", "t==t", "t<<1", "t.real", "t[0]", "(t,t)", "t if t else t",
+    "lambda: t", "__import__('os')", "\0", "+t", "(" * 300 + "t" + ")" * 300,
+    "-" * 2_000 + "t",
+])
+def test_grammar_rejects_text(text):
+    with pytest.raises(ParseError):
+        parse_poly(F3, text)
+
+
+def test_long_minus_chain_is_a_parse_error():
+    text = "-" * 100_000 + "1"
+    with pytest.raises(ParseError) as info:
+        F3.parse(text)
+    assert len(str(info.value)) < 100
+
+
+def test_grammar_accepts_parentheses_whitespace_and_unary_minus():
+    assert parse_poly(F3, " -(t - 1) * (t + 1) ") == Poly.from_elems(F3, [1, 0, 2])
+    assert parse_poly(F9, "(w+1)*t^2 - w") == Poly(F9, [F9.elem((0, 2)).code, 0, F9.elem((1, 1)).code])
+    assert evaluate("2*x^3+1", lambda c: c, {"x": 2}) == 17
+
+
+def test_aut_parts_in_any_order_and_bare_frob():
+    inner = SL2_F9.elem([[1, F9.elem((0, 1))], [0, 1]])
+    expected = GroupAut(SL2_F9, inner=inner, ring=1)
+    assert parse_group_aut(" ring = frob ; inner = 1,w;0,1 ", SL2_F9) == expected
+    assert parse_group_aut("inner=1,w;0,1;ring=frob^3;graph=none", SL2_F9) == expected
+
+
+def test_zero_denominator_keeps_the_builtin_error():
+    with pytest.raises(ZeroDivisionError):
+        parse_frac(F3, "1 / t-t")
+
+
+# -- round trips of every rendered form ------------------------------------
+
+ROUNDTRIP = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@ROUNDTRIP
+@given(st.sampled_from(sorted(FIELDS)), st.integers(0, 80))
+def test_field_element_roundtrip(pe, code):
+    field = FIELDS[pe]
+    x = field.from_code(code)
+    assert field.parse(str(x)) == x
+
+
+def polys(field, max_size=7):
+    return st.lists(st.integers(0, field.q - 1), max_size=max_size).map(lambda c: Poly(field, c))
+
+
+@ROUNDTRIP
+@given(st.sampled_from([F3, F9]).flatmap(lambda f: polys(f)))
+def test_poly_roundtrip(f):
+    assert parse_poly(f.field, str(f)) == f
+
+
+@ROUNDTRIP
+@given(st.sampled_from([F3, F9]).flatmap(
+    lambda f: st.tuples(polys(f), polys(f).filter(lambda g: not g.is_zero))))
+def test_frac_roundtrip(pair):
+    x = RatFrac(*pair)
+    assert parse_frac(x.field, str(x)) == x
+
+
+def finite_elems(ctx):
+    gens = generators(ctx)
+
+    def product(steps):
+        g = ctx.identity()
+        for i in steps:
+            g = g * gens[i]
+        return g
+    return st.lists(st.integers(0, len(gens) - 1), max_size=10).map(product)
+
+
+def ring_elems(ctx):
+    """Products of elementary matrices with entries f / t^k, and diag(t, 1/t)."""
+    field = ctx.field
+    one, zero = ctx.one, ctx.zero
+    t = RatFrac.t(field)
+
+    def factor(kind, codes, k):
+        r = RatFrac(Poly(field, codes)) / t ** k
+        rows = [[one, r], [zero, one]], [[one, zero], [r, one]], [[t, zero], [zero, 1 / t]]
+        return ctx.elem(rows[kind])
+
+    def product(factors):
+        g = ctx.identity()
+        for kind, codes, k in factors:
+            g = g * factor(kind, codes, k)
+        return g
+    entry = st.lists(st.integers(0, field.q - 1), max_size=3)
+    return st.lists(st.tuples(st.integers(0, 2), entry, st.integers(0, 2)), max_size=4).map(product)
+
+
+@ROUNDTRIP
+@given(finite_elems(SL2_F9))
+def test_group_element_roundtrip_f9(g):
+    assert SL2_F9.parse_elem(str(g)) == g
+
+
+@ROUNDTRIP
+@given(ring_elems(SL2_R3))
+def test_group_element_roundtrip_localized(g):
+    assert SL2_R3.parse_elem(str(g)) == g
+
+
+def auts(ctx, elems, rings, graphs=(None,)):
+    return st.builds(
+        lambda inner, ring, graph: GroupAut(ctx, inner=inner, ring=ring, graph=graph),
+        st.none() | elems, st.sampled_from(rings), st.sampled_from(graphs),
+    )
+
+
+@ROUNDTRIP
+@given(st.one_of(
+    auts(SL2_F9, finite_elems(SL2_F9), [None, 1]),
+    auts(SL3_F3, finite_elems(SL3_F3), [None], [None, "tinv"]),
+    auts(SL2_R3, ring_elems(SL2_R3), ring_automorphisms(R3)),
+    auts(SL2_R9, ring_elems(SL2_R9), ring_automorphisms(R9)),
+))
+def test_group_automorphism_roundtrip(sigma):
+    assert parse_group_aut(render_group_aut(sigma), sigma.ctx) == sigma
