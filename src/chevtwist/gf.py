@@ -13,7 +13,8 @@ the polynomial t itself, so prime fields need no special casing.
 Text forms: elements render as `2*w^2+w+1` (w the class of t modulo the
 modulus).  `evaluate` reads the one scalar grammar every text input of the
 library shares: integers, named symbols (`w` here; `t` as well for
-polynomials), `+`, `-`, `*`, `^` with a literal natural exponent, and
+polynomials), `+`, `-`, `*`, `^` with a literal natural exponent (at
+most EXPONENT_CAP, counting the exponents it sits under), and
 parentheses.  There is no implicit multiplication (`2w` is an error), and
 any other text raises `ParseError`.
 """
@@ -32,6 +33,10 @@ DEFAULT_CAP = 81
 
 GEN_SYMBOL = "w"
 
+# bound on an exponent times the exponents enclosing it, so that one short
+# text cannot ask for a polynomial power of unbounded degree
+EXPONENT_CAP = 4096
+
 
 _BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
 
@@ -40,24 +45,27 @@ def evaluate(text: str, lift, symbols):
     """Value of the arithmetic expression `text`: integer literals go
     through `lift`, names are looked up in `symbols`, and the operators are
     unary `-`, `+`, `-`, `*` and `^` (or `**`) with a literal natural
-    exponent.  Anything else raises ParseError quoting the input."""
+    exponent; an exponent times those enclosing it is at most
+    EXPONENT_CAP.  Anything else raises ParseError quoting the input."""
 
     def bad():
         return ParseError(f"cannot parse {text[:60]!r}")
 
-    def walk(node):
+    def walk(node, scale=1):
         if isinstance(node, ast.Constant) and type(node.value) is int:
             return lift(node.value)
         if isinstance(node, ast.Name) and node.id in symbols:
             return symbols[node.id]
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            return -walk(node.operand)
+            return -walk(node.operand, scale)
         if isinstance(node, ast.BinOp):
             if type(node.op) in _BINOPS:
-                return _BINOPS[type(node.op)](walk(node.left), walk(node.right))
+                return _BINOPS[type(node.op)](walk(node.left, scale), walk(node.right, scale))
             k = node.right
             if isinstance(node.op, ast.Pow) and isinstance(k, ast.Constant) and type(k.value) is int:
-                return walk(node.left) ** k.value
+                if k.value * scale > EXPONENT_CAP:
+                    raise ParseError(f"exponent above {EXPONENT_CAP} in {text[:60]!r}")
+                return walk(node.left, max(k.value, 1) * scale) ** k.value
         raise bad()
 
     try:

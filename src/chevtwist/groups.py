@@ -14,10 +14,14 @@ matrices.
 
 Finite groups enumerate by breadth-first closure of root-subgroup
 generators, on stacks of uint8 code arrays.  One kernel, mat_mul, does
-every stack product as an integer matmul over F_p (over F_q each entry
-is first expanded to its multiplication matrix over F_p), and an element
-is found by searching its byte key among the group's keys, sorted once.
-This keeps 10^4..10^5 element groups comfortable.
+every stack product as a matmul over F_p, in float32 wherever that is
+exact (over F_q each entry is first expanded to its multiplication
+matrix over F_p).  A matrix is
+keyed by its entries read as one base-q integer (int64; byte keys only
+where q^(n^2) does not fit), and an element is found by searching its key
+among the group's keys, sorted once.  The closure dedupes each
+generator's products against the sorted keys seen so far.  This keeps
+10^5..10^6 element groups within reach.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import numpy as np
 
 from .errors import (
     CapExceeded,
+    CertificateMismatch,
     NoForm,
     NotInGroup,
     NotProjective,
@@ -265,9 +270,10 @@ class GroupCtx:
 
 def _check_form_invariants(form: Mat, kind: GroupKind):
     anti = kind.family in ("Sp", "PSp")
-    t = form.transpose()
-    assert t == (-form if anti else form), "form symmetry broken"
-    assert form.det(), "form not invertible"
+    if form.transpose() != (-form if anti else form):
+        raise CertificateMismatch("form symmetry broken")
+    if not form.det():
+        raise CertificateMismatch("form not invertible")
 
 
 def is_member(ctx: GroupCtx, mat: Mat) -> bool:
@@ -374,7 +380,7 @@ def projective_canonicalize(g: GrpElem) -> GrpElem:
 
 
 # ---------------------------------------------------------------------------
-# generators: one root subgroup element per root and nonzero parameter
+# generators: one root subgroup element per root and parameter
 
 
 def _unit_mat(ctx, entries):
@@ -385,12 +391,19 @@ def _unit_mat(ctx, entries):
     return Mat(rows)
 
 
-def generators(ctx: GroupCtx):
-    """Root-subgroup generating set over a finite field, deterministic order."""
+def generators(ctx: GroupCtx, params=None):
+    """Root-subgroup generating set over a finite field, deterministic order.
+
+    One element per root and parameter; the parameters default to every
+    nonzero scalar.  Each root subgroup is additive in its parameter, so
+    parameters spanning F_q over F_p, such as a basis, generate the same
+    group.
+    """
     if not ctx.is_finite:
         raise Unsupported("generators need finite scalars")
     field = ctx.field
-    params = [a for a in field.elements() if a]
+    if params is None:
+        params = [a for a in field.elements() if a]
     fam, n = ctx.kind.family, ctx.kind.n
     out = []
 
@@ -459,25 +472,49 @@ def codes_to_mat(field: Fq, arr: np.ndarray) -> Mat:
     return Mat([[field.from_code(int(c)) for c in row] for row in arr])
 
 
+# Products go through float32 matmul, which BLAS runs far faster than
+# integer matmul.  float32 holds every integer below 2^24, and below 2^21
+# the reduction c - p*floor(c/p + 1/(2p)) evaluated in float32 is exact too.
+_FLOAT_EXACT = 1 << 21
+
+
+def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """A @ B mod p for arrays of integers in [0, p), broadcasting."""
+    if A.shape[-1] * (p - 1) ** 2 >= _FLOAT_EXACT:
+        return A.astype(np.int64) @ B.astype(np.int64) % p
+    A, B = A.astype(np.float32), B.astype(np.float32)
+    if B.ndim == 2:  # one right factor: a single 2-D product
+        C = (A.reshape(-1, A.shape[-1]) @ B).reshape(A.shape[:-1] + B.shape[-1:])
+    else:
+        C = A @ B
+    quot = C * np.float32(1 / p)
+    quot += np.float32(0.5 / p)
+    np.floor(quot, out=quot)
+    quot *= p
+    C -= quot
+    return C
+
+
 def mat_mul(field: Fq, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Exact product of F_q code matrices, broadcasting over leading axes.
 
-    Over F_p it is one integer matmul, reduced mod p.  Over F_q, q = p^e,
-    each entry of B becomes its e x e multiplication matrix over F_p and
-    each entry of A its row of digits, so one F_p matmul gives the digits
-    of the product; reduction waits until the product is complete.
+    Over F_p it is one matmul, reduced mod p.  Over F_q, q = p^e, each
+    entry of B becomes its e x e multiplication matrix over F_p and each
+    entry of A its row of digits, so one F_p matmul gives the digits of
+    the product.
     """
     p, e = field.p, field.e
     if e == 1:
-        return (A.astype(np.int32) @ B.astype(np.int32) % p).astype(np.uint8)
+        return _matmul_mod(A, B, p).astype(np.uint8)
     if A.size < B.size:
         # expand the operand with fewer matrices: AB = (B^T A^T)^T
         return mat_mul(field, B.swapaxes(-1, -2), A.swapaxes(-1, -2)).swapaxes(-1, -2)
     k, m = B.shape[-2:]
-    digits = field._digits[A].reshape(A.shape[:-1] + (k * e,))
-    big = np.moveaxis(field._mulmat[B], -1, -3).reshape(B.shape[:-2] + (k * e, m * e))
-    prod = digits @ big % p
-    codes = prod.reshape(-1, e) @ p ** np.arange(e)
+    digits = np.take(field._digits, A, axis=0).reshape(A.shape[:-1] + (k * e,))
+    big = np.moveaxis(np.take(field._mulmat, B, axis=0), -1, -3)
+    big = big.reshape(B.shape[:-2] + (k * e, m * e))
+    prod = _matmul_mod(digits, big, p)
+    codes = prod.reshape(-1, e) @ p ** np.arange(e, dtype=prod.dtype)
     return codes.reshape(prod.shape[:-1] + (m,)).astype(np.uint8)
 
 
@@ -519,18 +556,33 @@ def canonical_stack(ctx: GroupCtx, stack: np.ndarray) -> np.ndarray:
     return best
 
 
-def stack_keys(stack: np.ndarray) -> np.ndarray:
-    """Each matrix of a uint8 stack as one fixed-width byte key."""
+def stack_keys(stack: np.ndarray, q: int) -> np.ndarray:
+    """Each matrix of a uint8 code stack as one sortable key: its entries,
+    row-major, read as a base-q int64 (most significant first, so keys
+    sort like the entry sequences).  Where q^(n^2) does not fit in 63
+    bits, the raw bytes as a fixed-width void key instead."""
     width = stack.shape[-2] * stack.shape[-1]
     flat = np.ascontiguousarray(stack).reshape(stack.shape[0], width)
-    return flat.view(np.dtype((np.void, width))).ravel()
+    if q ** width >= 1 << 63:
+        return flat.view(np.dtype((np.void, width))).ravel()
+    keys = flat[:, 0].astype(np.int64)
+    for col in range(1, width):
+        keys *= q
+        keys += flat[:, col]
+    return keys
 
 
-def first_new(keys: np.ndarray, seen: np.ndarray) -> np.ndarray:
-    """Ascending indices of the first occurrence of each key not in seen."""
-    _, first = np.unique(keys, return_index=True)
-    first.sort()
-    return first[~np.isin(keys[first], seen)]
+def merge_new(keys: np.ndarray, seen: np.ndarray):
+    """The first occurrence of each key not in the sorted, nonempty array
+    seen.
+
+    Returns their ascending indices into keys, and seen with their keys
+    inserted, still sorted.
+    """
+    uniq, first = np.unique(keys, return_index=True)
+    pos = np.searchsorted(seen, uniq)
+    new = seen[np.minimum(pos, len(seen) - 1)] != uniq
+    return np.sort(first[new]), np.insert(seen, pos[new], uniq[new])
 
 
 # matrix products per block of a broadcast product, bounding its temporaries
@@ -540,13 +592,13 @@ PRODUCT_BLOCK = 1 << 15
 class FiniteGroup:
     """Fully enumerated finite matrix group, elements as uint8 code arrays.
 
-    Lookup finds an element's byte key among the keys sorted once.
+    Lookup finds an element's key among the keys sorted once.
     """
 
     def __init__(self, ctx: GroupCtx, codes: np.ndarray):
         self.ctx = ctx
         self.codes = codes
-        keys = stack_keys(codes)
+        keys = stack_keys(codes, ctx.field.q)
         self._by_key = np.argsort(keys)
         self._sorted_keys = keys[self._by_key]
         self._inv = None
@@ -571,7 +623,7 @@ class FiniteGroup:
     def indices_of_stack(self, stack: np.ndarray) -> np.ndarray:
         if self.ctx.projective:
             stack = canonical_stack(self.ctx, stack)
-        keys = stack_keys(stack)
+        keys = stack_keys(stack, self.ctx.field.q)
         pos = np.minimum(np.searchsorted(self._sorted_keys, keys), self.order - 1)
         missing = self._sorted_keys[pos] != keys
         if missing.any():
@@ -621,6 +673,8 @@ def enumerate_group(ctx: GroupCtx, cap: int = ENUM_CAP) -> FiniteGroup:
 
     Each level multiplies the frontier on the right by every generator,
     generator-major, and a product joins the group where it first appears.
+    Each generator's products are deduped against the sorted keys seen so
+    far before the next generator's are made.
     """
     if not ctx.is_finite:
         raise Unsupported("cannot enumerate over an infinite ring")
@@ -628,18 +682,19 @@ def enumerate_group(ctx: GroupCtx, cap: int = ENUM_CAP) -> FiniteGroup:
     gens = [mat_to_codes(g.mat) for g in generators(ctx)]
     frontier = mat_to_codes(ctx.identity().mat)[None]
     levels = [frontier]
-    seen = stack_keys(frontier)
+    seen = stack_keys(frontier, field.q)
     while frontier.shape[0]:
-        prods = np.concatenate([mul_stack(field, frontier, g) for g in gens])
-        if ctx.projective:
-            prods = canonical_stack(ctx, prods)
-        keys = stack_keys(prods)
-        first = first_new(keys, seen)
-        frontier = prods[first]
+        level = []
+        for g in gens:
+            prods = mul_stack(field, frontier, g)
+            if ctx.projective:
+                prods = canonical_stack(ctx, prods)
+            first, seen = merge_new(stack_keys(prods, field.q), seen)
+            level.append(prods[first])
+            if len(seen) > cap:
+                raise CapExceeded(f"group enumeration exceeded cap {cap}")
+        frontier = np.concatenate(level)
         levels.append(frontier)
-        seen = np.concatenate([seen, keys[first]])
-        if len(seen) > cap:
-            raise CapExceeded(f"group enumeration exceeded cap {cap}")
     return FiniteGroup(ctx, np.concatenate(levels))
 
 

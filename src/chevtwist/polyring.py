@@ -28,6 +28,7 @@ from .errors import (
     NotInRing,
     NotStabilizing,
     ParseError,
+    PreconditionFailed,
     Singular,
     UnitInput,
     Unsupported,
@@ -553,11 +554,11 @@ class RingDesc:
             if d.field != field:
                 raise MixedFields("denominator over a different field")
             if not d.is_monic():
-                raise ValueError(f"denominator {d} is not monic")
+                raise PreconditionFailed(f"denominator {d} is not monic")
             if not is_irreducible(d):
-                raise ValueError(f"denominator {d} is not irreducible")
+                raise PreconditionFailed(f"denominator {d} is not irreducible")
             if d in checked:
-                raise ValueError(f"duplicate denominator {d}")
+                raise PreconditionFailed(f"duplicate denominator {d}")
             checked.append(d)
         self.field = field
         self.denoms = tuple(sorted(checked, key=lambda f: f.sort_key()))

@@ -1,7 +1,8 @@
 """Twisted conjugation: orbits, Reidemeister counts, decision procedures.
 
-The action is g . x = g x sigma(g)^(-1).  Each generator acts on the
-enumerated group as an index permutation, computed with one stack product
+The action is g . x = g x sigma(g)^(-1).  The root elements with
+parameters in an F_p-basis of F_q generate the group, and each acts on the
+enumerated group as an index permutation, computed with stack products
 and one sorted-key lookup; orbits are the connected components of these
 permutations, found by propagating the least index along them and
 pointer jumping.  The count is cross-checked by the averaged fixed-point
@@ -11,9 +12,9 @@ enough to afford the quadratic pass.
 The orbit of a single element is searched breadth first on code stacks,
 without enumerating the group: each level applies every generator and
 inverse to the frontier with broadcast products and keeps the first
-occurrence of each new element, with a witness carried alongside.  The
-decision procedure verifies the witness it returns with the per-element
-action.
+occurrence of each new element, found against the sorted keys seen so
+far, with a witness carried alongside.  The decision procedure verifies
+the witness it returns with the per-element action.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ from .groups import (
     canonical_stack,
     codes_to_mat,
     enumerate_group,
-    first_new,
     generators,
     mat_mul,
     mat_to_codes,
+    merge_new,
     mul_left_stack,
     mul_stack,
     stack_keys,
@@ -111,10 +112,12 @@ def _aut_index_images(G: FiniteGroup, sigma: GroupAut) -> np.ndarray:
 
 
 def _twisted_generator_actions(G: FiniteGroup, sigma: GroupAut):
-    """For each generator h, the index map x -> h x sigma(h)^(-1)."""
+    """For each root element h with a basis parameter, the index map
+    x -> h x sigma(h)^(-1)."""
     field = G.ctx.field
+    basis = [field.from_code(field.p ** j) for j in range(field.e)]
     actions = []
-    for h in generators(G.ctx):
+    for h in generators(G.ctx, basis):
         right = mat_to_codes(sigma(h).inverse().mat)
         left = mat_to_codes(h.mat)
         prods = mul_stack(field, mul_left_stack(field, left, G.codes), right)
@@ -242,8 +245,8 @@ def are_twisted_conjugate(
 
 
 def _orbit_stacks(x: GrpElem, sigma: GroupAut, cap: int):
-    """The twisted orbit of x as code stacks in discovery order: the byte
-    keys of its elements, the elements, and a witness for each.
+    """The twisted orbit of x as code stacks in discovery order: the keys
+    of its elements, the elements, and a witness for each.
 
     Level by level: the images of a block of the frontier under every step
     come from one broadcast product, frontier-major, and a product joins
@@ -265,7 +268,8 @@ def _orbit_stacks(x: GrpElem, sigma: GroupAut, cap: int):
     frontier = mat_to_codes(x.mat)[None]
     witness = mat_to_codes(ctx.identity().mat)[None]
     elems, witnesses = [frontier], [witness]
-    seen = stack_keys(frontier)
+    seen = stack_keys(frontier, field.q)
+    found_keys = [seen]
     while len(frontier):
         level, level_witnesses = [], []
         for start in range(0, len(frontier), rows):
@@ -274,19 +278,19 @@ def _orbit_stacks(x: GrpElem, sigma: GroupAut, cap: int):
             prods = prods.reshape((-1,) + prods.shape[2:])
             if ctx.projective:
                 prods = canonical_stack(ctx, prods)
-            keys = stack_keys(prods)
-            first = first_new(keys, seen)
-            if len(first) and len(seen) + len(first) > cap:
+            keys = stack_keys(prods, field.q)
+            first, seen = merge_new(keys, seen)
+            if len(first) and len(seen) > cap:
                 raise CapExceeded("twisted orbit exceeded cap")
             parent, step = np.divmod(first, len(steps))
             found = mat_mul(field, left[step], witness[start + parent])
-            seen = np.concatenate([seen, keys[first]])
+            found_keys.append(keys[first])
             level.append(prods[first])
             level_witnesses.append(found)
         frontier, witness = np.concatenate(level), np.concatenate(level_witnesses)
         elems.append(frontier)
         witnesses.append(witness)
-    return seen, np.concatenate(elems), np.concatenate(witnesses)
+    return np.concatenate(found_keys), np.concatenate(elems), np.concatenate(witnesses)
 
 
 def twisted_orbit_of(x: GrpElem, sigma: GroupAut, cap: int = ENUM_CAP) -> dict:
@@ -310,7 +314,7 @@ def twisted_orbit_of(x: GrpElem, sigma: GroupAut, cap: int = ENUM_CAP) -> dict:
 
 def _orbit_search(x: GrpElem, y: GrpElem, sigma: GroupAut, cap: int):
     keys, _, witnesses = _orbit_stacks(x, sigma, cap)
-    hit = np.flatnonzero(keys == stack_keys(mat_to_codes(y.mat)[None]))
+    hit = np.flatnonzero(keys == stack_keys(mat_to_codes(y.mat)[None], x.ctx.field.q))
     if not len(hit):
         return False, None
     g = GrpElem(x.ctx, codes_to_mat(x.ctx.field, witnesses[hit[0]]), check=False)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .auts import b_matrix
+from .auts import GroupAut, aut_order_on, b_matrix
 from .errors import (
     CertificateMismatch,
     IncompatibleKind,
@@ -401,8 +401,6 @@ def d4_tau_suite(cfg: WitnessConfig, graph: str = "tau", k_max: int = 3) -> D4Re
     checks.append(("reflection_fixes_witness", B * x.mat * B == x.mat))
     # the order of the reflection automorphism, measured on an element it
     # actually moves (a root element touching the swapped coordinate pair)
-    from .auts import GroupAut, aut_order_on
-
     moved_rows = [list(r) for r in so8.identity_mat().rows]
     moved_rows[0][2 * n - 1] = moved_rows[0][2 * n - 1] + s
     moved_rows[n - 1][n] = moved_rows[n - 1][n] - s

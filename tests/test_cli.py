@@ -1,5 +1,6 @@
 """CLI behavior: determinism, golden outputs, exit codes, formats."""
 
+import hashlib
 import pathlib
 
 import pytest
@@ -180,3 +181,21 @@ def test_denoms_flag_reads_minus():
     rows = plus.output.splitlines()[1:]
     assert rows == ["s", "2*t^4+t^3+2*t^2 / t^2+t+1"]
     assert minus.output.splitlines()[1:] == rows
+
+
+@pytest.mark.parametrize("family, q, digest", [
+    ("SL", "27", "e910783198d807980ccbabd5399f5e7c0929c3a7a199cb8a575a950e783e4bb5"),
+    ("PSL", "9", "2f79b8451473320982914865cf91b3833860ea4e601d9a1b9c1e5eeec161dca4"),
+])
+def test_reidemeister_frobenius_output_pinned(family, q, digest):
+    res = run_cli("reidemeister", "--group", family, "--n", "2", "--q", q, "--aut", "ring=frob^1")
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("denoms", ["t^2", "2*t", "t,t"])
+def test_bad_denominator_is_a_typed_error(denoms):
+    res = run_cli("fixed-s", "--p", "3", "--denoms", denoms, "--f", "t")
+    assert res.exit_code == 1
+    assert "chevtwist.errors.PreconditionFailed" in res.output
+    assert "builtins" not in res.output

@@ -2,13 +2,15 @@
 matrices and automorphisms: fixed misreads, rejected text, and round trips
 of every rendered form."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chevtwist.auts import GroupAut, parse_group_aut, render_group_aut
 from chevtwist.errors import ParseError
-from chevtwist.gf import Fq, evaluate
+from chevtwist.gf import EXPONENT_CAP, Fq, evaluate
 from chevtwist.groups import GroupCtx, GroupKind, generators
 from chevtwist.polyring import (
     Poly,
@@ -82,6 +84,27 @@ def test_long_minus_chain_is_a_parse_error():
     with pytest.raises(ParseError) as info:
         F3.parse(text)
     assert len(str(info.value)) < 100
+
+
+@pytest.mark.parametrize("text", [
+    "(t^2+w*t+2)^20000",
+    "t^4097",
+    "(t^64)^65",
+    "((t+1)^0)^5000",
+    "-(w^2)^2049",
+])
+def test_exponent_above_the_cap_is_refused_at_once(text):
+    start = time.perf_counter()
+    with pytest.raises(ParseError):
+        parse_poly(F9, text)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_exponent_at_the_cap_is_read():
+    assert EXPONENT_CAP == 4096
+    assert parse_poly(F3, "(t^64)^64") == parse_poly(F3, "t^4096")
+    assert parse_poly(F3, "t^4096").degree() == 4096
+    assert F9.parse("w^4096") == F9.one
 
 
 def test_grammar_accepts_parentheses_whitespace_and_unary_minus():

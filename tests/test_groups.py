@@ -7,6 +7,7 @@ import pytest
 
 from chevtwist.errors import (
     CapExceeded,
+    CertificateMismatch,
     NoForm,
     NotInGroup,
     NotProjective,
@@ -15,6 +16,7 @@ from chevtwist.errors import (
 )
 from chevtwist.gf import Fq
 from chevtwist.groups import (
+    FiniteGroup,
     GroupCtx,
     GroupKind,
     canonical_rep,
@@ -27,9 +29,11 @@ from chevtwist.groups import (
     is_member,
     mat_mul,
     mat_to_codes,
+    merge_new,
     order_sl,
     order_sp,
     projective_canonicalize,
+    stack_keys,
 )
 from chevtwist.matrices import Mat
 from chevtwist.polyring import RatFrac, RingDesc
@@ -289,6 +293,22 @@ def test_mat_mul_matches_mat_products(p, e):
                 assert codes_to_mat(field, prod) == want
 
 
+@pytest.mark.parametrize("p, n", [(79, 336), (79, 345), (83, 300), (251, 33), (251, 34), (251, 300)])
+def test_mat_mul_exact_at_the_float_bound(p, n):
+    # n (p-1)^2 just below 2^21 takes the float32 path, just above the
+    # int64 one; entries of p-1 give the largest sums, and at n = 300 they
+    # pass 2^24, where float32 stops being exact.  The float32 reciprocal
+    # of 83 rounds down, so the reduction needs its half-step offset there.
+    field = Fq(p, 1, cap=p)
+    rng = np.random.default_rng(n)
+    A = np.full((2, n, n), p - 1, dtype=np.uint8)
+    A[1] = rng.integers(0, p, (n, n))
+    B = rng.integers(p - 2, p, (n, n), dtype=np.uint8)
+    want = A.astype(np.int64) @ B.astype(np.int64) % p
+    assert (mat_mul(field, A, B) == want).all()
+    assert (mat_mul(field, A, np.stack([B, B])) == want).all()
+
+
 @pytest.mark.parametrize("kind, field", [
     (GroupKind.sl(2), Fq(3, 3)),
     (GroupKind.so_odd(2), F3),
@@ -329,3 +349,136 @@ def test_empty_stacks():
     for ctx in [GroupCtx(GroupKind.psl(2), F3), GroupCtx(GroupKind.sl(2), F9)]:
         assert canonical_stack(ctx, empty).shape == (0, 2, 2)
         assert enumerate_group(ctx).indices_of_stack(empty).shape == (0,)
+
+
+def _byte_keys(stack):
+    flat = np.ascontiguousarray(stack).reshape(len(stack), -1)
+    return flat.view(np.dtype((np.void, flat.shape[1]))).ravel()
+
+
+def _reference_closure(ctx, gens):
+    """Breadth-first closure with a whole-level dedupe on byte keys: every
+    frontier x generator product of a level, generator-major, then one
+    np.unique + np.isin against all keys seen so far."""
+    field = ctx.field
+    gens = [mat_to_codes(g.mat) for g in gens]
+    frontier = mat_to_codes(ctx.identity().mat)[None]
+    levels, seen = [frontier], _byte_keys(frontier)
+    while len(frontier):
+        prods = np.concatenate([mat_mul(field, frontier, g) for g in gens])
+        if ctx.projective:
+            prods = canonical_stack(ctx, prods)
+        keys = _byte_keys(prods)
+        _, first = np.unique(keys, return_index=True)
+        first.sort()
+        first = first[~np.isin(keys[first], seen)]
+        frontier = prods[first]
+        levels.append(frontier)
+        seen = np.concatenate([seen, keys[first]])
+    return np.concatenate(levels)
+
+
+ENUMERATED = [
+    GroupCtx(GroupKind.sl(2), F3),
+    GroupCtx(GroupKind.sl(2), F9),
+    GroupCtx(GroupKind.sl(2), Fq(3, 3)),
+    GroupCtx(GroupKind.psl(2), F9),
+    GroupCtx(GroupKind.psl(3), F3),
+    GroupCtx(GroupKind.sp(2), F3),
+    GroupCtx(GroupKind.psp(2), F3),
+    GroupCtx(GroupKind.so_odd(2), F3),
+]
+
+
+@pytest.mark.parametrize("ctx", ENUMERATED, ids=repr)
+def test_enumeration_matches_whole_level_reference(ctx):
+    codes = enumerate_group(ctx).codes
+    assert codes.tobytes() == _reference_closure(ctx, generators(ctx)).tobytes()
+
+
+def _classical_order(kind, q):
+    n = kind.n
+    if kind.family == "SL":
+        return order_sl(n, q)
+    if kind.family == "PSL":
+        return order_sl(n, q) // np.gcd(n, q - 1)
+    if kind.family == "Sp":
+        return order_sp(n, q)
+    # PSp_2n and Omega_2n+1 over odd q share the order |Sp_2n(q)| / 2
+    return order_sp(n, q) // 2
+
+
+# the families and fields of the reidemeister census
+CENSUS_GROUPS = [(GroupKind.sl(2), Fq(p, e)) for p, e in
+                 [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2), (3, 3)]] + [
+    (GroupKind.psl(2), F3), (GroupKind.psl(2), F9), (GroupKind.sl(3), F3),
+    (GroupKind.psl(3), F3), (GroupKind.so_odd(2), F3), (GroupKind.psp(2), F3),
+    (GroupKind.sp(2), F3),
+]
+
+
+@pytest.mark.parametrize("kind, field", CENSUS_GROUPS, ids=lambda v: repr(v))
+def test_basis_parameters_generate_the_group(kind, field):
+    ctx = GroupCtx(kind, field)
+    basis = [field.from_code(field.p ** j) for j in range(field.e)]
+    gens = generators(ctx, basis)
+    assert len(gens) * (field.q - 1) == len(generators(ctx)) * field.e
+    assert len(_reference_closure(ctx, gens)) == _classical_order(kind, field.q)
+
+
+@pytest.mark.parametrize("ctx", [
+    GroupCtx(GroupKind.psl(2), F9),
+    GroupCtx(GroupKind.sl(2), Fq(3, 3)),
+    GroupCtx(GroupKind.so_odd(2), F3),
+], ids=repr)
+def test_enumeration_cap_below_the_order_per_generator(ctx):
+    order = enumerate_group(ctx).order
+    with pytest.raises(CapExceeded):
+        enumerate_group.__wrapped__(ctx, order - 1)
+    assert enumerate_group.__wrapped__(ctx, order).order == order
+
+
+def test_integer_keys_sort_like_entries():
+    rng = np.random.default_rng(5)
+    stack = rng.integers(0, 9, (500, 3, 3), dtype=np.uint8)
+    keys = stack_keys(stack, 9)
+    assert keys.dtype == np.int64
+    order = np.argsort(keys, kind="stable")
+    assert (order == np.argsort(_byte_keys(stack), kind="stable")).all()
+    assert len(np.unique(keys)) == len(np.unique(_byte_keys(stack)))
+
+
+def test_wide_matrices_keep_byte_keys():
+    # 3^49 >= 2^63: a 7x7 matrix over F_3 does not fit an int64 key
+    ctx = GroupCtx(GroupKind.sl(7), F3)
+    gens = np.stack([mat_to_codes(g.mat) for g in generators(ctx)])
+    stack = np.concatenate([gens, mat_mul(F3, gens[:, None], gens[None]).reshape(-1, 7, 7)])
+    keys = stack_keys(stack, 3)
+    assert keys.dtype.kind == "V"
+    distinct = {m.tobytes() for m in stack}
+    first, seen = merge_new(keys, keys[:1])
+    assert len(first) == len(distinct) - 1 and len(seen) == len(distinct)
+    assert (np.argsort(seen, kind="stable") == np.arange(len(seen))).all()
+    codes = stack[np.sort(np.unique(keys, return_index=True)[1])]
+    G = FiniteGroup(ctx, codes)
+    perm = np.random.default_rng(6).permutation(len(codes))
+    assert (G.indices_of_stack(codes[perm]) == perm).all()
+
+
+def test_merge_new_keeps_first_occurrences_in_order():
+    seen = np.array([2, 5, 9], dtype=np.int64)
+    keys = np.array([7, 5, 1, 7, 12, 1, 2, 3], dtype=np.int64)
+    first, merged = merge_new(keys, seen)
+    assert first.tolist() == [0, 2, 4, 7]
+    assert merged.tolist() == [1, 2, 3, 5, 7, 9, 12]
+
+
+def test_form_invariant_failures_are_typed():
+    from chevtwist.groups import _check_form_invariants
+
+    J = form_matrix(GroupKind.sp(2), 2, F3)
+    with pytest.raises(CertificateMismatch):
+        _check_form_invariants(J, GroupKind.so_even(3))  # antisymmetric, not symmetric
+    zero = Mat([[F3.zero] * 4 for _ in range(4)])
+    with pytest.raises(CertificateMismatch):
+        _check_form_invariants(zero, GroupKind.sp(2))  # singular

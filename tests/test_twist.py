@@ -377,3 +377,17 @@ def test_twisted_orbit_of_cap_is_exact():
         with pytest.raises(CapExceeded):
             twisted_orbit_of(x, frob, cap=size - 1)
         assert len(twisted_orbit_of(x, frob, cap=size)) == size
+
+
+@pytest.mark.parametrize("ctx, sigma, count", [
+    (GroupCtx(GroupKind.sl(2), Fq(3, 3)), "ring", 6),
+    (GroupCtx(GroupKind.sp(2), F3), "id", 8),
+    (SL2_F9, "ring", 4),
+], ids=["SL2_F27", "Sp4_F3", "SL2_F9"])
+def test_one_action_per_root_and_basis_parameter(ctx, sigma, count):
+    aut = GroupAut(ctx, ring=1) if sigma == "ring" else GroupAut.identity(ctx)
+    G = enumerate_group(ctx)
+    actions = twist._twisted_generator_actions(G, aut)
+    assert len(actions) == count
+    for perm in actions:
+        assert sorted(perm.tolist()) == list(range(G.order))
