@@ -268,7 +268,14 @@ def witness_check(p, e, denoms, group, n, f_text, m_max, r_max, k_max, out, fmt)
 @click.option("--expect-count", type=int, default=None, help="fail unless the count matches")
 @_add_options(out_opts)
 def reidemeister(group, n, q, p, e, aut_text, cap, burnside_cap, expect_count, out, fmt):
-    """Twisted conjugacy class count of a finite instance, both methods."""
+    """Twisted conjugacy class count of a finite instance, both methods.
+
+    SOodd and SOeven enumerate Omega_{2n+1}(q) and Omega^+_2n(q), the
+    groups their root elements generate; |Omega_5(3)| = 25,920.  SOeven
+    and PSOeven cannot be counted under the default --cap: the smallest,
+    Omega^+_6(3), has 6,065,280 elements.  A group whose order exceeds
+    --cap is refused before it is enumerated.
+    """
 
     def run():
         field = _field_from_flags(p, e, q)

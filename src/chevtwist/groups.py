@@ -22,12 +22,19 @@ where q^(n^2) does not fit), and an element is found by searching its key
 among the group's keys, sorted once.  The closure dedupes each
 generator's products against the sorted keys seen so far.  This keeps
 10^5..10^6 element groups within reach.
+
+The root elements of SOodd and SOeven generate Omega_{2n+1}(q) and
+Omega^+_2n(q) (order_omega_odd, order_omega_plus), which is what they
+enumerate.  A group whose order exceeds the cap is refused before any
+product: the smallest SOeven, Omega^+_6(3), has 6,065,280 elements, so
+SOeven and PSOeven cannot be enumerated under ENUM_CAP.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +58,6 @@ _FORMED = {"Sp", "PSp", "SOodd", "SOeven", "PSOeven"}
 _MIN_RANK = {"SL": 2, "PSL": 2, "Sp": 2, "PSp": 2, "SOodd": 2, "SOeven": 3, "PSOeven": 3}
 
 ENUM_CAP = 1_000_000
-CENTER_ENUM_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -110,10 +116,6 @@ class GroupKind:
         return self.family in _FORMED
 
     @property
-    def adjoint(self) -> bool:
-        return self.family in ("PSL", "PSp", "SOodd", "PSOeven")
-
-    @property
     def in_classified_range(self) -> bool:
         # the automorphism normal form is only complete for the linear
         # kinds from rank 3 up; rank 2 stays available as test plumbing
@@ -143,24 +145,14 @@ def form_matrix(kind: GroupKind, n: int, scalars) -> Mat:
     if not kind.formed:
         raise NoForm(f"{kind.family} carries no bilinear form")
     one, zero = _scalar_one_zero(scalars)
-    if kind.family in ("Sp", "PSp"):
-        rows = [[zero] * (2 * n) for _ in range(2 * n)]
-        for i in range(n):
-            rows[i][n + i] = one
-            rows[n + i][i] = -one
-        return Mat(rows)
-    if kind.family == "SOodd":
-        size = 2 * n + 1
-        rows = [[zero] * size for _ in range(size)]
-        for i in range(n):
-            rows[i][n + i] = one
-            rows[n + i][i] = one
-        rows[2 * n][2 * n] = one
-        return Mat(rows)
-    rows = [[zero] * (2 * n) for _ in range(2 * n)]
+    size = 2 * n + (kind.family == "SOodd")
+    rows = [[zero] * size for _ in range(size)]
+    sign = -one if kind.family in ("Sp", "PSp") else one
     for i in range(n):
         rows[i][n + i] = one
-        rows[n + i][i] = one
+        rows[n + i][i] = sign
+    if kind.family == "SOodd":
+        rows[2 * n][2 * n] = one
     return Mat(rows)
 
 
@@ -351,9 +343,6 @@ class GrpElem:
 
     def trace(self):
         return self.mat.trace()
-
-    def is_identity(self) -> bool:
-        return self == self.ctx.identity()
 
     def __eq__(self, other):
         return (
@@ -671,6 +660,9 @@ class FiniteGroup:
 def enumerate_group(ctx: GroupCtx, cap: int = ENUM_CAP) -> FiniteGroup:
     """Breadth-first closure of the root generators; deterministic order.
 
+    Refuses with CapExceeded before any product when expected_order
+    exceeds cap, and checks the enumerated order against it where exact.
+
     Each level multiplies the frontier on the right by every generator,
     generator-major, and a product joins the group where it first appears.
     Each generator's products are deduped against the sorted keys seen so
@@ -679,6 +671,10 @@ def enumerate_group(ctx: GroupCtx, cap: int = ENUM_CAP) -> FiniteGroup:
     if not ctx.is_finite:
         raise Unsupported("cannot enumerate over an infinite ring")
     field = ctx.field
+    order, exact = expected_order(ctx.kind, field.q)
+    if order > cap:
+        raise CapExceeded(f"group enumeration exceeded cap {cap}: {ctx.kind!r} over "
+                          f"F_{field.q} has order {'' if exact else 'at least '}{order}")
     gens = [mat_to_codes(g.mat) for g in generators(ctx)]
     frontier = mat_to_codes(ctx.identity().mat)[None]
     levels = [frontier]
@@ -695,85 +691,75 @@ def enumerate_group(ctx: GroupCtx, cap: int = ENUM_CAP) -> FiniteGroup:
                 raise CapExceeded(f"group enumeration exceeded cap {cap}")
         frontier = np.concatenate(level)
         levels.append(frontier)
-    return FiniteGroup(ctx, np.concatenate(levels))
+    G = FiniteGroup(ctx, np.concatenate(levels))
+    if exact and G.order != order:
+        raise CertificateMismatch(f"enumerated {G.order} elements, the order formula gives {order}")
+    return G
 
 
 # ---------------------------------------------------------------------------
-# center: joint commutation system, solved linearly then filtered
+# intertwiners: a linear system on matrix entries, solved then filtered
+
+# kernel combinations intertwiners may enumerate, over all branches: room
+# for any two non-scalar elements of PSL_2(F_81), two branches of q^2 each
+SOLVE_CAP = 20_000
 
 
-def center(ctx: GroupCtx, enum_cap: int = CENTER_ENUM_CAP):
-    """All members commuting with every generator (projectively for
-    projective kinds: commuting up to a center scalar).
+def _combine(coefs, basis):
+    return functools.reduce(Mat.__add__, (m * c for c, m in zip(coefs, basis)))
 
-    Solved as a linear system on matrix entries, one sign branch per
-    center scalar per generator, then filtered by membership.
+
+def intertwiners(ctx: GroupCtx, pairs, cap: int = SOLVE_CAP):
+    """All members M with a M = lam M b for every pair (a, b) of matrices.
+
+    lam is 1 for linear kinds; for projective kinds each pair may take any
+    center scalar, so M intertwines the cosets.  The system is solved pair
+    by pair on the entries of M, one branch per center scalar; each
+    branch's kernel is then enumerated over F_q and filtered by membership.
+    Raises CapExceeded, before enumerating, when the kernels hold more than
+    cap combinations in all.  Members come once each, ordered by codes.
     """
     if not ctx.is_finite:
-        raise Unsupported("center computation needs finite scalars")
+        raise Unsupported("intertwiners need finite scalars")
     field = ctx.field
     N = ctx.dim
-    gens = [g.mat for g in generators(ctx)]
     lams = ctx.center_scalars() if ctx.projective else [ctx.one]
-
-    def constraint_rows(basis_mats, g, lam):
-        # rows of the map (a_k) -> sum_k a_k (M_k g - lam g M_k), flattened
-        images = [(m * g) - (g * m) * lam for m in basis_mats]
-        return [
-            [img[r // N, r % N] for img in images] for r in range(N * N)
-        ]
-
-    std_basis = []
-    for i in range(N):
-        for j in range(N):
-            rows = [[field.one if (r, c) == (i, j) else field.zero for c in range(N)] for r in range(N)]
-            std_basis.append(Mat(rows))
-    branches = [std_basis]
-    for g in gens:
+    units = [
+        Mat([[field.one if (r, c) == (i, j) else field.zero for c in range(N)] for r in range(N)])
+        for i in range(N) for j in range(N)
+    ]
+    branches = [units]
+    for a, b in pairs:
         new_branches = []
         for basis in branches:
             for lam in lams:
-                kern = nullspace(constraint_rows(basis, g, lam))
-                if not kern:
-                    continue
-                new_basis = []
-                for vec in kern:
-                    acc = None
-                    for coef, m in zip(vec, basis):
-                        term = m * coef
-                        acc = term if acc is None else acc + term
-                    new_basis.append(acc)
-                new_branches.append(new_basis)
+                # the map (c_k) -> sum_k c_k (a M_k - lam M_k b), row per entry
+                images = [a * m - m * b * lam for m in basis]
+                kern = nullspace([[img[r // N, r % N] for img in images] for r in range(N * N)])
+                if kern:
+                    new_branches.append([_combine(vec, basis) for vec in kern])
         branches = new_branches
-        if not branches:
-            break
-
+    combos = sum(field.q ** len(basis) for basis in branches)
+    if combos > cap:
+        raise CapExceeded(f"{combos} kernel combinations exceed cap {cap}")
     found = {}
     for basis in branches:
-        dim = len(basis)
-        if field.q ** dim > enum_cap:
-            raise CapExceeded(f"center kernel of dimension {dim} too large to enumerate")
-        for coefs in itertools.product(field.elements(), repeat=dim):
-            acc = None
-            for c, m in zip(coefs, basis):
-                term = m * c
-                acc = term if acc is None else acc + term
-            if acc is None or all(not x for row in acc.rows for x in row):
-                continue
-            try:
-                if not is_member(ctx, acc):
-                    continue
-            except SizeMismatch:
-                continue
-            g = GrpElem(ctx, acc, check=False)
-            key = mat_to_codes(g.mat).tobytes()
-            found.setdefault(key, g)
-    ordered = sorted(found.items(), key=lambda kv: kv[0])
-    return [g for _, g in ordered]
+        for coefs in itertools.product(field.elements(), repeat=len(basis)):
+            mat = _combine(coefs, basis)
+            if any(x for row in mat.rows for x in row) and is_member(ctx, mat):
+                g = GrpElem(ctx, mat, check=False)
+                found.setdefault(mat_to_codes(g.mat).tobytes(), g)
+    return [found[key] for key in sorted(found)]
+
+
+def center(ctx: GroupCtx, cap: int = SOLVE_CAP):
+    """All members commuting with every generator (projectively for
+    projective kinds: commuting up to a center scalar)."""
+    return intertwiners(ctx, [(h.mat, h.mat) for h in generators(ctx)], cap)
 
 
 # ---------------------------------------------------------------------------
-# classical order formulas (used as enumeration cross-checks)
+# classical order formulas: enumeration refuses by them, and checks against them
 
 
 def order_sl(n: int, q: int) -> int:
@@ -789,3 +775,34 @@ def order_sp(n: int, q: int) -> int:
     for i in range(1, n + 1):
         out *= q ** (2 * i) - 1
     return out
+
+
+def order_omega_odd(n: int, q: int) -> int:
+    """Order of Omega_{2n+1}(F_q), q odd: half that of Sp_2n(F_q)."""
+    return order_sp(n, q) // 2
+
+
+def order_omega_plus(n: int, q: int) -> int:
+    """Order of Omega^+_{2n}(F_q), q odd."""
+    out = q ** (n * (n - 1)) * (q ** n - 1)
+    for i in range(1, n):
+        out *= q ** (2 * i) - 1
+    return out // 2
+
+
+def expected_order(kind: GroupKind, q: int):
+    """The order of the group enumerate_group builds over F_q, and whether
+    it is exact.  SOodd and SOeven enumerate Omega; for PSOeven, Omega^+
+    modulo the scalars it holds, half of |Omega^+| is a lower bound.
+    """
+    n, fam = kind.n, kind.family
+    if fam in ("SL", "PSL"):
+        scalars = math.gcd(n, q - 1) if kind.projective else 1
+        return order_sl(n, q) // scalars, True
+    if fam in ("Sp", "PSp"):
+        return order_sp(n, q) // (2 if kind.projective else 1), True
+    if fam == "SOodd":
+        return order_omega_odd(n, q), True
+    if fam == "SOeven":
+        return order_omega_plus(n, q), True
+    return order_omega_plus(n, q) // 2, False

@@ -1,8 +1,8 @@
 """Small exact matrices over a field (FqElem or RatFrac entries).
 
-Everything is immutable and hashable.  Gaussian elimination drives det,
-inverse and nullspace; entries are field elements so no pivoting strategy
-beyond "first nonzero" is needed.
+Everything is immutable and hashable.  One Gauss-Jordan reduction,
+_gauss_jordan, drives det, inverse and nullspace; entries are field
+elements, so no pivoting strategy beyond "first nonzero" is needed.
 """
 
 from __future__ import annotations
@@ -56,10 +56,6 @@ class Mat:
     @classmethod
     def identity(cls, n, one, zero):
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, m, n, zero):
-        return cls([[zero] * n for _ in range(m)])
 
     @classmethod
     def block_diag(cls, blocks, zero):
@@ -126,46 +122,28 @@ class Mat:
         return Mat([[fn(x) for x in row] for row in self.rows])
 
     def det(self):
+        """Product of the pivots, negated for an odd number of row swaps."""
         if not self.is_square:
             raise SizeMismatch("determinant of a non-square matrix")
         n = self.nrows
-        one = one_like(self.rows[0][0])
-        zero = zero_like(self.rows[0][0])
-        a = [list(r) for r in self.rows]
-        det = one
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col]), None)
-            if piv is None:
-                return zero
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                det = -det
-            det = det * a[col][col]
-            inv = one / a[col][col]
-            for r in range(col + 1, n):
-                if a[r][col]:
-                    factor = a[r][col] * inv
-                    a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-        return det
+        pivots, values, swaps = _gauss_jordan([list(r) for r in self.rows], n)
+        if len(pivots) < n:
+            return zero_like(self.rows[0][0])
+        det = values[0]
+        for v in values[1:]:
+            det = det * v
+        return -det if swaps % 2 else det
 
     def inverse(self):
+        """The right half of [A | I] after reducing its left half to I."""
         if not self.is_square:
             raise SizeMismatch("inverse of a non-square matrix")
         n = self.nrows
         one = one_like(self.rows[0][0])
         zero = zero_like(self.rows[0][0])
         a = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col]), None)
-            if piv is None:
-                raise Singular("matrix is singular")
-            a[col], a[piv] = a[piv], a[col]
-            inv = one / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    factor = a[r][col]
-                    a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+        if len(_gauss_jordan(a, n)[0]) < n:
+            raise Singular("matrix is singular")
         return Mat([row[n:] for row in a])
 
     def __eq__(self, other):
@@ -205,6 +183,39 @@ def parse_matrix(text: str, entry_parser) -> Mat:
     return Mat(rows)
 
 
+def _gauss_jordan(a, ncols):
+    """Reduce the rows a (lists of field scalars, changed in place) to
+    reduced row echelon form on their first ncols columns.
+
+    Column by column: the first row at or below the next pivot row with a
+    nonzero entry is swapped up, scaled to a leading 1, and cleared from
+    every other row.  Returns the pivot columns, each pivot's value before
+    scaling, and the number of swaps.
+    """
+    m = len(a)
+    one = one_like(a[0][0])
+    pivots, values, swaps = [], [], 0
+    for col in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            swaps += 1
+        values.append(a[r][col])
+        inv = one / a[r][col]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][col]:
+                factor = a[i][col]
+                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return pivots, values, swaps
+
+
 def nullspace(rows):
     """Basis of the right kernel of a matrix given as lists of field scalars.
 
@@ -213,27 +224,11 @@ def nullspace(rows):
     """
     if not rows:
         return []
-    m, n = len(rows), len(rows[0])
+    n = len(rows[0])
     one = one_like(rows[0][0])
     zero = zero_like(rows[0][0])
     a = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = one / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][col]:
-                factor = a[i][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
+    pivots = _gauss_jordan(a, n)[0]
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:

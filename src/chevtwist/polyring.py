@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     CapExceeded,
+    CertificateMismatch,
     MixedFields,
     NotInRing,
     NotStabilizing,
@@ -421,9 +422,6 @@ class RatFrac:
             return -1
         return self.num.degree() - self.den.degree()
 
-    def leading_ratio(self) -> FqElem:
-        return self.num.leading_coeff() / self.den.leading_coeff()
-
     def _coerce(self, other):
         if isinstance(other, RatFrac):
             if other.field != self.field:
@@ -760,11 +758,13 @@ def ring_automorphisms(R: RingDesc, q_cap: int = 27):
         keys = {(s.frob, s.mobius) for s in out}
         for s in out:
             t = s.inverse()
-            assert (t.frob, t.mobius) in keys, "automorphism set not inverse closed"
+            if (t.frob, t.mobius) not in keys:
+                raise CertificateMismatch("automorphism set not inverse closed")
         for s in out:
             for t in out:
                 u = s.compose(t)
-                assert (u.frob, u.mobius) in keys, "automorphism set not closed"
+                if (u.frob, u.mobius) not in keys:
+                    raise CertificateMismatch("automorphism set not closed")
     return out
 
 
@@ -800,8 +800,10 @@ def fixed_element(f: Poly, R: RingDesc) -> RatFrac:
     s = RatFrac.one(R.field)
     for sigma in auts:
         s = s * sigma(frac)
-    assert R.contains(s)
-    assert not R.is_unit(s), "fixed element unexpectedly a unit"
-    for sigma in auts:
-        assert sigma(s) == s, "fixed element not fixed by the full group"
+    if not R.contains(s):
+        raise CertificateMismatch("fixed element outside the ring")
+    if R.is_unit(s):
+        raise CertificateMismatch("fixed element unexpectedly a unit")
+    if any(sigma(s) != s for sigma in auts):
+        raise CertificateMismatch("fixed element not fixed by the full group")
     return s

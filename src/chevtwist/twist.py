@@ -15,6 +15,10 @@ inverse to the frontier with broadcast products and keeps the first
 occurrence of each new element, found against the sorted keys seen so
 far, with a witness carried alongside.  The decision procedure verifies
 the witness it returns with the per-element action.
+
+The linear strategy decides plain conjugacy from the intertwiners
+x M = lam M y, for SL, PSL, Sp and PSp only: the orthogonal kinds work in
+Omega, which the membership test does not see.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -46,6 +49,7 @@ from .groups import (
     codes_to_mat,
     enumerate_group,
     generators,
+    intertwiners,
     mat_mul,
     mat_to_codes,
     merge_new,
@@ -53,10 +57,8 @@ from .groups import (
     mul_stack,
     stack_keys,
 )
-from .matrices import Mat, nullspace
 
 BURNSIDE_CAP = 2_000
-LINEAR_DIM_CAP = 8
 
 
 def twist_step(g: GrpElem, x: GrpElem, sigma: GroupAut) -> GrpElem:
@@ -219,7 +221,9 @@ def are_twisted_conjugate(
     (False, None) when the decision procedure proves non-membership, or
     (None, None) when the strategy in play is incomplete.  The exact
     strategies are tried first; seeded random sampling is the last rung
-    and can only answer True or Unknown, never False.
+    and can only answer True or Unknown, never False.  The "linear"
+    strategy needs the identity automorphism and an SL, PSL, Sp or PSp
+    context, and is unknown beyond groups.SOLVE_CAP kernel combinations.
     """
     ctx = x.ctx
     if y.ctx != ctx or sigma.ctx != ctx:
@@ -337,47 +341,21 @@ def _sampled_search(x: GrpElem, y: GrpElem, sigma: GroupAut, seed: int, samples:
 
 
 def _plain_conjugacy_linear(x: GrpElem, y: GrpElem):
-    """Solve x g = g y on matrix entries, then filter by membership."""
+    """A conjugator g = M^(-1) from the intertwiners x M = lam M y;
+    unknown when their kernel has too many combinations to enumerate."""
     ctx = x.ctx
-    field = ctx.field
-    N = ctx.dim
-    rows = []
-    xm, ym = x.mat, y.mat
-    # entries of x g - g y, linear in the entries of g
-    for r in range(N):
-        for c in range(N):
-            row = []
-            for i in range(N):
-                for j in range(N):
-                    coef = field.zero
-                    if j == c:
-                        coef = coef + xm[r, i]
-                    if i == r:
-                        coef = coef - ym[j, c]
-                    row.append(coef)
-            rows.append(row)
-    basis = nullspace(rows)
-    if not basis:
-        return False, None
-    if len(basis) > LINEAR_DIM_CAP:
+    if ctx.kind.family not in ("SL", "PSL", "Sp", "PSp"):
+        raise Unsupported(f"linear strategy does not cover {ctx.kind!r}")
+    try:
+        found = intertwiners(ctx, [(x.mat, y.mat)])
+    except CapExceeded:
         return None, None
-    for coefs in itertools.product(field.elements(), repeat=len(basis)):
-        entries = [field.zero] * (N * N)
-        for c, vec in zip(coefs, basis):
-            if c:
-                entries = [e + c * v for e, v in zip(entries, vec)]
-        mat = Mat([entries[i * N:(i + 1) * N] for i in range(N)])
-        if all(not e for row in mat.rows for e in row):
-            continue
-        if mat.det() != ctx.one:
-            continue
-        if ctx.form is not None and mat.transpose() * ctx.form * mat != ctx.form:
-            continue
-        m = GrpElem(ctx, mat, check=False)
-        g = m.inverse()
-        if twist_step(g, x, GroupAut.identity(ctx)) == y:
-            return True, g
-    return False, None
+    if not found:
+        return False, None
+    g = found[0].inverse()
+    if twist_step(g, x, GroupAut.identity(ctx)) != y:
+        raise CertificateMismatch("witness failed verification")
+    return True, g
 
 
 def power_reduction_check(x: GrpElem, y: GrpElem, sigma: GroupAut, r: int) -> bool:

@@ -81,7 +81,8 @@ def witness_sl(m: int, cfg: WitnessConfig, n: int) -> GrpElem:
     g = GrpElem(ctx, Mat(rows), check=True)
     e12 = _elementary(ctx, 0, 1, u)
     e21 = _elementary(ctx, 1, 0, -u)
-    assert g == e12 * e21, "witness does not split into elementary factors"
+    if g != e12 * e21:
+        raise CertificateMismatch("witness does not split into elementary factors")
     return g
 
 
@@ -167,7 +168,8 @@ def witness_sp(m: int, cfg: WitnessConfig, n: int) -> GrpElem:
     ctx = GroupCtx(GroupKind.sp(n), cfg.ring)
     mat = Mat.block_diag([X, D], ctx.zero)
     g = GrpElem(ctx, mat, check=True)
-    assert g.trace() == X.trace() * 2, "trace doubling failed at construction"
+    if g.trace() != X.trace() * 2:
+        raise CertificateMismatch("trace doubling failed at construction")
     return g
 
 
@@ -237,7 +239,8 @@ def obstruction_report(lam: RatFrac, lam_prime: RatFrac, R: RingDesc) -> Obstruc
         raise ZeroLambda("witness parameters must be nonzero")
     ratio = (lam_prime * lam_prime) / (lam * lam)
     is_unit = R.is_unit_of(ratio)
-    assert is_unit == R.is_unit_of(ratio.inverse())
+    if is_unit != R.is_unit_of(ratio.inverse()):
+        raise CertificateMismatch("unit test disagrees on a ratio and its inverse")
     return ObstructionReport(lam=lam, lam_prime=lam_prime, ratio=ratio, ratio_is_unit=is_unit)
 
 
@@ -259,7 +262,8 @@ def explicit_conjugator(lam, c, kind: str, n: int, scalars) -> GrpElem:
     rows[n][n], rows[n + 1][n + 1] = cinv, cinv
     g = GrpElem(ctx, Mat(rows), check=True)
     target = witness_so(c * c * lam, kind, n, scalars)
-    assert g * x * g.inverse() == target, "conjugation identity failed"
+    if g * x * g.inverse() != target:
+        raise CertificateMismatch("conjugation identity failed")
     return g
 
 
@@ -290,22 +294,17 @@ def decompose_blocks(g: GrpElem) -> BlockDecomposition:
         last_col = tuple(r[2 * n] for r in rows)
         last_row = tuple(rows[2 * n])
     dec = BlockDecomposition(K=K, L=L, M=M, N=N, last_col=last_col, last_row=last_row)
-    _assert_reassembles(dec, g.mat, kind)
+    _check_reassembles(dec, g.mat, kind)
     return dec
 
 
-def _assert_reassembles(dec: BlockDecomposition, mat: Mat, kind: GroupKind):
-    n = kind.n
-    for i in range(n):
-        for j in range(n):
-            assert dec.K[i, j] == mat[i, j]
-            assert dec.L[i, j] == mat[i, n + j]
-            assert dec.M[i, j] == mat[n + i, j]
-            assert dec.N[i, j] == mat[n + i, n + j]
+def _check_reassembles(dec: BlockDecomposition, mat: Mat, kind: GroupKind):
+    rows = [k + l for k, l in zip(dec.K.rows, dec.L.rows)]
+    rows += [m + n for m, n in zip(dec.M.rows, dec.N.rows)]
     if kind.family == "SOodd":
-        for i in range(2 * n + 1):
-            assert dec.last_col[i] == mat[i, 2 * n]
-            assert dec.last_row[i] == mat[2 * n, i]
+        rows = [r + (c,) for r, c in zip(rows, dec.last_col)] + [dec.last_row]
+    if Mat(rows) != mat or (dec.last_col and dec.last_col != tuple(r[-1] for r in mat.rows)):
+        raise CertificateMismatch("block decomposition does not reassemble the matrix")
 
 
 def block_constraint_check(g: GrpElem, lam: RatFrac, lam_prime: RatFrac) -> bool:

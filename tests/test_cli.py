@@ -6,7 +6,7 @@ import pathlib
 import pytest
 from click.testing import CliRunner
 
-from chevtwist import twist
+from chevtwist import groups, twist
 from chevtwist.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -199,3 +199,18 @@ def test_bad_denominator_is_a_typed_error(denoms):
     assert res.exit_code == 1
     assert "chevtwist.errors.PreconditionFailed" in res.output
     assert "builtins" not in res.output
+
+
+@pytest.mark.parametrize("group", ["SOeven", "PSOeven"])
+def test_reidemeister_even_orthogonal_refused_up_front(group, monkeypatch):
+    # |Omega^+_6(F_3)| = 6,065,280 is above the enumeration cap: the count
+    # is refused from the order formula, before any product is made
+    def no_products(*args):
+        raise AssertionError("a product was made")
+
+    monkeypatch.setattr(groups, "mul_stack", no_products)
+    res = run_cli("reidemeister", "--group", group, "--n", "3", "--q", "3", "--aut", "id")
+    assert res.exit_code == 1
+    assert "CapExceeded: group enumeration exceeded cap 1000000" in res.output
+    order = "6065280" if group == "SOeven" else "at least 3032640"
+    assert f"has order {order}" in res.output

@@ -14,6 +14,7 @@ from chevtwist.errors import (
     SizeMismatch,
     Unsupported,
 )
+from chevtwist import groups
 from chevtwist.gf import Fq
 from chevtwist.groups import (
     FiniteGroup,
@@ -24,12 +25,15 @@ from chevtwist.groups import (
     center,
     codes_to_mat,
     enumerate_group,
+    expected_order,
     form_matrix,
     generators,
     is_member,
     mat_mul,
     mat_to_codes,
     merge_new,
+    order_omega_odd,
+    order_omega_plus,
     order_sl,
     order_sp,
     projective_canonicalize,
@@ -195,6 +199,30 @@ def test_enumeration_cap_just_below_the_order():
     assert enumerate_group(ctx, cap=order_sl(3, 3)).order == order_sl(3, 3)
 
 
+def test_omega_orders():
+    # |Omega_5(3)| = |PSp_4(3)|; |Omega^+_6(3)| = |SL_4(3)| / 2
+    assert order_omega_odd(2, 3) == 25_920
+    assert order_omega_plus(3, 3) == 6_065_280 == order_sl(4, 3) // 2
+    assert expected_order(GroupKind.so_odd(2), 3) == (25_920, True)
+    assert expected_order(GroupKind.pso_even(3), 3) == (3_032_640, False)
+
+
+@pytest.mark.parametrize("kind", [GroupKind.so_even(3), GroupKind.pso_even(3)], ids=repr)
+def test_enumeration_refuses_before_any_product(kind, monkeypatch):
+    def no_products(*args):
+        raise AssertionError("a product was made")
+
+    monkeypatch.setattr(groups, "mul_stack", no_products)
+    with pytest.raises(CapExceeded, match="group enumeration exceeded cap 1000000"):
+        enumerate_group.__wrapped__(GroupCtx(kind, F3))
+
+
+def test_enumeration_checks_the_order_formula(monkeypatch):
+    monkeypatch.setattr(groups, "expected_order", lambda kind, q: (25, True))
+    with pytest.raises(CertificateMismatch):
+        enumerate_group.__wrapped__(GroupCtx(GroupKind.sl(2), F3))
+
+
 def test_enumeration_deterministic():
     ctx = GroupCtx(GroupKind.sl(2), F3)
     a = enumerate_group.__wrapped__(ctx, 1_000_000)
@@ -260,6 +288,14 @@ def test_center_adjoint_trivial_over_f9():
     for kind in [GroupKind.psl(3), GroupKind.so_odd(2)]:
         ctx = GroupCtx(kind, F9)
         assert center(ctx) == [ctx.identity()]
+
+
+def test_center_refuses_beyond_its_cap():
+    # the scalar matrices of SL_2(F_3) give 3 kernel combinations
+    ctx = GroupCtx(GroupKind.sl(2), F3)
+    with pytest.raises(CapExceeded):
+        center(ctx, cap=2)
+    assert len(center(ctx, cap=3)) == 2
 
 
 def test_grp_elem_rejects_non_member():

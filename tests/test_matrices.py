@@ -1,0 +1,127 @@
+"""The one Gauss-Jordan elimination behind det, inverse and nullspace, over
+F_3, F_9, F_25 and small fractions over F_3(t)."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chevtwist.errors import Singular
+from chevtwist.gf import Fq
+from chevtwist.matrices import Mat, nullspace, one_like, zero_like
+from chevtwist.polyring import Poly, RatFrac
+
+F3 = Fq(3)
+FIELDS = [F3, Fq(3, 2), Fq(5, 2)]
+DENOMS = [Poly(F3, [1]), Poly(F3, [0, 1]), Poly(F3, [1, 1])]
+
+SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+def _field_scalars(field):
+    return st.integers(0, field.q - 1).map(field.from_code)
+
+
+def _frac_scalars():
+    """(a + b t) / d with d in {1, t, t+1}."""
+    return st.builds(
+        lambda a, b, d: RatFrac(Poly(F3, [a, b]), d),
+        st.integers(0, 2), st.integers(0, 2), st.sampled_from(DENOMS),
+    )
+
+
+DOMAINS = [pytest.param(_field_scalars(f), 4, id=f"F{f.q}") for f in FIELDS] + [
+    pytest.param(_frac_scalars(), 3, id="F3(t)")
+]
+
+
+def _square(scalars, max_n):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n)
+    ).map(Mat)
+
+
+def _identity_like(a):
+    x = a[0, 0]
+    return Mat.identity(a.nrows, one_like(x), zero_like(x))
+
+
+@pytest.mark.parametrize("scalars, max_n", DOMAINS)
+def test_det_is_multiplicative(scalars, max_n):
+    @SETTINGS
+    @given(st.data())
+    def check(data):
+        a = data.draw(_square(scalars, max_n))
+        b = data.draw(
+            st.lists(st.lists(scalars, min_size=a.nrows, max_size=a.nrows),
+                     min_size=a.nrows, max_size=a.nrows).map(Mat)
+        )
+        assert (a * b).det() == a.det() * b.det()
+
+    check()
+
+
+@pytest.mark.parametrize("scalars, max_n", DOMAINS)
+def test_inverse_or_singular(scalars, max_n):
+    @SETTINGS
+    @given(_square(scalars, max_n))
+    def check(a):
+        if not a.det():
+            with pytest.raises(Singular):
+                a.inverse()
+            return
+        inv = a.inverse()
+        assert a * inv == _identity_like(a) == inv * a
+
+    check()
+
+
+@pytest.mark.parametrize("scalars, max_n", DOMAINS)
+def test_singular_input_raises(scalars, max_n):
+    # the last row is a multiple of the first (zero for 1 x 1)
+    @SETTINGS
+    @given(_square(scalars, max_n), scalars)
+    def check(a, c):
+        rows = [list(r) for r in a.rows]
+        rows[-1] = [c * x for x in rows[0]] if len(rows) > 1 else [c - c]
+        singular = Mat(rows)
+        assert not singular.det()
+        with pytest.raises(Singular):
+            singular.inverse()
+
+    check()
+
+
+@pytest.mark.parametrize("scalars, max_n", DOMAINS)
+def test_nullspace_basis(scalars, max_n):
+    @SETTINGS
+    @given(st.data())
+    def check(data):
+        m = data.draw(st.integers(1, max_n))
+        n = data.draw(st.integers(1, max_n + 1))
+        rows = data.draw(st.lists(st.lists(scalars, min_size=n, max_size=n),
+                                  min_size=m, max_size=m))
+        basis = nullspace(rows)
+        zero = zero_like(rows[0][0])
+        for v in basis:
+            assert all(_dot(row, v) == zero for row in rows)
+        # rank-nullity, the rank read off the left kernel
+        rank = m - len(nullspace([list(c) for c in zip(*rows)]))
+        assert rank + len(basis) == n
+        # free columns ascending, each vector 1 there and 0 in the others
+        previous = -1
+        for i, v in enumerate(basis):
+            free = [
+                c for c in range(n) if c > previous and v[c] == one_like(v[c])
+                and all(not w[c] for j, w in enumerate(basis) if j != i)
+            ]
+            assert free
+            previous = free[0]
+
+    check()
+
+
+def _dot(row, v):
+    acc = zero_like(row[0])
+    for x, y in zip(row, v):
+        acc = acc + x * y
+    return acc

@@ -157,6 +157,59 @@ def test_linear_strategy_needs_identity_aut():
         are_twisted_conjugate(x, y, GroupAut(SL2_F9, ring=1), strategy="linear")
 
 
+@pytest.mark.parametrize("ctx", [SL2_F3, PSL2_F3, GroupCtx(GroupKind.psl(2), Fq(5))], ids=repr)
+def test_linear_strategy_agrees_with_orbit_on_class_representatives(ctx):
+    ident = GroupAut.identity(ctx)
+    reps = twisted_orbits(ctx, ident).orbit_representatives
+    h = generators(ctx)[0]
+    for x in reps:
+        for r in reps:
+            y = twist_step(h, r, ident)  # a conjugate of r, often not r itself
+            want = are_twisted_conjugate(x, y, ident, strategy="orbit")[0]
+            ok, g = are_twisted_conjugate(x, y, ident, strategy="linear")
+            assert ok == want == (x == r)
+            if ok:
+                assert twist_step(g, x, ident) == y
+
+
+def test_linear_strategy_conjugates_up_to_a_center_scalar():
+    # in PSL_2(F_3), g x g^-1 = -y for a lift g: a projective solution only
+    ident = GroupAut.identity(PSL2_F3)
+    x, y = PSL2_F3.parse_elem("0,1;2,1"), PSL2_F3.parse_elem("1,0;1,1")
+    assert are_twisted_conjugate(x, y, ident, strategy="orbit")[0] is True
+    ok, g = are_twisted_conjugate(x, y, ident, strategy="linear")
+    assert ok is True
+    assert twist_step(g, x, ident) == y
+
+
+def test_linear_strategy_refuses_orthogonal_kinds():
+    # membership admits all of SO_5, which is not the enumerated Omega_5:
+    # every conjugator in SO_5 here, such as diag(1,2,1,2,1), lies outside
+    so5 = GroupCtx(GroupKind.so_odd(2), F3)
+    ident = GroupAut.identity(so5)
+    x = so5.parse_elem("1,1,0,0,0;0,1,0,0,0;1,1,1,0,1;0,0,2,1,0;2,2,0,0,1")
+    y = so5.parse_elem("1,2,0,0,0;0,1,0,0,0;1,2,1,0,1;0,0,1,1,0;2,1,0,0,1")
+    assert are_twisted_conjugate(x, y, ident, strategy="orbit")[0] is False
+    with pytest.raises(Unsupported):
+        are_twisted_conjugate(x, y, ident, strategy="linear")
+    for kind in [GroupKind.so_even(3), GroupKind.pso_even(3)]:
+        ctx = GroupCtx(kind, F3)
+        gens = generators(ctx)
+        with pytest.raises(Unsupported):
+            are_twisted_conjugate(gens[0], gens[1], GroupAut.identity(ctx), strategy="linear")
+
+
+def test_linear_strategy_unknown_beyond_the_solver_cap():
+    # diag(2,2,3,3) in Sp_4(F_5) commutes with an 8-dimensional algebra:
+    # 5^8 kernel combinations are more than SOLVE_CAP
+    sp4 = GroupCtx(GroupKind.sp(2), Fq(5))
+    ident = GroupAut.identity(sp4)
+    x = sp4.elem([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 3]])
+    y = twist_step(generators(sp4)[-1], x, ident)
+    assert y != x
+    assert are_twisted_conjugate(x, y, ident, strategy="linear") == (None, None)
+
+
 def test_sampling_fallback_never_answers_false():
     # with a tiny orbit cap the exact sweep gives up; sampling either finds
     # a witness or reports unknown
