@@ -17,6 +17,12 @@ polynomials), `+`, `-`, `*`, `^` with a literal natural exponent (at
 most EXPONENT_CAP, counting the exponents it sits under), and
 parentheses.  There is no implicit multiplication (`2w` is an error), and
 any other text raises `ParseError`.
+
+`power` is the one binary-power routine: `FqElem`, `Poly`, `RatFrac` and
+`Mat` powers and the whole-stack inverses of `groups.FiniteGroup` all call
+it.  Arithmetic mixes an `FqElem` with an int (embedded mod p), but
+equality does not: `F.one == 1` is False, since no hash could agree with
+equality mod p on every int.
 """
 
 from __future__ import annotations
@@ -76,6 +82,24 @@ def evaluate(text: str, lift, symbols):
         return walk(body)
     except RecursionError:
         raise bad() from None
+
+
+def power(x, k: int, one, mul=operator.mul):
+    """x^k by the binary method (Knuth, TAOCP vol. 2, 4.6.3), for every
+    algebra type of the library: field elements, polynomials, fractions,
+    matrices and code stacks.  Returns one when k = 0; otherwise starts
+    from x itself and makes floor(log2 k) squarings plus popcount(k) - 1
+    products mul(acc, square), with no product by one.  k >= 0."""
+    if not k:
+        return one
+    acc = None
+    while True:
+        if k & 1:
+            acc = x if acc is None else mul(acc, x)
+        k >>= 1
+        if not k:
+            return acc
+        x = mul(x, x)
 
 
 def is_prime(n: int) -> bool:
@@ -255,9 +279,6 @@ class Fq:
         """All q elements, ordered lexicographically on coefficient tuples."""
         return [self.elem(c) for c in itertools.product(range(self.p), repeat=self.e)]
 
-    def sort_key(self, x: "FqElem"):
-        return x.coeffs
-
     # -- text form --
 
     def render(self, code: int) -> str:
@@ -369,14 +390,8 @@ class FqElem:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        f = self.field
-        acc, base = 1, self.code
-        while k:
-            if k & 1:
-                acc = int(f._mul[acc, base])
-            base = int(f._mul[base, base])
-            k >>= 1
-        return FqElem(f, acc)
+        mul = self.field._mul
+        return FqElem(self.field, power(self.code, k, 1, lambda a, b: int(mul[a, b])))
 
     def inverse(self):
         if self.code == 0:
@@ -396,8 +411,6 @@ class FqElem:
         return self.code != 0
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field.elem(other)
         return (
             isinstance(other, FqElem)
             and self.field == other.field
@@ -406,6 +419,11 @@ class FqElem:
 
     def __hash__(self):
         return hash((self.field.p, self.field.e, self.code))
+
+    def sort_key(self):
+        """Coefficient tuple, constant term first: the library's total
+        order on the elements of one field."""
+        return self.coeffs
 
     def __str__(self):
         return self.field.render(self.code)

@@ -48,7 +48,7 @@ from .errors import (
     SizeMismatch,
     Unsupported,
 )
-from .gf import Fq, FqElem
+from .gf import Fq, power
 from .matrices import Mat, parse_matrix, nullspace
 from .polyring import RingDesc, parse_frac
 
@@ -294,19 +294,13 @@ def canonical_rep(ctx: GroupCtx, mat: Mat) -> Mat:
     best = None
     best_key = None
     for lam in lams:
-        key = _scalar_key(lam * lead)
+        key = (lam * lead).sort_key()
         if best_key is None or key < best_key:
             best_key = key
             best = lam
     if best == ctx.one:
         return mat
     return mat * best
-
-
-def _scalar_key(x):
-    if isinstance(x, FqElem):
-        return x.coeffs
-    return x.sort_key()
 
 
 class GrpElem:
@@ -372,7 +366,7 @@ def projective_canonicalize(g: GrpElem) -> GrpElem:
 # generators: one root subgroup element per root and parameter
 
 
-def _unit_mat(ctx, entries):
+def unit_mat(ctx, entries):
     """Identity plus given (i, j, scalar) increments."""
     rows = [list(r) for r in ctx.identity_mat().rows]
     for i, j, v in entries:
@@ -397,7 +391,7 @@ def generators(ctx: GroupCtx, params=None):
     out = []
 
     def emit(entries):
-        out.append(GrpElem(ctx, _unit_mat(ctx, entries), check=True))
+        out.append(GrpElem(ctx, unit_mat(ctx, entries), check=True))
 
     if fam in ("SL", "PSL"):
         for i in range(n):
@@ -623,20 +617,13 @@ class FiniteGroup:
         return self._by_key[pos]
 
     def inverse_indices(self) -> np.ndarray:
-        """Index of each element's inverse x^(|G|-1), by square-and-multiply
-        over the whole stack."""
+        """Index of each element's inverse x^(|G|-1), by binary powering
+        of the whole stack."""
         if self._inv is None:
             field = self.ctx.field
             k = max(self.order - 1, 1)  # the trivial group is its own inverse
-            base, acc = self.codes, None
-            while True:
-                if k & 1:
-                    acc = base if acc is None else mul_pairwise(field, acc, base)
-                k >>= 1
-                if not k:
-                    break
-                base = mul_pairwise(field, base, base)
-            self._inv = self.indices_of_stack(acc)
+            inv = power(self.codes, k, None, lambda a, b: mul_pairwise(field, a, b))
+            self._inv = self.indices_of_stack(inv)
         return self._inv
 
     def cayley(self, cap: int = 4096) -> np.ndarray:
@@ -754,8 +741,16 @@ def intertwiners(ctx: GroupCtx, pairs, cap: int = SOLVE_CAP):
 
 def center(ctx: GroupCtx, cap: int = SOLVE_CAP):
     """All members commuting with every generator (projectively for
-    projective kinds: commuting up to a center scalar)."""
-    return intertwiners(ctx, [(h.mat, h.mat) for h in generators(ctx)], cap)
+    projective kinds: commuting up to a center scalar).
+
+    The center of the generated group: for SOeven that is Omega^+_2n(q),
+    which holds -I iff its spinor norm, the discriminant (-1)^n of the
+    form, is a square in F_q, that is iff q^n = 1 (mod 4).
+    """
+    found = intertwiners(ctx, [(h.mat, h.mat) for h in generators(ctx)], cap)
+    if ctx.kind.family == "SOeven" and ctx.field.q ** ctx.kind.n % 4 != 1:
+        found = [g for g in found if g.mat == ctx.identity_mat()]
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,15 @@
 Everything is immutable and hashable.  One Gauss-Jordan reduction,
 _gauss_jordan, drives det, inverse and nullspace; entries are field
 elements, so no pivoting strategy beyond "first nonzero" is needed.
+Powers go through gf.power, the library's one binary-power routine:
+M^k makes floor(log2 k) squarings plus popcount(k) - 1 products, and the
+identity is built only for k = 0.
 """
 
 from __future__ import annotations
 
 from .errors import SizeMismatch, Singular
-from .gf import FqElem
+from .gf import FqElem, power
 from .polyring import RatFrac
 
 
@@ -101,16 +104,10 @@ class Mat:
             raise SizeMismatch("power of a non-square matrix")
         if k < 0:
             return self.inverse() ** (-k)
-        one = one_like(self.rows[0][0])
-        zero = zero_like(self.rows[0][0])
-        acc = Mat.identity(self.nrows, one, zero)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+        if k:
+            return power(self, k, None)
+        x = self.rows[0][0]
+        return Mat.identity(self.nrows, one_like(x), zero_like(x))
 
     def transpose(self):
         return Mat(list(zip(*self.rows))) if self.rows else self

@@ -35,7 +35,7 @@ from .errors import (
     Unsupported,
     ZeroPolynomial,
 )
-from .gf import Fq, FqElem, evaluate
+from .gf import Fq, FqElem, evaluate, power
 
 FACTOR_DEGREE_CAP = 64
 _SIEVE_BUDGET = 2_000_000
@@ -180,14 +180,7 @@ class Poly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial; use RatFrac")
-        acc = Poly.one(self.field)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+        return power(self, k, Poly.one(self.field))
 
     def __divmod__(self, other):
         other = _as_poly(self.field, other)
@@ -490,21 +483,12 @@ class RatFrac:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        acc = RatFrac.one(self.field)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+        return power(self, k, RatFrac.one(self.field))
 
     def __bool__(self):
         return not self.is_zero
 
     def __eq__(self, other):
-        if isinstance(other, (int, FqElem, Poly)):
-            other = self._coerce(other)
         return (
             isinstance(other, RatFrac)
             and self.field == other.field

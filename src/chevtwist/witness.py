@@ -33,7 +33,7 @@ from .errors import (
     ZeroLambda,
 )
 from .gf import FqElem
-from .groups import GroupCtx, GroupKind, GrpElem
+from .groups import GroupCtx, GroupKind, GrpElem, unit_mat
 from .matrices import Mat
 from .polyring import RatFrac, RingDesc
 
@@ -73,23 +73,12 @@ def witness_sl(m: int, cfg: WitnessConfig, n: int) -> GrpElem:
         raise ValueError("index must be >= 1")
     ctx = _sl_ctx(cfg.ring, n)
     u = cfg.s ** m
-    one, zero = ctx.one, ctx.zero
-    rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    rows[0][0] = one - u * u
-    rows[0][1] = u
-    rows[1][0] = -u
-    g = GrpElem(ctx, Mat(rows), check=True)
-    e12 = _elementary(ctx, 0, 1, u)
-    e21 = _elementary(ctx, 1, 0, -u)
+    g = GrpElem(ctx, unit_mat(ctx, [(0, 0, -u * u), (0, 1, u), (1, 0, -u)]), check=True)
+    e12 = GrpElem(ctx, unit_mat(ctx, [(0, 1, u)]), check=False)
+    e21 = GrpElem(ctx, unit_mat(ctx, [(1, 0, -u)]), check=False)
     if g != e12 * e21:
         raise CertificateMismatch("witness does not split into elementary factors")
     return g
-
-
-def _elementary(ctx: GroupCtx, i: int, j: int, value) -> GrpElem:
-    rows = [list(r) for r in ctx.identity_mat().rows]
-    rows[i][j] = rows[i][j] + value
-    return GrpElem(ctx, Mat(rows), check=False)
 
 
 @dataclass
@@ -189,10 +178,7 @@ def witness_so(lam, kind: str, n: int, scalars) -> GrpElem:
     lam = ctx.scalar(lam)
     if not lam:
         raise ZeroLambda("witness parameter must be nonzero")
-    rows = [list(r) for r in ctx.identity_mat().rows]
-    rows[0][n + 1] = rows[0][n + 1] - lam
-    rows[1][n] = rows[1][n] + lam
-    return GrpElem(ctx, Mat(rows), check=True)
+    return GrpElem(ctx, unit_mat(ctx, [(0, n + 1, -lam), (1, n, lam)]), check=True)
 
 
 def power_identity_check(lam, r: int, kind: str, n: int, scalars) -> bool:
@@ -400,10 +386,7 @@ def d4_tau_suite(cfg: WitnessConfig, graph: str = "tau", k_max: int = 3) -> D4Re
     checks.append(("reflection_fixes_witness", B * x.mat * B == x.mat))
     # the order of the reflection automorphism, measured on an element it
     # actually moves (a root element touching the swapped coordinate pair)
-    moved_rows = [list(r) for r in so8.identity_mat().rows]
-    moved_rows[0][2 * n - 1] = moved_rows[0][2 * n - 1] + s
-    moved_rows[n - 1][n] = moved_rows[n - 1][n] - s
-    probe = GrpElem(so8, Mat(moved_rows), check=True)
+    probe = GrpElem(so8, unit_mat(so8, [(0, 2 * n - 1, s), (n - 1, n, -s)]), check=True)
     tau = GroupAut(so8, graph="B")
     refl_order = aut_order_on(tau, [probe]) or 0
     checks.append(("reflection_order_two", refl_order == 2))

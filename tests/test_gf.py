@@ -143,3 +143,14 @@ def test_int_coercion():
     assert x + 3 == x
     assert 1 * x == x
     assert x - 1 == x + 2
+
+
+def test_scalars_never_equal_ints():
+    # arithmetic embeds ints mod p, equality does not: no hash could agree
+    # with equality mod p on every int
+    F3 = Fq(3)
+    assert F3.one != 1
+    assert F3.zero != 0
+    assert 1 not in {F3.one}
+    assert F3.one.sort_key() == (1,)
+    assert Fq(3, 2).elem((2, 1)).sort_key() == (2, 1)

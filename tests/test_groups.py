@@ -278,6 +278,21 @@ def test_center_values():
     assert c_so5 == [GroupCtx(GroupKind.so_odd(2), F3).identity()]
 
 
+@pytest.mark.parametrize("n,field,has_minus_one", [
+    (3, F3, False),  # 3^3 = 27 = 3 (mod 4): -I has non-square spinor norm
+    (3, Fq(5), True),
+    (3, F9, True),
+    (4, F3, True),
+])
+def test_center_so_even_is_the_center_of_omega(n, field, has_minus_one):
+    # -I lies in Omega^+_2n(q) iff its spinor norm, the discriminant (-1)^n
+    # of the form, is a square: iff q^n = 1 (mod 4)
+    ctx = GroupCtx(GroupKind.so_even(n), field)
+    minus = ctx.elem([[-1 if i == j else 0 for j in range(2 * n)] for i in range(2 * n)])
+    expected = [ctx.identity(), minus] if has_minus_one else [ctx.identity()]
+    assert center(ctx) == expected
+
+
 def test_center_adjoint_projective_trivial():
     for kind in [GroupKind.psl(3), GroupKind.psp(2), GroupKind.pso_even(3)]:
         ctx = GroupCtx(kind, F3)

@@ -125,3 +125,26 @@ def _dot(row, v):
     for x, y in zip(row, v):
         acc = acc + x * y
     return acc
+
+
+def test_mat_power_makes_the_binary_method_products(monkeypatch):
+    # binary powering: floor(log2 k) squarings plus popcount(k) - 1
+    # products, none with the identity and no square after the last bit
+    F9 = FIELDS[1]
+    w = F9.elem((0, 1))
+    m = Mat([[w, F9.one], [F9.elem(2), w + 1]])
+    calls = []
+    plain = Mat.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return plain(self, other)
+
+    monkeypatch.setattr(Mat, "__mul__", counted)
+    for k in range(1, 17):
+        calls.clear()
+        m ** k
+        assert len(calls) == (k.bit_length() - 1) + bin(k).count("1") - 1, k
+    calls.clear()
+    assert m ** 0 == Mat.identity(2, F9.one, F9.zero)
+    assert not calls

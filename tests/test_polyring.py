@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chevtwist.errors import (
     NotInRing,
@@ -274,3 +276,30 @@ def test_poly_text_roundtrip():
     x = parse_frac(F9, "t^2+(w+1)*t+2 / t^3")
     assert str(x) == "t^2+(w+1)*t+2 / t^3"
     assert parse_frac(F9, str(x)) == x
+
+
+def test_fractions_equal_only_fractions():
+    assert RatFrac.one(F3) != 1
+    assert RatFrac.one(F3) != F3.one
+    assert RatFrac.t(F3) != Poly.t(F3)
+    assert RatFrac.t(F3) == RatFrac(Poly.t(F3))
+
+
+# a pool in which ints, field elements, polynomials and fractions stand for
+# the same residues, so that many drawn pairs would compare equal if
+# equality coerced across types
+_SCALARS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(0, 2).map(F3.from_code),
+    st.integers(0, 8).map(F9.from_code),
+    st.integers(0, 2).map(lambda c: Poly(F3, [c])),
+    st.integers(0, 2).map(lambda c: RatFrac.const(F3, c)),
+    st.integers(0, 2).map(lambda c: RatFrac(Poly(F3, [c, 1]), Poly(F3, [0, 1]))),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_SCALARS, _SCALARS)
+def test_equal_scalars_hash_equal(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
