@@ -304,6 +304,8 @@ class Fq:
         return evaluate(text, self.elem, self.symbols)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, Fq)
             and self.p == other.p

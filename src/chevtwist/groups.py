@@ -328,7 +328,16 @@ class GrpElem:
         return GrpElem(self.ctx, self.mat * other.mat, check=False)
 
     def inverse(self) -> "GrpElem":
-        return GrpElem(self.ctx, self.mat.inverse(), check=False)
+        """g^-1.  A formed kind needs no elimination: g^T J g = J gives
+        g^-1 = J^-1 g^T J, with J^-1 = -J for Sp/PSp and J for SO.  A
+        canonical coset representative lam*g preserves J too (lam^2 = 1)."""
+        form = self.ctx.form
+        if form is None:
+            return GrpElem(self.ctx, self.mat.inverse(), check=False)
+        inv = form * (self.mat.transpose() * form)
+        if self.ctx.kind.family in ("Sp", "PSp"):
+            inv = -inv
+        return GrpElem(self.ctx, inv, check=False)
 
     def __pow__(self, k: int):
         if k < 0:

@@ -3,6 +3,10 @@
 Everything is immutable and hashable.  One Gauss-Jordan reduction,
 _gauss_jordan, drives det, inverse and nullspace; entries are field
 elements, so no pivoting strategy beyond "first nonzero" is needed.
+Products and elimination skip the terms with a zero factor: the group
+witnesses are the identity plus a few entries, and zero is the additive
+identity of normalised scalars, so every value is the same as with the
+full sums.
 Powers go through gf.power, the library's one binary-power routine:
 M^k makes floor(log2 k) squarings plus popcount(k) - 1 products, and the
 identity is built only for k = 0.
@@ -157,12 +161,11 @@ class Mat:
 
 
 def _dot(row, col):
-    it = iter(zip(row, col))
-    x, y = next(it)
-    acc = x * y
-    for x, y in it:
-        acc = acc + x * y
-    return acc
+    acc = None
+    for x, y in zip(row, col):
+        if x and y:
+            acc = x * y if acc is None else acc + x * y
+    return zero_like(row[0]) if acc is None else acc
 
 
 def _sum(items):
@@ -204,11 +207,11 @@ def _gauss_jordan(a, ncols):
             swaps += 1
         values.append(a[r][col])
         inv = one / a[r][col]
-        a[r] = [x * inv for x in a[r]]
+        a[r] = [x * inv if x else x for x in a[r]]
         for i in range(m):
             if i != r and a[i][col]:
                 factor = a[i][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
+                a[i] = [x - factor * y if y else x for x, y in zip(a[i], a[r])]
         pivots.append(col)
     return pivots, values, swaps
 

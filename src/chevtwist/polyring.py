@@ -621,15 +621,12 @@ class RingAut:
 
     def __init__(self, ring: RingDesc, frob: int = 0, mobius=(1, 0, 0, 1)):
         field = ring.field
-        a, b, c, d = (field.elem(x) for x in mobius)
+        a, b, c, d = mobius = tuple(field.elem(x) for x in mobius)
         if not (a * d - b * c):
             raise Singular("Moebius parameters have zero determinant")
-        # canonical representative modulo scalars: c in {0, 1}
-        scale = c.inverse() if c else a.inverse()
-        a, b, c, d = a * scale, b * scale, c * scale, d * scale
         self.ring = ring
-        self.frob = frob % field.e
-        self.mobius = (a, b, c, d)
+        self.frob, self.mobius = _compose_params((frob, mobius))
+        a, b, c, d = self.mobius
         tpoly = Poly.t(field)
         num = tpoly * a + b
         den = tpoly * c + d
@@ -680,15 +677,7 @@ class RingAut:
         """self after other."""
         if self.ring != other.ring:
             raise MixedFields("automorphisms of different rings")
-        r1, r2 = self.frob, other.frob
-        a2, b2, c2, d2 = (x.frobenius(r1) for x in other.mobius)
-        a1, b1, c1, d1 = self.mobius
-        # Moebius substitution composes contravariantly on parameter blocks
-        a = a2 * a1 + b2 * c1
-        b = a2 * b1 + b2 * d1
-        c = c2 * a1 + d2 * c1
-        d = c2 * b1 + d2 * d1
-        return RingAut(self.ring, (r1 + r2), (a, b, c, d))
+        return RingAut(self.ring, *_compose_params((self.frob, self.mobius), (other.frob, other.mobius)))
 
     def inverse(self) -> "RingAut":
         e = self.ring.field.e
@@ -722,11 +711,30 @@ class RingAut:
         return f"RingAut(frob^{self.frob}, t -> ({a})t+({b}) / ({c})t+({d}))"
 
 
+def _compose_params(s, t=None):
+    """(frob, mobius) of s after t (after the identity when t is None), for
+    parameter pairs (frob, mobius) of invertible maps, the Moebius part in
+    its canonical form modulo scalars: c in {0, 1}, and a = 1 when c = 0."""
+    r, (a, b, c, d) = s
+    if t is not None:
+        r2, m2 = t
+        a2, b2, c2, d2 = (x.frobenius(r) for x in m2)
+        # Moebius substitution composes contravariantly on parameter blocks
+        a, b, c, d = a2 * a + b2 * c, a2 * b + b2 * d, c2 * a + d2 * c, c2 * b + d2 * d
+        r += r2
+    scale = c.inverse() if c else a.inverse()
+    return r % a.field.e, (a * scale, b * scale, c * scale, d * scale)
+
+
 def ring_automorphisms(R: RingDesc, q_cap: int = 27):
     """All automorphisms of R, deterministic order, verified to be a group.
 
     The candidate pool has size e * (q^3 - q); fields past q_cap would
     make the stabilization filter crawl, so they are rejected outright.
+    The found set X is verified at every size, with no cap: it must be
+    closed under inverses, and _verify_group must find it to be the group
+    generated by a few of its members.  A composite outside X raises
+    CertificateMismatch.
     """
     field = R.field
     if field.q > q_cap:
@@ -738,18 +746,55 @@ def ring_automorphisms(R: RingDesc, q_cap: int = 27):
                 out.append(RingAut(R, r, mob))
             except NotStabilizing:
                 continue
-    if len(out) <= 256:
-        keys = {(s.frob, s.mobius) for s in out}
-        for s in out:
-            t = s.inverse()
-            if (t.frob, t.mobius) not in keys:
-                raise CertificateMismatch("automorphism set not inverse closed")
-        for s in out:
-            for t in out:
-                u = s.compose(t)
-                if (u.frob, u.mobius) not in keys:
-                    raise CertificateMismatch("automorphism set not closed")
+    keys = [(s.frob, s.mobius) for s in out]
+    key_set = set(keys)
+    for s in out:
+        t = s.inverse()
+        if (t.frob, t.mobius) not in key_set:
+            raise CertificateMismatch("automorphism set not inverse closed")
+    one, zero = field.one, field.zero
+    _verify_group(keys, (0, (one, zero, zero, one)))
     return out
+
+
+def _verify_group(keys, identity):
+    """Check that the parameter pairs `keys` form a group under
+    _compose_params; return the generating subset Gamma it used.
+
+    Gamma is taken greedily from `keys` in order: a key not yet reached
+    from the identity by left multiplication with Gamma joins Gamma, and
+    the reached set grows to its closure.  Every composite must be a key,
+    so Gamma X lies in X, and the reached set is all of X: X is the monoid
+    generated by Gamma, which, being finite and made of bijections, is a
+    group.  This takes |X| |Gamma| compositions, not |X|^2.
+    """
+    key_set = set(keys)
+    if identity not in key_set:
+        raise CertificateMismatch("automorphism set lacks the identity")
+    gens, reached, seen = [], [identity], {identity}
+
+    def reach(g, x):
+        y = _compose_params(g, x)
+        if y not in key_set:
+            raise CertificateMismatch("automorphism set not closed")
+        if y not in seen:
+            seen.add(y)
+            reached.append(y)
+
+    for key in keys:
+        if key in seen:
+            continue
+        gens.append(key)
+        start = len(reached)
+        # the new generator on what was reached before it, then every
+        # generator on each element reached since
+        for x in reached[:start]:
+            reach(key, x)
+        while start < len(reached):
+            for g in gens:
+                reach(g, reached[start])
+            start += 1
+    return gens
 
 
 def _pgl2_reps(field: Fq):

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chevtwist.errors import (
     CapExceeded,
@@ -18,6 +20,7 @@ from chevtwist import groups
 from chevtwist.gf import Fq
 from chevtwist.groups import (
     FiniteGroup,
+    GrpElem,
     GroupCtx,
     GroupKind,
     canonical_rep,
@@ -40,7 +43,8 @@ from chevtwist.groups import (
     stack_keys,
 )
 from chevtwist.matrices import Mat
-from chevtwist.polyring import RatFrac, RingDesc
+from chevtwist.polyring import RatFrac, RingDesc, fixed_element, parse_poly
+from chevtwist.witness import FAMILY_SP, WitnessConfig, witness_so, witness_sp
 
 F3 = Fq(3, 1)
 F9 = Fq(3, 2)
@@ -533,3 +537,49 @@ def test_form_invariant_failures_are_typed():
     zero = Mat([[F3.zero] * 4 for _ in range(4)])
     with pytest.raises(CertificateMismatch):
         _check_form_invariants(zero, GroupKind.sp(2))  # singular
+
+
+# -- inverses by the form: g^-1 = J^-1 g^T J for the formed kinds
+
+FORMED_KINDS = [GroupKind.sp(2), GroupKind.psp(2), GroupKind.so_odd(2),
+                GroupKind.so_even(3), GroupKind.pso_even(3)]
+
+
+def _check_form_inverse(g):
+    ctx = g.ctx
+    inv = g.inverse()
+    eliminated = g.mat.inverse()
+    assert inv == GrpElem(ctx, eliminated, check=False)
+    assert inv.mat == (canonical_rep(ctx, eliminated) if ctx.projective else eliminated)
+    assert is_member(ctx, inv.mat)
+    assert g * inv == ctx.identity() == inv * g
+
+
+@pytest.mark.parametrize("field", [F3, F9], ids=["F3", "F9"])
+@pytest.mark.parametrize("kind", FORMED_KINDS, ids=repr)
+def test_form_inverse_matches_elimination(kind, field):
+    ctx = GroupCtx(kind, field)
+    gens = generators(ctx)
+
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(st.lists(st.integers(0, len(gens) - 1), min_size=1, max_size=10))
+    def check(word):
+        g = gens[word[0]]
+        for i in word[1:]:
+            g = g * gens[i]
+        _check_form_inverse(g)
+
+    check()
+
+
+def test_form_inverse_on_witnesses_over_localization():
+    ring = RingDesc(F3, ["t"])
+    s = fixed_element(parse_poly(F3, "t+1"), ring)
+    cfg = WitnessConfig(ring=ring, s=s, family=FAMILY_SP, n=2)
+    witnesses = [witness_sp(m, cfg, 2) for m in (1, 2)]
+    for lam in (s, s * s, RatFrac.t(F3), RatFrac.t(F3).inverse()):
+        witnesses.append(witness_so(lam, "SOodd", 2, ring))
+        witnesses.append(witness_so(lam, "SOeven", 3, ring))
+    for g in witnesses:
+        assert g.ctx.kind.formed and not g.ctx.is_finite
+        _check_form_inverse(g)

@@ -1,6 +1,8 @@
 """The one Gauss-Jordan elimination behind det, inverse and nullspace, over
 F_3, F_9, F_25 and small fractions over F_3(t)."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -148,3 +150,127 @@ def test_mat_power_makes_the_binary_method_products(monkeypatch):
     calls.clear()
     assert m ** 0 == Mat.identity(2, F9.one, F9.zero)
     assert not calls
+
+
+# -- sparse inputs: products and elimination skip the zero terms, so check
+# them against dense references that make every product
+
+SPARSE_DOMAINS = [
+    pytest.param(_field_scalars(FIELDS[1]), id="F9"),
+    pytest.param(_frac_scalars(), id="F3(t)"),
+]
+
+
+def _dense_mul(a, b):
+    return Mat([[_dot(row, col) for col in zip(*b.rows)] for row in a.rows])
+
+
+def _dense_det(a):
+    """Leibniz sum over all permutations."""
+    n = a.nrows
+    acc = zero_like(a[0, 0])
+    for perm in itertools.permutations(range(n)):
+        term = one_like(a[0, 0])
+        for i, j in enumerate(perm):
+            term = term * a[i, j]
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        acc = acc - term if inversions % 2 else acc + term
+    return acc
+
+
+def _dense_inverse(a):
+    """Adjugate over the determinant, cofactors by _dense_det."""
+    n, det = a.nrows, _dense_det(a)
+
+    def cofactor(i, j):
+        minor = Mat([[a[r, c] for c in range(n) if c != j] for r in range(n) if r != i])
+        value = _dense_det(minor)
+        return -value if (i + j) % 2 else value
+
+    return Mat([[cofactor(j, i) / det for j in range(n)] for i in range(n)])
+
+
+def _sparsify(rows, blank):
+    """Zero the row and column `blank` (if given), then more entries in
+    reading order until at least half the entries are zero."""
+    n = len(rows)
+    zero = zero_like(rows[0][0])
+    rows = [list(r) for r in rows]
+    if blank is not None:
+        for k in range(n):
+            rows[blank][k] = rows[k][blank] = zero
+    nonzero = [(i, j) for i in range(n) for j in range(n) if rows[i][j]]
+    for i, j in nonzero[: max(0, len(nonzero) - n * n // 2)]:
+        rows[i][j] = zero
+    return Mat(rows)
+
+
+@st.composite
+def _sparse(draw, scalars, blank=True):
+    n = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n))
+    return _sparsify(rows, draw(st.integers(0, n - 1)) if blank else None)
+
+
+@st.composite
+def _sparse_invertible(draw, scalars):
+    """A monomial matrix times a sparse unit upper triangular one, the
+    product formed by the dense reference."""
+    u = draw(_sparse(scalars, blank=False))
+    n = u.nrows
+    zero, one = zero_like(u[0, 0]), one_like(u[0, 0])
+    rows = [[one if i == j else u[i, j] if j > i else zero for j in range(n)] for i in range(n)]
+    filled = [(i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j]]
+    for i, j in filled[: max(0, len(filled) + n - n * n // 2)]:
+        rows[i][j] = zero
+    upper = Mat(rows)
+    perm = draw(st.permutations(range(n)))
+    scale = draw(st.lists(scalars.filter(bool), min_size=n, max_size=n))
+    monomial = Mat([[scale[i] if j == perm[i] else zero for j in range(n)] for i in range(n)])
+    return _dense_mul(monomial, upper)
+
+
+def _zeros(a):
+    return sum(not x for row in a.rows for x in row)
+
+
+@pytest.mark.parametrize("scalars", SPARSE_DOMAINS)
+def test_sparse_product_matches_dense(scalars):
+    @SETTINGS
+    @given(st.data())
+    def check(data):
+        a = data.draw(_sparse(scalars))
+        b = data.draw(_sparse(scalars).filter(lambda m: m.nrows == a.nrows))
+        assert 2 * _zeros(a) >= a.nrows ** 2 and 2 * _zeros(b) >= b.nrows ** 2
+        assert a * b == _dense_mul(a, b)
+        assert b * a == _dense_mul(b, a)
+
+    check()
+
+
+@pytest.mark.parametrize("scalars", SPARSE_DOMAINS)
+def test_sparse_det_matches_leibniz(scalars):
+    @SETTINGS
+    @given(_sparse(scalars), _sparse_invertible(scalars))
+    def check(blank, invertible):
+        # a zero row and column: determinant zero, no inverse
+        assert blank.det() == _dense_det(blank) == zero_like(blank[0, 0])
+        with pytest.raises(Singular):
+            blank.inverse()
+        assert invertible.det() == _dense_det(invertible)
+        assert invertible.det()
+
+    check()
+
+
+@pytest.mark.parametrize("scalars", SPARSE_DOMAINS)
+def test_sparse_inverse_matches_adjugate(scalars):
+    @SETTINGS
+    @given(_sparse_invertible(scalars))
+    def check(a):
+        assert 2 * _zeros(a) >= a.nrows ** 2
+        inv = a.inverse()
+        assert inv == _dense_inverse(a)
+        assert _dense_mul(a, inv) == _identity_like(a)
+
+    check()

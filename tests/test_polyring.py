@@ -1,12 +1,15 @@
 """Polynomials, fractions, localizations, ring automorphisms, fixed element."""
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chevtwist import polyring
 from chevtwist.errors import (
+    CertificateMismatch,
     NotInRing,
     NotStabilizing,
     Singular,
@@ -303,3 +306,77 @@ _SCALARS = st.one_of(
 def test_equal_scalars_hash_equal(a, b):
     if a == b:
         assert hash(a) == hash(b)
+
+
+# -- Aut(R) on every ring of the certificate sweep, plus F_27[t] and its
+# localization at t: the count and a sha256 of the (frob, mobius codes)
+# list, in order, as the |X|^2 closure check produced them
+
+AUT_PINS = [
+    (3, 1, "", 6, "365edf5ddb995e44f6fc0faeef029228f8392f89b5b0f90ae76ea00a40454408"),
+    (3, 1, "t", 4, "b825ab34412e203187d03f3f9e4d71bf92c96c09e9cb573daabd35a65deea936"),
+    (3, 1, "t,t+1", 6, "5ec26ccec2653f65099bae1ecbab8d66b42c3b6257b45985cdc387d9cf32fc7d"),
+    (5, 1, "", 20, "4701f0c0cbdfc6983e424f0a9e4f892346b14ad6f7181c9a79f51698ff6aafd8"),
+    (5, 1, "t", 8, "b68db290008ea2c5b1a00865e491d075256e929208c4b8b11a0e57d367864401"),
+    (5, 1, "t,t+1", 6, "cc37ff0e4f7c23d9219a3e4d2a3fa034dbe6f359cc248460b3009245a5e7ab21"),
+    (7, 1, "", 42, "710fdf714cd268e33f2bd8a853c4fdb10784546fe93b76691f99d3154fbf3b1a"),
+    (7, 1, "t", 12, "b1e3eb0586be35907fb1988bfe4101a16d9c8c84863c02d8217fc0175e15ead3"),
+    (7, 1, "t,t+1", 6, "06ac8df42026946042e2ac54516bce71d3188b13f8dd093c2e03dca538289c55"),
+    (3, 2, "", 144, "05b12f3260561b296cb424cb7bb44acc84fb05b6bba8c680f15df5adf7111fb9"),
+    (3, 2, "t", 32, "b643846846222ec55db4eed49614654776df5bf4e3c0253c630dd653770d9eaf"),
+    (3, 2, "t,t+1", 12, "ee737eb8a016c9065ffc7431d7fe61904116e5152cca300a894e3c574e123db8"),
+    (3, 3, "", 2106, "103b6283f7dc22228bd5b2968d5e6f8c90abe971b9adb33ebecc31fcb5e6341f"),
+    (3, 3, "t", 156, "4e47a7f5acb63331261bc0eac4602b718f9c9d41c7642f19addcd2d27ee2b325"),
+]
+
+
+@pytest.mark.parametrize(
+    "p, e, denoms, count, digest", AUT_PINS,
+    ids=[f"F{p ** e}[t]" + (f"_({d})" if d else "") for p, e, d, *_ in AUT_PINS],
+)
+def test_aut_group_pinned(p, e, denoms, count, digest):
+    R = RingDesc(Fq(p, e), [d for d in denoms.split(",") if d])
+    auts = ring_automorphisms(R)
+    assert len(auts) == count
+    listing = repr([(s.frob, tuple(x.code for x in s.mobius)) for s in auts])
+    assert hashlib.sha256(listing.encode()).hexdigest() == digest
+
+
+def _drop_candidate(monkeypatch, mobius):
+    plain = polyring._pgl2_reps
+    drop = tuple(F3.elem(x) for x in mobius)
+    monkeypatch.setattr(polyring, "_pgl2_reps", lambda field: [m for m in plain(field) if m != drop])
+
+
+@pytest.mark.parametrize("mobius, message", [
+    # without t -> t+1, the set still holds its inverse t -> t+2
+    pytest.param((1, 1, 0, 1), "not inverse closed", id="inverse-branch"),
+    # t -> t/2 = -t is its own inverse, so only a composite can miss it
+    pytest.param((1, 0, 0, 2), "not closed", id="closure-branch"),
+    pytest.param((1, 0, 0, 1), "lacks the identity", id="identity"),
+])
+def test_aut_group_missing_candidate_is_a_mismatch(monkeypatch, mobius, message):
+    _drop_candidate(monkeypatch, mobius)
+    with pytest.raises(CertificateMismatch, match=message):
+        ring_automorphisms(RingDesc(F3))
+
+
+def test_aut_group_closure_makes_x_times_gamma_compositions(monkeypatch):
+    plain_compose, plain_verify = polyring._compose_params, polyring._verify_group
+    composed, gammas = [], []
+
+    def compose(s, t=None):
+        if t is not None:
+            composed.append((s, t))
+        return plain_compose(s, t)
+
+    def verify(keys, identity):
+        gammas.append(plain_verify(keys, identity))
+        return gammas[-1]
+
+    monkeypatch.setattr(polyring, "_compose_params", compose)
+    monkeypatch.setattr(polyring, "_verify_group", verify)
+    auts = ring_automorphisms(RingDesc(F9))
+    (gamma,) = gammas
+    assert len(auts) == 144 and len(gamma) == 4
+    assert len(composed) == 144 * len(gamma)  # not 144^2 = 20,736
