@@ -69,7 +69,7 @@ def b_swap(n: int) -> list:
 class GroupAut:
     """Composite automorphism of a group context, in normal form."""
 
-    __slots__ = ("ctx", "inner", "ring", "graph")
+    __slots__ = ("ctx", "inner", "ring", "graph", "_inner_inv")
 
     def __init__(self, ctx: GroupCtx, inner: GrpElem | None = None,
                  ring=None, graph: str | None = None):
@@ -105,6 +105,7 @@ class GroupAut:
         self.inner = inner
         self.ring = ring
         self.graph = graph
+        self._inner_inv = None  # inner^-1, filled on first application
 
     @classmethod
     def identity(cls, ctx: GroupCtx) -> "GroupAut":
@@ -142,7 +143,9 @@ class GroupAut:
             raise IncompatibleKind("element from a different context")
         out = self.outer_apply(g)
         if self.inner is not None:
-            out = self.inner * out * self.inner.inverse()
+            if self._inner_inv is None:
+                self._inner_inv = self.inner.inverse()
+            out = self.inner * out * self._inner_inv
         return out
 
     # -- composition --

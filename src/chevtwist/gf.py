@@ -4,7 +4,10 @@ Elements are residue classes modulo a fixed monic irreducible of degree e
 over F_p, stored as integer codes 0..q-1 (base-p digits = coefficients,
 constant term first).  All operations go through tables precomputed at
 field construction, which keeps everything exact and fast at the desk
-scale this library targets (q <= 81 by default).
+scale this library targets (q <= 81 by default).  Per-element arithmetic
+(`FqElem`, `polyring.Poly`) indexes nested lists of ints; the stack kernels
+of `groups` and `twist` index numpy arrays (`_mul_np`, `_frob_np`,
+`_digits`, `_mulmat`, `_rank`) with whole code arrays.
 
 The modulus is the lexicographically least monic irreducible of degree e,
 coefficients compared from the constant term up.  For e = 1 this yields
@@ -205,21 +208,14 @@ class Fq:
                 m = self._encode(_pmod(_pmul(_ptrim(da), _ptrim(db), p), self.modulus, p) + (0,) * e)
                 mul[a, b] = mul[b, a] = m
         neg = np.array([self._encode(tuple((-x) % p for x in digits[a])) for a in range(q)], dtype=np.uint8)
-        inv = np.zeros(q, dtype=np.uint8)
-        for a in range(1, q):
-            row = mul[a]
-            inv[a] = int(np.nonzero(row == 1)[0][0])
-        frob = np.zeros(q, dtype=np.uint8)
-        for a in range(q):
-            acc = 1
-            for _ in range(p):
-                acc = int(mul[acc, a])
-            frob[a] = acc
-        self._add = add
-        self._mul = mul
-        self._neg = neg
-        self._inv = inv
-        self._frob = frob
+        inv = np.array([0] + [int(np.nonzero(mul[a] == 1)[0][0]) for a in range(1, q)], dtype=np.uint8)
+        frob = np.array([power(a, p, 1, lambda x, y: int(mul[x, y])) for a in range(q)], dtype=np.uint8)
+        # nested lists serve per-element arithmetic (a list index is several
+        # times cheaper than a numpy scalar lookup); the _np copies serve the
+        # stack kernels that index with whole arrays
+        self._add, self._mul = add.tolist(), mul.tolist()
+        self._neg, self._inv, self._frob = neg.tolist(), inv.tolist(), frob.tolist()
+        self._mul_np, self._frob_np = mul, frob
         # base-p digits of each code, and the matrix over F_p of multiplication
         # by each code on the basis 1, w, ..., w^(e-1): column k holds the
         # digits of c * w^k.  Matrix products over F_q run through these.
@@ -346,7 +342,7 @@ class FqElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FqElem(self.field, int(self.field._add[self.code, o.code]))
+        return FqElem(self.field, self.field._add[self.code][o.code])
 
     __radd__ = __add__
 
@@ -355,7 +351,7 @@ class FqElem:
         if o is None:
             return NotImplemented
         f = self.field
-        return FqElem(f, int(f._add[self.code, f._neg[o.code]]))
+        return FqElem(f, f._add[self.code][f._neg[o.code]])
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -367,7 +363,7 @@ class FqElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FqElem(self.field, int(self.field._mul[self.code, o.code]))
+        return FqElem(self.field, self.field._mul[self.code][o.code])
 
     __rmul__ = __mul__
 
@@ -378,7 +374,7 @@ class FqElem:
         if o.code == 0:
             raise ZeroDivisionError("division by zero field element")
         f = self.field
-        return FqElem(f, int(f._mul[self.code, f._inv[o.code]]))
+        return FqElem(f, f._mul[self.code][f._inv[o.code]])
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -387,18 +383,18 @@ class FqElem:
         return o / self
 
     def __neg__(self):
-        return FqElem(self.field, int(self.field._neg[self.code]))
+        return FqElem(self.field, self.field._neg[self.code])
 
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
         mul = self.field._mul
-        return FqElem(self.field, power(self.code, k, 1, lambda a, b: int(mul[a, b])))
+        return FqElem(self.field, power(self.code, k, 1, lambda a, b: mul[a][b]))
 
     def inverse(self):
         if self.code == 0:
             raise ZeroDivisionError("zero has no inverse")
-        return FqElem(self.field, int(self.field._inv[self.code]))
+        return FqElem(self.field, self.field._inv[self.code])
 
     def frobenius(self, k: int = 1) -> "FqElem":
         """x -> x^(p^k); k = e gives the identity."""
@@ -406,7 +402,7 @@ class FqElem:
             raise ValueError("frobenius power must be >= 0")
         code = self.code
         for _ in range(k % self.field.e):
-            code = int(self.field._frob[code])
+            code = self.field._frob[code]
         return FqElem(self.field, code)
 
     def __bool__(self):

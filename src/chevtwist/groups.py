@@ -539,7 +539,7 @@ def canonical_stack(ctx: GroupCtx, stack: np.ndarray) -> np.ndarray:
     for lam in lams:
         if lam == 1:
             continue
-        cand = field._mul[lam, stack]
+        cand = field._mul_np[lam, stack]
         r = field._rank[cand.reshape(k, -1)[rows, pos]]
         mask = r < best_rank
         if mask.any():

@@ -8,6 +8,8 @@ containment in F_q(t).
 
 Factorization is trial division against sieve-generated irreducibles; all
 inputs here stay at small degree, so no clever algorithms are needed.
+`Poly` arithmetic is schoolbook on the field's nested-list tables (one row
+`mul[c]` per term), with `np.convolve` for long products over F_p.
 
 Text forms: polynomials render as `2*t^2+(w+1)*t+1` and fractions as
 `num / den`.  `parse_poly` reads the scalar grammar of `gf.evaluate` with
@@ -111,9 +113,8 @@ class Poly:
         lc = self._codes[-1]
         if lc == 1:
             return self
-        inv = int(self.field._inv[lc])
-        mul = self.field._mul
-        return Poly(self.field, [int(mul[c, inv]) for c in self._codes])
+        mrow = self.field._mul[self.field._inv[lc]]
+        return Poly(self.field, [mrow[c] for c in self._codes])
 
     # -- arithmetic --
 
@@ -132,14 +133,14 @@ class Poly:
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = int(add[out[i], c])
+            out[i] = add[out[i]][c]
         return Poly(self.field, out)
 
     __radd__ = __add__
 
     def __neg__(self):
         neg = self.field._neg
-        return Poly(self.field, [int(neg[c]) for c in self._codes])
+        return Poly(self.field, [neg[c] for c in self._codes])
 
     def __sub__(self, other):
         other = _as_poly(self.field, other)
@@ -168,11 +169,12 @@ class Poly:
             return Poly(f, (conv % f.p).tolist())
         mul, add = f._mul, f._add
         out = [0] * (len(a) + len(b) - 1)
+        terms = [(j, y) for j, y in enumerate(b) if y]
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = int(add[out[i + j], mul[x, y]])
+                mrow = mul[x]
+                for j, y in terms:
+                    out[i + j] = add[out[i + j]][mrow[y]]
         return Poly(f, out)
 
     __rmul__ = __mul__
@@ -190,19 +192,24 @@ class Poly:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         f = self.field
-        mul, add, neg, invt = f._mul, f._add, f._neg, f._inv
+        mul, add, neg = f._mul, f._add, f._neg
         db = other.degree()
-        lead_inv = int(invt[other._codes[-1]])
+        lead_inv = f._inv[other._codes[-1]]
         rem = list(self._codes)
         if len(rem) - 1 < db:
             return Poly.zero(f), self
+        # the divisor below its lead, negated once, zero terms dropped; each
+        # step cancels the top term of rem exactly, so it is popped unread
+        tail = [(i, neg[bc]) for i, bc in enumerate(other._codes[:-1]) if bc]
         quot = [0] * (len(rem) - db)
-        while len(rem) - 1 >= db and rem:
-            c = int(mul[rem[-1], lead_inv])
+        while len(rem) - 1 >= db:
+            c = mul[rem[-1]][lead_inv]
             shift = len(rem) - 1 - db
             quot[shift] = c
-            for i, bc in enumerate(other._codes):
-                rem[shift + i] = int(add[rem[shift + i], neg[int(mul[c, bc])]])
+            mrow = mul[c]
+            for i, nb in tail:
+                rem[shift + i] = add[rem[shift + i]][mrow[nb]]
+            rem.pop()
             while rem and rem[-1] == 0:
                 rem.pop()
         return Poly(f, quot), Poly(f, rem)

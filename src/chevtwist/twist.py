@@ -105,7 +105,7 @@ def _aut_index_images(G: FiniteGroup, sigma: GroupAut) -> np.ndarray:
     if sigma.ring is not None:
         k = sigma.ring  # finite contexts carry a Frobenius power
         for _ in range(k % field.e):
-            stack = field._frob[stack]
+            stack = field._frob_np[stack]
     if sigma.inner is not None:
         x = mat_to_codes(sigma.inner.mat)
         xinv = mat_to_codes(sigma.inner.mat.inverse())

@@ -115,6 +115,25 @@ def test_inner_only_is_conjugation():
         assert sigma(g) == x * g * x.inverse()
 
 
+def test_inner_part_is_inverted_once_per_automorphism(monkeypatch):
+    rng = random.Random(11)
+    ctx = GroupCtx(GroupKind.sl(3), F3)
+    x = _random_elem(ctx, rng)
+    elems = [_random_elem(ctx, rng) for _ in range(10)]
+    want = [x * g * x.inverse() for g in elems]
+    calls = []
+    plain_inverse = Mat.inverse
+
+    def inverse(self):
+        calls.append(self)
+        return plain_inverse(self)
+
+    monkeypatch.setattr(Mat, "inverse", inverse)
+    sigma = GroupAut(ctx, inner=x)
+    assert [sigma(g) for g in elems] == want
+    assert len(calls) == 1
+
+
 def test_conj_by_b_preserves_membership():
     rng = random.Random(7)
     ctx = GroupCtx(GroupKind.so_even(3), F3)

@@ -1,6 +1,6 @@
 """Scans of the library source: correctness checks are explicit raises (an
-assert statement would vanish under python -O), and binary powering is
-written once."""
+assert statement would vanish under python -O), binary powering is written
+once, and scalar field arithmetic stays off the numpy tables."""
 
 import ast
 import pathlib
@@ -38,3 +38,34 @@ def test_library_has_one_binary_power_loop():
     gf = ast.parse((SRC / "chevtwist" / "gf.py").read_text())
     power = next(f for f in gf.body if isinstance(f, ast.FunctionDef) and f.name == "power")
     assert found == [("chevtwist/gf.py", line) for line in _halvings(power)] and len(found) == 1, found
+
+
+NUMPY_TABLES = {"_mul_np", "_frob_np"}
+
+
+def test_numpy_tables_are_read_only_by_the_stack_kernels():
+    # the numpy copies of the field tables serve array indexing in groups
+    # and twist; a scalar lookup there would box every entry it reads
+    found = sorted({
+        str(path.relative_to(SRC))
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in NUMPY_TABLES
+        and isinstance(node.ctx, ast.Load)
+    })
+    assert found == ["chevtwist/groups.py", "chevtwist/twist.py"], found
+
+
+def test_scalar_arithmetic_indexes_no_numpy_table():
+    # FqElem and Poly index the nested-list tables one level at a time: a
+    # tuple index such as mul[a, b] is the numpy form
+    found = []
+    for name, cls in (("gf.py", "FqElem"), ("polyring.py", "Poly")):
+        tree = ast.parse((SRC / "chevtwist" / name).read_text())
+        body = next(c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == cls)
+        found += [
+            f"{name}:{node.lineno}" for node in ast.walk(body)
+            if (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple))
+            or (isinstance(node, ast.Attribute) and node.attr in NUMPY_TABLES)
+        ]
+    assert not found, found

@@ -2,7 +2,10 @@
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chevtwist.errors import MixedFields, NotPrime, Unsupported
 from chevtwist.gf import Fq
@@ -154,3 +157,71 @@ def test_scalars_never_equal_ints():
     assert 1 not in {F3.one}
     assert F3.one.sort_key() == (1,)
     assert Fq(3, 2).elem((2, 1)).sort_key() == (2, 1)
+
+
+# -- the scalar tables: nested lists of Python ints, equal entry by entry to
+# the tables built from their definition with numpy over the digit vectors
+
+TABLE_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4)]
+
+
+def _numpy_tables(F):
+    """add, mul, neg, inv and frob of F from the definition: digit vectors
+    (constant term first) added mod p, multiplied as polynomials and
+    reduced by the monic modulus; inv from the mul table, frob as x^p."""
+    p, e, q = F.p, F.e, F.q
+    place = p ** np.arange(e)
+    d = np.arange(q)[:, None] // place % p
+    add = (d[:, None, :] + d[None, :, :]) % p @ place
+    prod = np.zeros((q, q, 2 * e - 1), dtype=np.int64)
+    for i in range(e):
+        for j in range(e):
+            prod[:, :, i + j] += d[:, None, i] * d[None, :, j]
+    m = np.array(F.modulus)
+    for k in range(2 * e - 2, e - 1, -1):
+        prod[:, :, k - e:k + 1] -= (prod[:, :, k] % p)[..., None] * m
+    mul = prod[:, :, :e] % p @ place
+    neg = (-d) % p @ place
+    inv = np.array([0] + [np.flatnonzero(mul[a] == 1)[0] for a in range(1, q)])
+    frob = np.ones(q, dtype=np.int64)
+    for _ in range(p):
+        frob = mul[frob, np.arange(q)]
+    return {"_add": add, "_mul": mul, "_neg": neg, "_inv": inv, "_frob": frob}
+
+
+@pytest.mark.parametrize("p, e", TABLE_FIELDS)
+def test_list_tables_match_numpy_definition(p, e):
+    F = Fq(p, e)
+    for name, want in _numpy_tables(F).items():
+        assert np.array_equal(np.array(getattr(F, name)), want), name
+    # the stack kernels' numpy copies hold the same entries
+    assert np.array_equal(F._mul_np, F._mul) and np.array_equal(F._frob_np, F._frob)
+
+
+@pytest.mark.parametrize("p, e", TABLE_FIELDS)
+def test_list_tables_hold_python_ints(p, e):
+    F = Fq(p, e)
+    for name in ("_add", "_mul", "_neg", "_inv", "_frob"):
+        table = getattr(F, name)
+        rows = table if isinstance(table[0], list) else [table]
+        assert type(table) is list and all(type(row) is list for row in rows), name
+        assert {type(x) for row in rows for x in row} == {int}, name
+
+
+_FIELDS = [Fq(p, e) for p, e in TABLE_FIELDS]
+
+
+@st.composite
+def _elem_pair(draw):
+    F = draw(st.sampled_from(_FIELDS))
+    return F.from_code(draw(st.integers(0, F.q - 1))), F.from_code(draw(st.integers(0, F.q - 1)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_elem_pair(), st.integers(-5, 12), st.integers(0, 4))
+def test_scalar_results_carry_int_codes(pair, k, r):
+    x, y = pair
+    out = [x + y, x - y, x * y, -x, x.frobenius(r), x + 2, 2 - x, 3 * y]
+    if y:
+        out += [x / y, y.inverse(), y ** k, 1 / y]
+    assert all(type(z.code) is int for z in out)

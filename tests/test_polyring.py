@@ -380,3 +380,85 @@ def test_aut_group_closure_makes_x_times_gamma_compositions(monkeypatch):
     (gamma,) = gammas
     assert len(auts) == 144 and len(gamma) == 4
     assert len(composed) == 144 * len(gamma)  # not 144^2 = 20,736
+
+
+# -- Poly arithmetic against a reference on FqElem lists: the same
+# schoolbook product and long division, with every coefficient operation
+# made by FqElem operators
+
+_POLY_FIELDS = [Fq(3), Fq(7), F9, Fq(5, 2), Fq(3, 4)]
+
+
+def _trim(c):
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _elems(f):
+    return list(f.coeffs)
+
+
+def _ref_add(F, a, b):
+    n = max(len(a), len(b))
+    a, b = a + [F.zero] * (n - len(a)), b + [F.zero] * (n - len(b))
+    return _trim([x + y for x, y in zip(a, b)])
+
+
+def _ref_mul(F, a, b):
+    if not a or not b:
+        return []
+    out = [F.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _trim(out)
+
+
+def _ref_divmod(F, a, b):
+    rem, lead_inv = list(a), b[-1].inverse()
+    quot = [F.zero] * max(len(a) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        c, shift = rem[-1] * lead_inv, len(rem) - len(b)
+        quot[shift] = c
+        for i, y in enumerate(b):
+            rem[shift + i] = rem[shift + i] - c * y
+        rem = _trim(rem)
+    return _trim(quot), rem
+
+
+@st.composite
+def _poly_pair(draw):
+    """A field, a dividend of degree below 14 and a divisor of degree below
+    7 whose lead is any nonzero code (often not 1) and whose lower terms are
+    often zero."""
+    F = draw(st.sampled_from(_POLY_FIELDS))
+    code = st.integers(0, F.q - 1)
+    a = draw(st.lists(code, max_size=14))
+    tail = draw(st.lists(st.one_of(st.just(0), code), max_size=6))
+    return Poly(F, a), Poly(F, tail + [draw(st.integers(1, F.q - 1))])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_poly_pair())
+def test_poly_arithmetic_matches_fqelem_reference(pair):
+    a, b = pair
+    F, A, B = a.field, _elems(a), _elems(b)
+    assert _elems(a + b) == _ref_add(F, A, B)
+    assert _elems(a - b) == _ref_add(F, A, [-y for y in B])
+    assert _elems(-a) == [-x for x in A]
+    assert _elems(a * b) == _elems(b * a) == _ref_mul(F, A, B)
+    q, r = divmod(a, b)
+    assert (_elems(q), _elems(r)) == _ref_divmod(F, A, B)
+    assert q * b + r == a and r.degree() < b.degree()
+    lead_inv = B[-1].inverse()
+    assert _elems(b.monic()) == [y * lead_inv for y in B] and b.monic().is_monic()
+    assert all(type(c) is int for p in (a + b, a - b, a * b, q, r, b.monic()) for c in p._codes)
+
+
+def test_divmod_by_sparse_non_monic_divisor():
+    # 2t^4 + 1 over F_3: zero interior terms and lead 2
+    a, b = P("t^7+2*t^5+t^4+t+2"), P("2*t^4+1")
+    q, r = divmod(a, b)
+    assert (_elems(q), _elems(r)) == _ref_divmod(F3, _elems(a), _elems(b))
+    assert q * b + r == a and r.degree() < 4
