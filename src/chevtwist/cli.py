@@ -264,11 +264,16 @@ def witness_check(p, e, denoms, group, n, f_text, m_max, r_max, k_max, out, fmt)
 @click.option("--e", type=int, default=1, show_default=True)
 @click.option("--aut", "aut_text", default="id", show_default=True, help="automorphism grammar or 'id'")
 @click.option("--cap", type=int, default=ENUM_CAP, show_default=True)
-@click.option("--burnside-cap", type=int, default=BURNSIDE_CAP, show_default=True)
+@click.option("--burnside-cap", type=int, default=BURNSIDE_CAP, show_default=True,
+              help="largest group order that also gets the fixed-class count")
 @click.option("--expect-count", type=int, default=None, help="fail unless the count matches")
 @_add_options(out_opts)
 def reidemeister(group, n, q, p, e, aut_text, cap, burnside_cap, expect_count, out, fmt):
-    """Twisted conjugacy class count of a finite instance, both methods.
+    """Twisted conjugacy class count of a finite instance.
+
+    Counts the orbits of the twisted action; up to --burnside-cap it also
+    counts the conjugacy classes the automorphism fixes, which must agree
+    (method orbit-partition+burnside).
 
     SOodd and SOeven enumerate Omega_{2n+1}(q) and Omega^+_2n(q), the
     groups their root elements generate; |Omega_5(3)| = 25,920.  SOeven

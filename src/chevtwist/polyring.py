@@ -621,12 +621,13 @@ class RingAut:
     a d - b c nonzero.  Construction verifies that the map sends the ring
     into itself: the image of t lies in R and every inverted irreducible
     maps to a unit of R.  Such a map has finite order, so stability of R
-    under the map follows.
+    under the map follows.  With check=False the caller makes that check
+    itself, with _escape().
     """
 
     __slots__ = ("ring", "frob", "mobius", "_t_image")
 
-    def __init__(self, ring: RingDesc, frob: int = 0, mobius=(1, 0, 0, 1)):
+    def __init__(self, ring: RingDesc, frob: int = 0, mobius=(1, 0, 0, 1), check: bool = True):
         field = ring.field
         a, b, c, d = mobius = tuple(field.elem(x) for x in mobius)
         if not (a * d - b * c):
@@ -635,15 +636,21 @@ class RingAut:
         self.frob, self.mobius = _compose_params((frob, mobius))
         a, b, c, d = self.mobius
         tpoly = Poly.t(field)
-        num = tpoly * a + b
-        den = tpoly * c + d
-        t_image = RatFrac(num, den)
-        if not ring.contains(t_image):
-            raise NotStabilizing(f"t maps to {t_image}, outside {ring}")
-        self._t_image = t_image
+        self._t_image = RatFrac(tpoly * a + b, tpoly * c + d)
+        escape = self._escape() if check else None
+        if escape is not None:
+            raise NotStabilizing(escape())
+
+    def _escape(self):
+        """None when the map sends R into itself, else a function that
+        says what leaves R: a scan over candidates formats no message."""
+        ring = self.ring
+        if not ring.contains(self._t_image):
+            return lambda: f"t maps to {self._t_image}, outside {ring}"
         for irr in ring.denoms:
             if not ring.is_unit_of(self._image_of_poly(irr)):
-                raise NotStabilizing(f"inverted irreducible {irr} maps to a non-unit")
+                return lambda: f"inverted irreducible {irr} maps to a non-unit"
+        return None
 
     @classmethod
     def identity(cls, ring: RingDesc) -> "RingAut":
@@ -749,10 +756,9 @@ def ring_automorphisms(R: RingDesc, q_cap: int = 27):
     out = []
     for r in range(field.e):
         for mob in _pgl2_reps(field):
-            try:
-                out.append(RingAut(R, r, mob))
-            except NotStabilizing:
-                continue
+            aut = RingAut(R, r, mob, check=False)
+            if aut._escape() is None:
+                out.append(aut)
     keys = [(s.frob, s.mobius) for s in out]
     key_set = set(keys)
     for s in out:

@@ -5,9 +5,12 @@ parameters in an F_p-basis of F_q generate the group, and each acts on the
 enumerated group as an index permutation, computed with stack products
 and one sorted-key lookup; orbits are the connected components of these
 permutations, found by propagating the least index along them and
-pointer jumping.  The count is cross-checked by the averaged fixed-point
-count over the whole group (the Burnside form) whenever the group is small
-enough to afford the quadratic pass.
+pointer jumping.  Up to a size cap the count is cross-checked by a second
+method: for a finite group, R(sigma) is the number of ordinary conjugacy
+classes that sigma maps to themselves (the twisted Burnside-Frobenius
+theorem, Fel'shtyn-Hill with Brauer's permutation lemma).  The classes
+come from the same propagation under the plain conjugation action, and
+one index map of sigma tests each class representative.
 
 The orbit of a single element is searched breadth first on code stacks,
 without enumerating the group: each level applies every generator and
@@ -53,8 +56,7 @@ from .groups import (
     mat_mul,
     mat_to_codes,
     merge_new,
-    mul_left_stack,
-    mul_stack,
+    mul_two_sided,
     stack_keys,
 )
 
@@ -83,6 +85,13 @@ class TwistedOrbitReport:
 
 @dataclass
 class ReidemeisterResult:
+    """A Reidemeister count and how it was reached.
+
+    burnside_count is the number of conjugacy classes fixed by the
+    automorphism, the second method; it is None when the group order
+    exceeds the cap under which that method runs.
+    """
+
     count: int
     method: str
     group_order: int
@@ -109,7 +118,7 @@ def _aut_index_images(G: FiniteGroup, sigma: GroupAut) -> np.ndarray:
     if sigma.inner is not None:
         x = mat_to_codes(sigma.inner.mat)
         xinv = mat_to_codes(sigma.inner.mat.inverse())
-        stack = mul_stack(field, mul_left_stack(field, x, stack), xinv)
+        stack = mul_two_sided(field, x, stack, xinv)
     return G.indices_of_stack(stack)
 
 
@@ -121,10 +130,25 @@ def _twisted_generator_actions(G: FiniteGroup, sigma: GroupAut):
     actions = []
     for h in generators(G.ctx, basis):
         right = mat_to_codes(sigma(h).inverse().mat)
-        left = mat_to_codes(h.mat)
-        prods = mul_stack(field, mul_left_stack(field, left, G.codes), right)
+        prods = mul_two_sided(field, mat_to_codes(h.mat), G.codes, right)
         actions.append(G.indices_of_stack(prods))
     return actions
+
+
+def _least_labels(order: int, actions) -> np.ndarray:
+    """The least index of each element's orbit under the index
+    permutations `actions`."""
+    # every label stays an index in its own orbit and only decreases; at
+    # the fixed point each orbit carries its least index
+    label = np.arange(order)
+    while True:
+        before = label
+        for perm in actions:
+            label = np.minimum(label, label[perm])
+            label[perm] = np.minimum(label[perm], label)
+        label = label[label]
+        if np.array_equal(label, before):
+            return label
 
 
 def twisted_orbits(ctx: GroupCtx, sigma: GroupAut, cap: int = ENUM_CAP) -> TwistedOrbitReport:
@@ -134,18 +158,7 @@ def twisted_orbits(ctx: GroupCtx, sigma: GroupAut, cap: int = ENUM_CAP) -> Twist
     representative.
     """
     G = enumerate_group(ctx, cap)
-    actions = _twisted_generator_actions(G, sigma)
-    # every label stays an index in its own orbit and only decreases; at
-    # the fixed point each orbit carries its least index
-    label = np.arange(G.order)
-    while True:
-        before = label
-        for perm in actions:
-            label = np.minimum(label, label[perm])
-            label[perm] = np.minimum(label[perm], label)
-        label = label[label]
-        if np.array_equal(label, before):
-            break
+    label = _least_labels(G.order, _twisted_generator_actions(G, sigma))
     roots, sizes = np.unique(label, return_counts=True)
     if sizes.sum() != G.order:
         raise CertificateMismatch("orbit sizes do not partition the group")
@@ -157,20 +170,11 @@ def twisted_orbits(ctx: GroupCtx, sigma: GroupAut, cap: int = ENUM_CAP) -> Twist
     )
 
 
-def _burnside_count(G: FiniteGroup, sigma: GroupAut, cayley_cap: int) -> int:
-    table = G.cayley(cap=cayley_cap)
-    inv = G.inverse_indices()
-    sig = _aut_index_images(G, sigma)
-    idx = np.arange(G.order)
-    total = 0
-    for g in range(G.order):
-        s = int(inv[sig[g]])
-        perm = table[table[g, :], s]
-        total += int((perm == idx).sum())
-    count, rem = divmod(total, G.order)
-    if rem:
-        raise CertificateMismatch("fixed point total not divisible by the group order")
-    return count
+def _burnside_count(G: FiniteGroup, sigma: GroupAut) -> int:
+    """Number of conjugacy classes of G that sigma maps to themselves."""
+    cls = _least_labels(G.order, _twisted_generator_actions(G, GroupAut.identity(G.ctx)))
+    reps = np.flatnonzero(cls == np.arange(G.order))
+    return int((cls[_aut_index_images(G, sigma)[reps]] == reps).sum())
 
 
 def reidemeister_count(
@@ -181,17 +185,18 @@ def reidemeister_count(
 ) -> ReidemeisterResult:
     """Number of twisted conjugacy classes of a finite instance.
 
-    Always runs the orbit partition; also runs the averaged fixed-point
-    count when the group order is within burnside_cap, and raises
-    CertificateMismatch unless the two methods agree.  The result carries
-    the orbit report it counted.
+    Always runs the orbit partition; when the group order is within
+    burnside_cap, also counts the conjugacy classes that sigma fixes, and
+    raises CertificateMismatch unless the two methods agree.  For the
+    identity automorphism both counts come from the same conjugation
+    partition.  The result carries the orbit report it counted.
     """
     report = twisted_orbits(ctx, sigma, cap)
     burnside = None
     method = "orbit-partition"
     if report.group_order <= burnside_cap:
         G = enumerate_group(ctx, cap)
-        burnside = _burnside_count(G, sigma, burnside_cap)
+        burnside = _burnside_count(G, sigma)
         if burnside != report.count:
             raise CertificateMismatch(
                 f"method disagreement: partition {report.count}, burnside {burnside}"

@@ -1,6 +1,7 @@
 """Scans of the library source: correctness checks are explicit raises (an
 assert statement would vanish under python -O), binary powering is written
-once, and scalar field arithmetic stays off the numpy tables."""
+once, scalar field arithmetic stays off the numpy tables, and the quadratic
+Cayley table serves the tests only."""
 
 import ast
 import pathlib
@@ -17,6 +18,18 @@ def test_library_has_no_assert_statements():
     ]
     assert not found, found
 
+
+def test_library_builds_no_cayley_table():
+    # the O(|G|^2) table is a test oracle; the library cross-checks counts
+    # by the fixed conjugacy classes instead
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "cayley"
+    ]
+    assert not found, found
 
 
 def _halvings(tree):

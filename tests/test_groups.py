@@ -35,6 +35,7 @@ from chevtwist.groups import (
     mat_mul,
     mat_to_codes,
     merge_new,
+    mul_two_sided,
     order_omega_odd,
     order_omega_plus,
     order_sl,
@@ -341,11 +342,17 @@ def test_mat_mul_matches_mat_products(p, e):
             (mat_mul(field, stack, single), [(a, single) for a in stack]),
             (mat_mul(field, single, stack), [(single, b) for b in stack]),
             (mat_mul(field, stack, other), list(zip(stack, other))),
+            # one factor side by side with another, [single | other[0]]
+            (mat_mul(field, stack, np.concatenate([single, other[0]], axis=1))[..., n:],
+             [(a, other[0]) for a in stack]),
         ]
         for got, pairs in cases:
             for prod, (a, b) in zip(got, pairs):
                 want = codes_to_mat(field, a) * codes_to_mat(field, b)
                 assert codes_to_mat(field, prod) == want
+        left, right = codes_to_mat(field, single), codes_to_mat(field, other[0])
+        for prod, x in zip(mul_two_sided(field, single, stack, other[0]), stack):
+            assert codes_to_mat(field, prod) == left * codes_to_mat(field, x) * right
 
 
 @pytest.mark.parametrize("p, n", [(79, 336), (79, 345), (83, 300), (251, 33), (251, 34), (251, 300)])

@@ -163,6 +163,8 @@ def test_ring_aut_validation():
     RingAut(R, 0, (1, 1, 0, 1))  # t -> t + 1
     with pytest.raises(NotStabilizing):
         RingAut(R, 0, (0, 1, 1, 0))  # t -> 1/t leaves F_3[t]
+    assert RingAut(R, 0, (0, 1, 1, 0), check=False)._escape() is not None
+    assert RingAut(R, 0, (1, 1, 0, 1), check=False)._escape() is None
     with pytest.raises(Singular):
         RingAut(R, 0, (1, 1, 1, 1))
     R_t = RingDesc(F3, ["t"])

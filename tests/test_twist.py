@@ -2,9 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from chevtwist.auts import GroupAut
+from chevtwist.auts import GroupAut, parse_group_aut
 from chevtwist import twist
 from chevtwist.errors import (
     CapExceeded,
@@ -14,7 +15,7 @@ from chevtwist.errors import (
     Unsupported,
 )
 from chevtwist.gf import Fq
-from chevtwist.groups import GroupCtx, GroupKind, enumerate_group, generators
+from chevtwist.groups import GroupCtx, GroupKind, enumerate_group, expected_order, generators
 from chevtwist.twist import (
     are_twisted_conjugate,
     descend_aut,
@@ -364,6 +365,68 @@ def test_method_disagreement_raises(monkeypatch):
     monkeypatch.setattr(twist, "_burnside_count", lambda *args: real(*args) + 1)
     with pytest.raises(CertificateMismatch):
         reidemeister_count(SL2_F3, GroupAut.identity(SL2_F3))
+
+
+def _cayley_fixed_point_count(G, sigma):
+    """R(sigma) as the averaged fixed-point count: the pairs (g, x) with
+    g x sigma(g)^(-1) = x, read off the Cayley table, divided by |G|."""
+    table = G.cayley(cap=2_000)
+    inv = G.inverse_indices()
+    sig = twist._aut_index_images(G, sigma)
+    idx = np.arange(G.order)
+    total = sum(int((table[table[g], inv[sig[g]]] == idx).sum()) for g in range(G.order))
+    count, rem = divmod(total, G.order)
+    assert rem == 0
+    return count
+
+
+# the benchmark's census, with SL_2(F_3) under the transpose inverse and
+# SL_2(F_27), whose q + 4 = 31 classes lie above the second method's cap
+COUNTS = [
+    (GroupKind.sl(2), (3, 1), "id", 7),
+    (GroupKind.sl(2), (3, 1), "graph=tinv", 7),
+    (GroupKind.psl(2), (3, 1), "id", 4),
+    (GroupKind.sl(2), (5, 1), "id", 9),
+    (GroupKind.sl(2), (7, 1), "id", 11),
+    (GroupKind.sl(2), (3, 2), "ring=frob^1", 7),
+    (GroupKind.psl(2), (3, 2), "ring=frob^1", 5),
+    (GroupKind.sl(2), (11, 1), "id", 15),
+    (GroupKind.sl(2), (13, 1), "id", 17),
+    (GroupKind.sl(3), (3, 1), "graph=tinv", 6),
+    (GroupKind.psl(3), (3, 1), "graph=tinv", 6),
+    (GroupKind.sl(2), (5, 2), "id", 29),
+    (GroupKind.sl(2), (3, 3), "ring=frob^1", 7),
+    (GroupKind.sl(2), (3, 3), "id", 31),
+    (GroupKind.so_odd(2), (3, 1), "id", 20),
+    (GroupKind.psp(2), (3, 1), "id", 20),
+    (GroupKind.sp(2), (3, 1), "id", 34),
+]
+
+
+def _count_case(kind, pe, aut):
+    ctx = GroupCtx(kind, Fq(*pe))
+    return enumerate_group(ctx), parse_group_aut(aut, ctx)
+
+
+def _ids(cases):
+    return [f"{k!r}-F{p ** e}-{a}" for k, (p, e), a, _ in cases]
+
+
+@pytest.mark.parametrize("kind, pe, aut, count", COUNTS, ids=_ids(COUNTS))
+def test_fixed_class_count_equals_partition_count(kind, pe, aut, count):
+    G, sigma = _count_case(kind, pe, aut)
+    assert twist._burnside_count(G, sigma) == twisted_orbits(G.ctx, sigma).count == count
+
+
+SMALL_COUNTS = [case for case in COUNTS if expected_order(case[0], case[1][0] ** case[1][1])[0] <= 2_000]
+
+
+@pytest.mark.parametrize("kind, pe, aut, count", SMALL_COUNTS, ids=_ids(SMALL_COUNTS))
+def test_fixed_class_count_equals_cayley_count(kind, pe, aut, count):
+    G, sigma = _count_case(kind, pe, aut)
+    assert _cayley_fixed_point_count(G, sigma) == twist._burnside_count(G, sigma) == count
+    res = reidemeister_count(G.ctx, sigma)
+    assert (res.count, res.burnside_count, res.method) == (count, count, "orbit-partition+burnside")
 
 
 # orbit-size multisets {size: multiplicity} of the ordinary conjugacy
