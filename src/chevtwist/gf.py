@@ -5,7 +5,8 @@ over F_p, stored as integer codes 0..q-1 (base-p digits = coefficients,
 constant term first).  All operations go through tables precomputed at
 field construction, which keeps everything exact and fast at the desk
 scale this library targets (q <= 81 by default).  Per-element arithmetic
-(`FqElem`, `polyring.Poly`) indexes nested lists of ints; the stack kernels
+(`FqElem`, `polyring.Poly`, and `matrices.Mat` products and elimination
+over one field) indexes nested lists of ints; the stack kernels
 of `groups` and `twist` index numpy arrays (`_mul_np`, `_frob_np`,
 `_digits`, `_mulmat`, `_rank`) with whole code arrays.
 
@@ -216,6 +217,7 @@ class Fq:
         self._add, self._mul = add.tolist(), mul.tolist()
         self._neg, self._inv, self._frob = neg.tolist(), inv.tolist(), frob.tolist()
         self._mul_np, self._frob_np = mul, frob
+        self._elem = [FqElem(self, c) for c in range(q)]  # the boxed element of each code
         # base-p digits of each code, and the matrix over F_p of multiplication
         # by each code on the basis 1, w, ..., w^(e-1): column k holds the
         # digits of c * w^k.  Matrix products over F_q run through these.

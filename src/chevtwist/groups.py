@@ -323,7 +323,7 @@ class GrpElem:
     def __mul__(self, other):
         if not isinstance(other, GrpElem):
             return NotImplemented
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise SizeMismatch("elements of different groups")
         return GrpElem(self.ctx, self.mat * other.mat, check=False)
 
@@ -672,7 +672,16 @@ class FiniteGroup:
         return self._cayley
 
 
-@functools.lru_cache(maxsize=32)
+def _cached_per_group(build):
+    """build behind an LRU cache keyed on (ctx, cap) however the cap is
+    passed; keeps lru_cache's cache_clear, cache_info and __wrapped__."""
+    cached = functools.lru_cache(maxsize=32)(build)
+    call = functools.wraps(build)(lambda ctx, cap=ENUM_CAP: cached(ctx, cap))
+    call.cache_clear, call.cache_info = cached.cache_clear, cached.cache_info
+    return call
+
+
+@_cached_per_group
 def enumerate_group(ctx: GroupCtx, cap: int = ENUM_CAP) -> FiniteGroup:
     """Breadth-first closure of the root generators; deterministic order.
 

@@ -7,12 +7,20 @@ Products and elimination skip the terms with a zero factor: the group
 witnesses are the identity plus a few entries, and zero is the additive
 identity of normalised scalars, so every value is the same as with the
 full sums.
+Over one Fq object (every entry an FqElem of that very object) the product
+and the elimination run on the integer codes through the field's table rows
+and box the results at the end; other entries (RatFrac, mixed or equal but
+distinct fields) use the scalars' operators, which raise MixedFields where
+the fields differ.  The pivots are the same either way, so every value is
+the same.
 Powers go through gf.power, the library's one binary-power routine:
 M^k makes floor(log2 k) squarings plus popcount(k) - 1 products, and the
 identity is built only for k = 0.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .errors import SizeMismatch, Singular
 from .gf import FqElem, power
@@ -43,6 +51,13 @@ class Mat:
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise SizeMismatch("ragged rows")
         self.rows = rows
+
+    @classmethod
+    def _of(cls, rows):
+        """A Mat on rows that are already a rectangular tuple of tuples."""
+        m = object.__new__(cls)
+        m.rows = rows
+        return m
 
     @property
     def nrows(self):
@@ -80,28 +95,29 @@ class Mat:
         if isinstance(other, Mat):
             if self.ncols != other.nrows:
                 raise SizeMismatch("inner dimensions differ")
+            a, b = _field_codes(self.rows), _field_codes(other.rows)
+            if a and b and a[0] is b[0]:
+                return Mat._of(_code_product(a[0], a[1], b[1]))
             bt = other.transpose().rows
-            return Mat(
-                [[_dot(row, col) for col in bt] for row in self.rows]
-            )
+            return Mat._of(tuple(tuple(_dot(row, col) for col in bt) for row in self.rows))
         # scalar on the right
-        return Mat([[x * other for x in row] for row in self.rows])
+        return Mat._of(tuple(tuple(x * other for x in row) for row in self.rows))
 
     def __rmul__(self, other):
-        return Mat([[other * x for x in row] for row in self.rows])
+        return Mat._of(tuple(tuple(other * x for x in row) for row in self.rows))
 
     def __add__(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise SizeMismatch("shapes differ")
-        return Mat(
-            [[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)]
+        return Mat._of(
+            tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(self.rows, other.rows))
         )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Mat([[-x for x in row] for row in self.rows])
+        return Mat._of(tuple(tuple(-x for x in row) for row in self.rows))
 
     def __pow__(self, k: int):
         if not self.is_square:
@@ -114,26 +130,23 @@ class Mat:
         return Mat.identity(self.nrows, one_like(x), zero_like(x))
 
     def transpose(self):
-        return Mat(list(zip(*self.rows))) if self.rows else self
+        return Mat._of(tuple(zip(*self.rows))) if self.rows else self
 
     def trace(self):
         return _sum(self.rows[i][i] for i in range(self.nrows))
 
     def map(self, fn):
-        return Mat([[fn(x) for x in row] for row in self.rows])
+        return Mat._of(tuple(tuple(fn(x) for x in row) for row in self.rows))
 
     def det(self):
         """Product of the pivots, negated for an odd number of row swaps."""
         if not self.is_square:
             raise SizeMismatch("determinant of a non-square matrix")
         n = self.nrows
-        pivots, values, swaps = _gauss_jordan([list(r) for r in self.rows], n)
+        pivots, product, swaps = _gauss_jordan([list(r) for r in self.rows], n)
         if len(pivots) < n:
             return zero_like(self.rows[0][0])
-        det = values[0]
-        for v in values[1:]:
-            det = det * v
-        return -det if swaps % 2 else det
+        return -product if swaps % 2 else product
 
     def inverse(self):
         """The right half of [A | I] after reducing its left half to I."""
@@ -145,7 +158,7 @@ class Mat:
         a = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(self.rows)]
         if len(_gauss_jordan(a, n)[0]) < n:
             raise Singular("matrix is singular")
-        return Mat([row[n:] for row in a])
+        return Mat._of(tuple(tuple(row[n:]) for row in a))
 
     def __eq__(self, other):
         return isinstance(other, Mat) and self.rows == other.rows
@@ -166,6 +179,31 @@ def _dot(row, col):
         if x and y:
             acc = x * y if acc is None else acc + x * y
     return zero_like(row[0]) if acc is None else acc
+
+
+def _field_codes(rows):
+    """(field, code rows) when every entry is an FqElem of the one Fq
+    object field, else None."""
+    field = rows[0][0].field if rows and rows[0] and type(rows[0][0]) is FqElem else None
+    for row in rows:
+        for x in row:
+            if type(x) is not FqElem or x.field is not field:
+                return None
+    return field and (field, [[x.code for x in row] for row in rows])
+
+
+def _code_product(field, a, b):
+    """Boxed rows of a b: row i sums b's rows times a's nonzero codes."""
+    add, mul, box = field._add, field._mul, field._elem
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for x, brow in zip(row, b):
+            if x:
+                mx = mul[x]
+                acc = [add[s][mx[y]] for s, y in zip(acc, brow)]
+        out.append(tuple([box[s] for s in acc]))
+    return tuple(out)
 
 
 def _sum(items):
@@ -189,12 +227,38 @@ def _gauss_jordan(a, ncols):
 
     Column by column: the first row at or below the next pivot row with a
     nonzero entry is swapped up, scaled to a leading 1, and cleared from
-    every other row.  Returns the pivot columns, each pivot's value before
-    scaling, and the number of swaps.
+    every other row, on codes for rows over one Fq object.  Returns the
+    pivot columns, the product of the pivots' values before scaling (None
+    when there is no pivot), and the number of swaps.
     """
     m = len(a)
-    one = one_like(a[0][0])
-    pivots, values, swaps = [], [], 0
+    coded = _field_codes(a)
+    if coded is None:
+        one = one_like(a[0][0])
+        times = operator.mul
+
+        def scaled(row, lead):
+            inv = one / lead
+            return [x * inv if x else x for x in row]
+
+        def reduced(row, factor, prow):
+            return [x - factor * y if y else x for x, y in zip(row, prow)]
+    else:
+        field, a[:] = coded
+        add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
+
+        def times(x, y):
+            return mul[x][y]
+
+        def scaled(row, lead):
+            by = mul[inv[lead]]
+            return [by[x] for x in row]
+
+        def reduced(row, factor, prow):
+            by = mul[neg[factor]]
+            return [add[x][by[y]] for x, y in zip(row, prow)]
+
+    pivots, product, swaps = [], None, 0
     for col in range(ncols):
         r = len(pivots)
         if r == m:
@@ -205,15 +269,19 @@ def _gauss_jordan(a, ncols):
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
             swaps += 1
-        values.append(a[r][col])
-        inv = one / a[r][col]
-        a[r] = [x * inv if x else x for x in a[r]]
+        lead = a[r][col]
+        product = lead if product is None else times(product, lead)
+        a[r] = scaled(a[r], lead)
         for i in range(m):
             if i != r and a[i][col]:
-                factor = a[i][col]
-                a[i] = [x - factor * y if y else x for x, y in zip(a[i], a[r])]
+                a[i] = reduced(a[i], a[i][col], a[r])
         pivots.append(col)
-    return pivots, values, swaps
+    if coded is not None:
+        box = field._elem
+        a[:] = [[box[x] for x in row] for row in a]
+        if pivots:
+            product = box[product]
+    return pivots, product, swaps
 
 
 def nullspace(rows):

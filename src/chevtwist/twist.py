@@ -117,7 +117,7 @@ def _aut_index_images(G: FiniteGroup, sigma: GroupAut) -> np.ndarray:
             stack = field._frob_np[stack]
     if sigma.inner is not None:
         x = mat_to_codes(sigma.inner.mat)
-        xinv = mat_to_codes(sigma.inner.mat.inverse())
+        xinv = mat_to_codes(sigma.inner.inverse().mat)
         stack = mul_two_sided(field, x, stack, xinv)
     return G.indices_of_stack(stack)
 

@@ -19,6 +19,7 @@ from chevtwist.errors import (
 from chevtwist import groups
 from chevtwist.gf import Fq
 from chevtwist.groups import (
+    ENUM_CAP,
     FiniteGroup,
     GrpElem,
     GroupCtx,
@@ -226,6 +227,16 @@ def test_enumeration_checks_the_order_formula(monkeypatch):
     monkeypatch.setattr(groups, "expected_order", lambda kind, q: (25, True))
     with pytest.raises(CertificateMismatch):
         enumerate_group.__wrapped__(GroupCtx(GroupKind.sl(2), F3))
+
+
+def test_enumeration_caches_one_entry_whatever_the_call_form():
+    ctx = GroupCtx(GroupKind.sl(2), F3)
+    enumerate_group.cache_clear()
+    G = enumerate_group(ctx)
+    assert enumerate_group(ctx, ENUM_CAP) is G
+    assert enumerate_group(ctx, cap=ENUM_CAP) is G
+    info = enumerate_group.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (1, 2, 1)
 
 
 def test_enumeration_deterministic():

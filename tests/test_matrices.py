@@ -1,5 +1,7 @@
-"""The one Gauss-Jordan elimination behind det, inverse and nullspace, over
-F_3, F_9, F_25 and small fractions over F_3(t)."""
+"""The one product routine and the one Gauss-Jordan elimination behind det,
+inverse and nullspace, over F_3, F_9, F_25, F_81 and small fractions over
+F_3(t); over one Fq object both run on the integer codes, pinned here to
+dense references and to the FqElem operator path."""
 
 import itertools
 
@@ -7,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chevtwist.errors import Singular
-from chevtwist.gf import Fq
+from chevtwist.errors import MixedFields, Singular
+from chevtwist.gf import Fq, FqElem
 from chevtwist.matrices import Mat, nullspace, one_like, zero_like
 from chevtwist.polyring import Poly, RatFrac
 
 F3 = Fq(3)
-FIELDS = [F3, Fq(3, 2), Fq(5, 2)]
+FIELDS = [F3, Fq(3, 2), Fq(5, 2), Fq(3, 4)]
 DENOMS = [Poly(F3, [1]), Poly(F3, [0, 1]), Poly(F3, [1, 1])]
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
@@ -274,3 +276,117 @@ def test_sparse_inverse_matches_adjugate(scalars):
         assert _dense_mul(a, inv) == _identity_like(a)
 
     check()
+
+
+# -- the code path: matrices over one Fq object run on the integer codes
+
+def _matrices(field, m, n, sparse):
+    """m x n matrices over field; a sparse one draws zero for about half of
+    its entries."""
+    entries = _field_scalars(field)
+    if sparse:
+        entries = st.one_of(st.just(field.zero), entries)
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m).map(Mat)
+
+
+# a separately built, equal field per size: entries of both take the FqElem
+# operator path, which the code path must agree with
+TWINS = {f.q: Fq(f.p, f.e) for f in FIELDS}
+
+
+def _operator_path(rows):
+    """rows with the first entry moved to the twin field."""
+    rows = [list(r) for r in rows]
+    x = rows[0][0]
+    rows[0][0] = TWINS[x.field.q].from_code(x.code)
+    return rows
+
+
+def _over(field, m):
+    return all(type(x) is FqElem and x.field is field for row in m.rows for x in row)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"F{f.q}")
+def test_code_path_matches_dense_references(field):
+    @SETTINGS
+    @given(st.data())
+    def check(data):
+        m, k, n = (data.draw(st.integers(1, 4)) for _ in range(3))
+        sparse = data.draw(st.booleans())
+        a = data.draw(_matrices(field, m, k, sparse))
+        b = data.draw(_matrices(field, k, n, sparse))
+        product = a * b
+        assert product == _dense_mul(a, b) and _over(field, product)
+        k = data.draw(st.integers(2, 4))  # the adjugate needs a minor
+        sq = data.draw(_matrices(field, k, k, sparse))
+        assert sq.det() == _dense_det(sq)
+        if sq.det():
+            inv = sq.inverse()
+            assert inv == _dense_inverse(sq) and _over(field, inv)
+        else:
+            with pytest.raises(Singular):
+                sq.inverse()
+        # the last row a multiple of the first
+        c = data.draw(_field_scalars(field))
+        rows = [list(r) for r in sq.rows]
+        rows[-1] = [c * x for x in rows[0]]
+        singular = Mat(rows)
+        assert singular.det() == _dense_det(singular) == field.zero
+        with pytest.raises(Singular):
+            singular.inverse()
+
+    check()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"F{f.q}")
+def test_code_path_matches_operator_path(field):
+    @SETTINGS
+    @given(st.data())
+    def check(data):
+        m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+        sparse = data.draw(st.booleans())
+        a = data.draw(_matrices(field, m, n, sparse))
+        b = data.draw(_matrices(field, n, m, sparse))
+        assert a * b == Mat(_operator_path(a.rows)) * b
+        basis = nullspace([list(r) for r in a.rows])
+        assert basis == nullspace(_operator_path(a.rows))
+        assert all(_dot(row, v) == field.zero for row in a.rows for v in basis)
+        sq = a * b
+        twin = Mat(_operator_path(sq.rows))
+        assert sq.det() == twin.det()
+        if sq.det():
+            assert sq.inverse() == twin.inverse()
+
+    check()
+
+
+def test_one_field_matrices_make_no_scalar_operator_call(monkeypatch):
+    # a silent fallback to the FqElem operators fails here
+    F9 = FIELDS[1]
+    w = F9.elem((0, 1))
+    a = Mat([[w, F9.one, F9.zero], [F9.elem(2), w + 1, w], [F9.zero, F9.one, w * w]])
+    b = Mat([[F9.one, w], [w + 2, F9.zero], [F9.elem(2), w]])
+    expected = (_dense_mul(a, b), _dense_det(a), _dense_inverse(a))
+
+    def refuse(*args):
+        raise AssertionError("an FqElem operator was called")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__truediv__"):
+        monkeypatch.setattr(FqElem, name, refuse)
+    assert (a * b, a.det(), a.inverse()) == expected
+    assert nullspace([list(r) for r in b.transpose().rows])
+
+
+def test_mixed_and_twin_fields_take_the_operator_path():
+    F5, F9 = Fq(5), FIELDS[1]
+    with pytest.raises(MixedFields):
+        Mat([[F3.one, F3.one]]) * Mat([[F5.one], [F5.elem(2)]])
+    with pytest.raises(MixedFields):
+        Mat([[F3.one, F5.one], [F5.elem(2), F3.one]]).det()
+    # two separately built F_9: the same product as over one of them
+    twin = TWINS[9]
+    w = F9.elem((0, 1))
+    a = Mat([[w, F9.one], [F9.elem(2), w + 1]])
+    b = Mat([[F9.one, w], [w + 2, F9.zero]])
+    b_twin = b.map(lambda x: twin.from_code(x.code))
+    assert a * b_twin == a * b == _dense_mul(a, b)
