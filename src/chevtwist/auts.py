@@ -99,7 +99,9 @@ class GroupAut:
         if inner is not None:
             if inner.ctx != ctx:
                 raise IncompatibleKind("inner part from a different context")
-            if inner == ctx.identity():
+            one, zero = ctx.one, ctx.zero
+            if all(x == (one if i == j else zero)
+                   for i, row in enumerate(inner.mat.rows) for j, x in enumerate(row)):
                 inner = None
         self.ctx = ctx
         self.inner = inner

@@ -247,7 +247,7 @@ class GroupCtx:
         return GroupCtx(self.kind.projectivization(), self.scalars)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, GroupCtx)
             and self.kind == other.kind
             and self.scalars == other.scalars

@@ -1,18 +1,21 @@
 """Small exact matrices over a field (FqElem or RatFrac entries).
 
-Everything is immutable and hashable.  One Gauss-Jordan reduction,
-_gauss_jordan, drives det, inverse and nullspace; entries are field
-elements, so no pivoting strategy beyond "first nonzero" is needed.
-Products and elimination skip the terms with a zero factor: the group
-witnesses are the identity plus a few entries, and zero is the additive
-identity of normalised scalars, so every value is the same as with the
-full sums.
-Over one Fq object (every entry an FqElem of that very object) the product
-and the elimination run on the integer codes through the field's table rows
-and box the results at the end; other entries (RatFrac, mixed or equal but
-distinct fields) use the scalars' operators, which raise MixedFields where
-the fields differ.  The pivots are the same either way, so every value is
-the same.
+Everything is immutable and hashable; a matrix has at least one row and
+one column.  One Gauss-Jordan reduction, _gauss_jordan, drives det,
+inverse and nullspace; entries are field elements, so no pivoting strategy
+beyond "first nonzero" is needed.  Products and elimination skip the terms
+with a zero factor: the group witnesses are the identity plus a few
+entries, and zero is the additive identity of normalised scalars, so every
+value is the same as with the full sums.
+Both have three arithmetic modes.  Over one Fq object (every entry an
+FqElem of that very object) they run on the integer codes through the
+field's table rows; over one Fq object's fractions, on polynomial
+numerators, each row (and column of a right factor) cleared over the lcm
+of its denominators, and the elimination is fraction-free.  Both box their
+results once, at the end.  Other entries (mixed or equal but distinct
+fields, mixed scalar types) use the scalars' operators, which raise
+MixedFields where the fields differ.  The pivots are the same in every
+mode and normalised scalars are unique, so every value is the same.
 Powers go through gf.power, the library's one binary-power routine:
 M^k makes floor(log2 k) squarings plus popcount(k) - 1 products, and the
 identity is built only for k = 0.
@@ -20,11 +23,12 @@ identity is built only for k = 0.
 
 from __future__ import annotations
 
+import functools
 import operator
 
-from .errors import SizeMismatch, Singular
+from .errors import CertificateMismatch, SizeMismatch, Singular
 from .gf import FqElem, power
-from .polyring import RatFrac
+from .polyring import Poly, RatFrac, poly_gcd
 
 
 def zero_like(x):
@@ -48,7 +52,9 @@ class Mat:
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
+        if not rows or not rows[0]:
+            raise SizeMismatch("matrix with no entries")
+        if any(len(r) != len(rows[0]) for r in rows):
             raise SizeMismatch("ragged rows")
         self.rows = rows
 
@@ -65,7 +71,7 @@ class Mat:
 
     @property
     def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
+        return len(self.rows[0])
 
     @property
     def is_square(self):
@@ -95,10 +101,15 @@ class Mat:
         if isinstance(other, Mat):
             if self.ncols != other.nrows:
                 raise SizeMismatch("inner dimensions differ")
-            a, b = _field_codes(self.rows), _field_codes(other.rows)
-            if a and b and a[0] is b[0]:
-                return Mat._of(_code_product(a[0], a[1], b[1]))
+            a = _field_codes(self.rows)
+            if a:
+                b = _field_codes(other.rows)
+                if b and a[0] is b[0]:
+                    return Mat._of(_code_product(a[0], a[1], b[1]))
             bt = other.transpose().rows
+            field = _frac_field(self.rows)
+            if field is not None and _frac_field(bt) is field:
+                return Mat._of(_frac_product(field, self.rows, bt))
             return Mat._of(tuple(tuple(_dot(row, col) for col in bt) for row in self.rows))
         # scalar on the right
         return Mat._of(tuple(tuple(x * other for x in row) for row in self.rows))
@@ -130,7 +141,7 @@ class Mat:
         return Mat.identity(self.nrows, one_like(x), zero_like(x))
 
     def transpose(self):
-        return Mat._of(tuple(zip(*self.rows))) if self.rows else self
+        return Mat._of(tuple(zip(*self.rows)))
 
     def trace(self):
         return _sum(self.rows[i][i] for i in range(self.nrows))
@@ -184,7 +195,7 @@ def _dot(row, col):
 def _field_codes(rows):
     """(field, code rows) when every entry is an FqElem of the one Fq
     object field, else None."""
-    field = rows[0][0].field if rows and rows[0] and type(rows[0][0]) is FqElem else None
+    field = rows[0][0].field if type(rows[0][0]) is FqElem else None
     for row in rows:
         for x in row:
             if type(x) is not FqElem or x.field is not field:
@@ -203,6 +214,61 @@ def _code_product(field, a, b):
                 mx = mul[x]
                 acc = [add[s][mx[y]] for s, y in zip(acc, brow)]
         out.append(tuple([box[s] for s in acc]))
+    return tuple(out)
+
+
+def _frac_field(rows):
+    """The Fq object field when every entry is a RatFrac over that very
+    object, else None."""
+    field = rows[0][0].num.field if type(rows[0][0]) is RatFrac else None
+    for row in rows:
+        for x in row:
+            if type(x) is not RatFrac or x.num.field is not field:
+                return None
+    return field
+
+
+def _exact(num, den):
+    """num / den for a den that divides num; anything else is a fault."""
+    quot, rem = divmod(num, den)
+    if rem:
+        raise CertificateMismatch(f"{den} does not divide {num}")
+    return quot
+
+
+def _cleared(row, one):
+    """(L, [L x for x in row]) with L the monic lcm of the row's
+    denominators, so every entry becomes a polynomial."""
+    lcm = one
+    for x in row:
+        if not (x.den.is_one or x.den == lcm):
+            lcm = x.den if lcm.is_one else lcm * _exact(x.den, poly_gcd(lcm, x.den))
+    if lcm.is_one:
+        return lcm, [x.num for x in row]
+    return lcm, [x.num * _exact(lcm, x.den) if x.num else x.num for x in row]
+
+
+def _frac_product(field, a, bt):
+    """Rows of the product of a and the transpose of bt, both RatFrac over
+    one field: row i of a and column j of b cleared to polynomials over
+    their lcm denominators L_i and N_j, entry (i, j) the sum of polynomial
+    products over L_i N_j, normalised once."""
+    one, zero = Poly.one(field), RatFrac.zero(field)
+    cols = [_cleared(col, one) for col in bt]
+    out = []
+    for row in a:
+        lrow, xs = _cleared(row, one)
+        terms = [(k, x) for k, x in enumerate(xs) if x]
+        entries = []
+        for ncol, ys in cols:
+            acc = None
+            for k, x in terms:
+                y = ys[k]
+                if y:
+                    acc = x * y if acc is None else acc + x * y
+            den = ncol if lrow.is_one else lrow if ncol.is_one else lrow * ncol
+            entries.append(RatFrac(acc, den) if acc else zero)
+        out.append(tuple(entries))
     return tuple(out)
 
 
@@ -226,24 +292,19 @@ def _gauss_jordan(a, ncols):
     reduced row echelon form on their first ncols columns.
 
     Column by column: the first row at or below the next pivot row with a
-    nonzero entry is swapped up, scaled to a leading 1, and cleared from
-    every other row, on codes for rows over one Fq object.  Returns the
-    pivot columns, the product of the pivots' values before scaling (None
-    when there is no pivot), and the number of swaps.
+    nonzero entry is swapped up and cleared from every other row with a
+    nonzero entry in its column.  Returns the pivot columns, the product of
+    the pivots' values before scaling when every row holds a pivot (else
+    None), and the number of swaps.
+
+    The integer-code and operator modes scale the pivot row to a leading
+    1; over one field's fractions the rows are polynomials, see
+    _fraction_free.
     """
     m = len(a)
     coded = _field_codes(a)
-    if coded is None:
-        one = one_like(a[0][0])
-        times = operator.mul
-
-        def scaled(row, lead):
-            inv = one / lead
-            return [x * inv if x else x for x in row]
-
-        def reduced(row, factor, prow):
-            return [x - factor * y if y else x for x, y in zip(row, prow)]
-    else:
+    field = None if coded else _frac_field(a)
+    if coded is not None:
         field, a[:] = coded
         add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
 
@@ -257,6 +318,18 @@ def _gauss_jordan(a, ncols):
         def reduced(row, factor, prow):
             by = mul[neg[factor]]
             return [add[x][by[y]] for x, y in zip(row, prow)]
+    elif field is not None:
+        times, scaled, reduced, finish = _fraction_free(a, field)
+    else:
+        one = one_like(a[0][0])
+        times = operator.mul
+
+        def scaled(row, lead):
+            inv = one / lead
+            return [x * inv if x else x for x in row]
+
+        def reduced(row, factor, prow):
+            return [x - factor * y if y else x for x, y in zip(row, prow)]
 
     pivots, product, swaps = [], None, 0
     for col in range(ncols):
@@ -276,12 +349,76 @@ def _gauss_jordan(a, ncols):
             if i != r and a[i][col]:
                 a[i] = reduced(a[i], a[i][col], a[r])
         pivots.append(col)
+    if len(pivots) < m:
+        product = None
     if coded is not None:
         box = field._elem
         a[:] = [[box[x] for x in row] for row in a]
-        if pivots:
+        if product is not None:
             product = box[product]
+    elif field is not None:
+        product = finish(product)
     return pivots, product, swaps
+
+
+def _fraction_free(a, field):
+    """The fraction-free mode of _gauss_jordan (Bareiss, Math. Comp. 22,
+    1968; Gauss-Jordan form by Nakos-Turner-Williams, SIGSAM Bull. 31(3),
+    1997): clears the rows a in place, returns (times, scaled, reduced,
+    finish).
+
+    Row i is cleared to polynomials over the lcm L_i of its denominators.
+    With p_0 = 1 and p_k the k-th pivot, step k turns every row x other
+    than the pivot row y into (p_k x - x[col] y) / p_{k-1}, an exact
+    division.  A row with a zero in the pivot column is only multiplied by
+    p_k / p_{k-1}, and these factors telescope, so such a row is left as it
+    is: each row carries, as its last entry, the pivot p_j it is exact
+    against, and stands for itself times p_{k-1} / p_j.  Step k then makes
+    (p_k x - x[col] y) / p_j of it, and a new pivot row is first brought up
+    to p_{k-1}.  Each pivot row ends on its own pivot, so dividing by it
+    gives the reduced row; the product of the pivots' values is the last
+    pivot over the product of the L_i.
+    """
+    one = Poly.one(field)
+    dens = []
+    for i, row in enumerate(a):
+        lcm, nums = _cleared(row, one)
+        dens.append(lcm)
+        nums.append(one)
+        a[i] = nums
+    held = [one]  # the last pivot
+
+    def times(x, y):
+        return y  # finish reads the product off the last pivot
+
+    def scaled(row, lead):
+        prev, stamp = held[0], row[-1]
+        if stamp is not prev:
+            row = [_exact(x * prev, stamp) if x else x for x in row]
+            lead = _exact(lead * prev, stamp)
+        row[-1] = held[0] = lead
+        return row
+
+    def reduced(row, factor, prow):
+        lead, stamp = held[0], row[-1]
+        out = []
+        for x, y in zip(row[:-1], prow):
+            v = lead * x if x else x
+            if y:
+                v = v - factor * y
+            out.append(v if not v or stamp.is_one else _exact(v, stamp))
+        out.append(lead)
+        return out
+
+    def finish(product):
+        zero, unit = RatFrac.zero(field), RatFrac.one(field)
+        a[:] = [
+            [zero if not x else unit if x == row[-1] else RatFrac(x, row[-1]) for x in row[:-1]]
+            for row in a
+        ]
+        return None if product is None else RatFrac(held[0], functools.reduce(operator.mul, dens))
+
+    return times, scaled, reduced, finish
 
 
 def nullspace(rows):
@@ -290,7 +427,7 @@ def nullspace(rows):
     Returns a list of vectors (lists), deterministic order: free columns
     ascending, each basis vector has a 1 in its free column.
     """
-    if not rows:
+    if not rows or not rows[0]:
         return []
     n = len(rows[0])
     one = one_like(rows[0][0])

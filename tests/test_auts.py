@@ -115,6 +115,22 @@ def test_inner_only_is_conjugation():
         assert sigma(g) == x * g * x.inverse()
 
 
+def test_identity_inner_part_is_dropped():
+    # the normal form keeps no trivial inner part, in a projective group
+    # too, where -I is the identity coset
+    F5 = Fq(5)
+    for ctx in (GroupCtx(GroupKind.sl(3), F3), GroupCtx(GroupKind.psl(2), F5),
+                GroupCtx(GroupKind.sp(2), RingDesc(F5, []))):
+        sigma = GroupAut(ctx, inner=ctx.identity())
+        assert sigma.inner is None and sigma.is_identity and sigma == GroupAut.identity(ctx)
+    psl = GroupCtx(GroupKind.psl(2), F5)
+    minus = psl.elem([[F5.elem(4), F5.zero], [F5.zero, F5.elem(4)]])
+    assert GroupAut(psl, inner=minus).is_identity
+    # one off-diagonal entry keeps it
+    x = psl.elem([[F5.one, F5.one], [F5.zero, F5.one]])
+    assert GroupAut(psl, inner=x).inner == x
+
+
 def test_inner_part_is_inverted_once_per_automorphism(monkeypatch):
     rng = random.Random(11)
     ctx = GroupCtx(GroupKind.sl(3), F3)

@@ -1,7 +1,7 @@
 """Scans of the library source: correctness checks are explicit raises (an
-assert statement would vanish under python -O), binary powering is written
-once, scalar field arithmetic stays off the numpy tables, and the quadratic
-Cayley table serves the tests only."""
+assert statement would vanish under python -O), binary powering and row
+elimination are each written once, scalar field arithmetic stays off the
+numpy tables, and the quadratic Cayley table serves the tests only."""
 
 import ast
 import pathlib
@@ -51,6 +51,44 @@ def test_library_has_one_binary_power_loop():
     gf = ast.parse((SRC / "chevtwist" / "gf.py").read_text())
     power = next(f for f in gf.body if isinstance(f, ast.FunctionDef) and f.name == "power")
     assert found == [("chevtwist/gf.py", line) for line in _halvings(power)] and len(found) == 1, found
+
+
+def _row_swaps(tree):
+    """(function, line) of each `x[i], x[j] = x[j], x[i]` statement: a row
+    swap marks the pivot step of an elimination."""
+    return [
+        (fn.name, node.lineno)
+        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Assign) and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Tuple) and isinstance(node.value, ast.Tuple)
+        and len(node.targets[0].elts) == len(node.value.elts) == 2
+        and all(isinstance(e, ast.Subscript) for e in node.targets[0].elts)
+        and [ast.unparse(e) for e in node.targets[0].elts]
+        == [ast.unparse(e) for e in reversed(node.value.elts)]
+    ]
+
+
+def test_library_has_one_elimination():
+    # matrices._gauss_jordan is the one pivot loop: det, inverse and
+    # nullspace call it, and each arithmetic mode (integer codes,
+    # fraction-free polynomials, scalar operators) plugs into it
+    found = sorted(
+        (str(path.relative_to(SRC)), name)
+        for path in SRC.rglob("*.py")
+        for name, _ in _row_swaps(ast.parse(path.read_text(), str(path)))
+    )
+    assert found == [("chevtwist/matrices.py", "_gauss_jordan")], found
+
+
+def test_row_swap_scan_sees_a_swap():
+    # the scan itself: a swap of two rows is found, a tuple assignment of
+    # other values is not
+    tree = ast.parse(
+        "def f(a, i, j):\n    a[i], a[j] = a[j], a[i]\n"
+        "def g(a, i, j):\n    a[i], a[j] = a[i], a[j]\n    x, y = y, x\n"
+    )
+    assert _row_swaps(tree) == [("f", 2)]
 
 
 NUMPY_TABLES = {"_mul_np", "_frob_np"}

@@ -1,7 +1,10 @@
 """The one product routine and the one Gauss-Jordan elimination behind det,
-inverse and nullspace, over F_3, F_9, F_25, F_81 and small fractions over
-F_3(t); over one Fq object both run on the integer codes, pinned here to
-dense references and to the FqElem operator path."""
+inverse and nullspace, over F_3, F_9, F_25, F_81 and fractions over F_3(t),
+F_5(t) and F_9(t).  Over one Fq object both run on the integer codes, and
+over one field's fractions on polynomial numerators (fraction-free
+elimination); each mode is pinned here to dense references and to the
+scalars' operator path, and a guard checks that neither calls a scalar
+operator."""
 
 import itertools
 
@@ -9,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chevtwist.errors import MixedFields, Singular
+from chevtwist.errors import CertificateMismatch, MixedFields, Singular, SizeMismatch
 from chevtwist.gf import Fq, FqElem
-from chevtwist.matrices import Mat, nullspace, one_like, zero_like
-from chevtwist.polyring import Poly, RatFrac
+from chevtwist.matrices import Mat, _exact, nullspace, one_like, zero_like
+from chevtwist.polyring import Poly, RatFrac, parse_poly
 
 F3 = Fq(3)
 FIELDS = [F3, Fq(3, 2), Fq(5, 2), Fq(3, 4)]
@@ -390,3 +393,158 @@ def test_mixed_and_twin_fields_take_the_operator_path():
     b = Mat([[F9.one, w], [w + 2, F9.zero]])
     b_twin = b.map(lambda x: twin.from_code(x.code))
     assert a * b_twin == a * b == _dense_mul(a, b)
+
+
+# -- the fraction-free path: matrices over one field's fractions run on
+# polynomial numerators, each row cleared over its lcm denominator
+
+FRAC_FIELDS = [F3, Fq(5), FIELDS[1]]
+FRAC_DENOMS = ["1", "t", "t+1", "t^2", "t^2+1"]
+
+
+def _fracs(field, sparse=False):
+    """n / d with n of degree 2 or 3 (so that the earlier pivots the
+    elimination divides by are not units) and d in FRAC_DENOMS; a sparse
+    draw is zero for about half of its entries."""
+    codes = st.integers(0, field.q - 1)
+    nums = st.builds(
+        lambda tail, lead: Poly(field, tail + [lead]),
+        st.lists(codes, min_size=2, max_size=3), st.integers(1, field.q - 1),
+    )
+    dens = st.sampled_from([parse_poly(field, d) for d in FRAC_DENOMS])
+    fracs = st.builds(RatFrac, nums, dens)
+    return st.one_of(st.just(RatFrac.zero(field)), fracs) if sparse else fracs
+
+
+def _frac_matrices(field, m, n, sparse):
+    row = st.lists(_fracs(field, sparse), min_size=n, max_size=n)
+    return st.lists(row, min_size=m, max_size=m).map(Mat)
+
+
+FRAC_TWINS = {f.q: Fq(f.p, f.e) for f in FRAC_FIELDS}
+
+
+def _twin_frac(x):
+    twin = FRAC_TWINS[x.field.q]
+    return RatFrac(*(Poly(twin, [c.code for c in f.coeffs]) for f in (x.num, x.den)))
+
+
+def _frac_operator_path(rows):
+    """rows with the first entry moved to the twin field, so that the
+    scalars' operators do the arithmetic."""
+    rows = [list(r) for r in rows]
+    rows[0][0] = _twin_frac(rows[0][0])
+    return rows
+
+
+def _over_fracs(field, m):
+    return all(type(x) is RatFrac and x.field is field for row in m.rows for x in row)
+
+
+@pytest.mark.parametrize("field", FRAC_FIELDS, ids=lambda f: f"F{f.q}(t)")
+def test_fraction_path_matches_dense_references(field):
+    @SETTINGS
+    @given(st.data())
+    def check(data):
+        m, k, n = (data.draw(st.integers(1, 3)) for _ in range(3))
+        sparse = data.draw(st.booleans())
+        a = data.draw(_frac_matrices(field, m, k, sparse))
+        b = data.draw(_frac_matrices(field, k, n, sparse))
+        product = a * b
+        assert product == _dense_mul(a, b) and _over_fracs(field, product)
+        x = data.draw(_fracs(field))
+        one_by_one = Mat([[x]])
+        assert one_by_one.det() == x
+        assert one_by_one.inverse() == Mat([[RatFrac.one(field) / x]])
+        k = data.draw(st.integers(2, 3))  # the adjugate needs a minor
+        sq = data.draw(_frac_matrices(field, k, k, sparse))
+        assert sq.det() == _dense_det(sq)
+        if sq.det():
+            inv = sq.inverse()
+            assert inv == _dense_inverse(sq) and _over_fracs(field, inv)
+        else:
+            with pytest.raises(Singular):
+                sq.inverse()
+        # the last row a multiple of the first, then a zero row
+        c = data.draw(_fracs(field))
+        rows = [list(r) for r in sq.rows]
+        rows[-1] = [c * x for x in rows[0]]
+        for singular in (Mat(rows), Mat(rows[:-1] + [[RatFrac.zero(field)] * k])):
+            assert singular.det() == _dense_det(singular) == RatFrac.zero(field)
+            with pytest.raises(Singular):
+                singular.inverse()
+
+    check()
+
+
+@pytest.mark.parametrize("field", FRAC_FIELDS, ids=lambda f: f"F{f.q}(t)")
+def test_fraction_path_matches_operator_path(field):
+    @SETTINGS
+    @given(st.data())
+    def check(data):
+        m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+        sparse = data.draw(st.booleans())
+        a = data.draw(_frac_matrices(field, m, n, sparse))
+        b = data.draw(_frac_matrices(field, n, m, sparse))
+        if data.draw(st.booleans()):  # a zero row
+            a = Mat(a.rows[:-1] + ((RatFrac.zero(field),) * n,))
+        assert a * b == Mat(_frac_operator_path(a.rows)) * b
+        basis = nullspace([list(r) for r in a.rows])
+        assert basis == nullspace(_frac_operator_path(a.rows))
+        assert all(_dot(row, v) == RatFrac.zero(field) for row in a.rows for v in basis)
+        assert all(type(x) is RatFrac and x.field is field for v in basis for x in v)
+        sq = a * b
+        twin = Mat(_frac_operator_path(sq.rows))
+        assert sq.det() == twin.det()
+        if sq.det():
+            assert sq.inverse() == twin.inverse()
+        else:
+            with pytest.raises(Singular):
+                sq.inverse()
+
+    check()
+
+
+def test_one_field_fractions_make_no_scalar_operator_call(monkeypatch):
+    # a silent fallback to the RatFrac operators fails here
+    F9 = FIELDS[1]
+    t, w, zero = Poly.t(F9), Poly.const(F9, F9.elem((0, 1))), RatFrac.zero(F9)
+    a = Mat([
+        [RatFrac(t * t + w, t), RatFrac(t + 1), zero],
+        [RatFrac(w * t * t, t * t + 1), RatFrac(t * t * t + 2, t + 1), RatFrac(t)],
+        [zero, RatFrac(t * t + t, t * t), RatFrac(w, t + 1)],
+    ])
+    b = Mat([[RatFrac(t * t), RatFrac(w)], [RatFrac(t + w, t * t + 1), zero],
+             [RatFrac(t * t + 2), RatFrac(t, t + 1)]])
+    expected = (_dense_mul(a, b), _dense_det(a), _dense_inverse(a))
+
+    def refuse(*args):
+        raise AssertionError("a RatFrac operator was called")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__truediv__"):
+        monkeypatch.setattr(RatFrac, name, refuse)
+    assert (a * b, a.det(), a.inverse()) == expected
+    assert len(nullspace([list(r) for r in b.transpose().rows])) == 1
+
+
+def test_mixed_fraction_fields_raise():
+    F5 = FRAC_FIELDS[1]
+    x3, x5 = RatFrac.t(F3), RatFrac(Poly.t(F5), Poly.t(F5) + 1)
+    with pytest.raises(MixedFields):
+        Mat([[x3, x3]]) * Mat([[x5], [x5]])
+    with pytest.raises(MixedFields):
+        Mat([[x3, x5], [x5, x3]]).det()
+
+
+def test_inexact_division_is_a_certificate_mismatch():
+    t = Poly.t(F3)
+    assert _exact(t * t + t, t + 1) == t
+    with pytest.raises(CertificateMismatch):
+        _exact(t * t + 1, t + 1)
+
+
+def test_matrix_without_entries_is_refused():
+    for rows in ([], [[]], [[], []]):
+        with pytest.raises(SizeMismatch):
+            Mat(rows)
+    assert nullspace([]) == nullspace([[]]) == []
