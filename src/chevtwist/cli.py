@@ -10,6 +10,7 @@ exactly when every certificate in the run passed.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import random
 import sys
@@ -71,9 +72,12 @@ def _field_from_flags(p, e, q):
     return Fq(p, e)
 
 
-def _ring_from_flags(field, denoms):
+def _fixed_from_flags(p, e, denoms, f_text):
+    """The field, the ring and its fixed element s named by a ring command's flags."""
+    field = _field_from_flags(p, e, None)
     names = [d for d in (denoms or "").split(",") if d.strip()]
-    return RingDesc(field, [parse_poly(field, d.strip()) for d in names])
+    ring = RingDesc(field, [parse_poly(field, d.strip()) for d in names])
+    return field, ring, fixed_element(parse_poly(field, f_text), ring)
 
 
 def _run_line(command, **params):
@@ -120,14 +124,22 @@ def _write_csv(run_line, header, rows):
     return buf.getvalue()
 
 
-def _surface(fn):
-    """Run fn, converting library errors into command errors with context."""
-    try:
-        return fn()
-    except click.ClickException:
-        raise
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        raise click.ClickException(f"{type(exc).__module__}.{type(exc).__name__}: {exc}")
+def _surfaced(command):
+    """Run a command body, converting library errors into command errors
+    with context; a nonzero return (a failure count) exits with status 1."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            failures = command(*args, **kwargs)
+        except click.ClickException:
+            raise
+        except Exception as exc:  # noqa: BLE001 - CLI boundary
+            raise click.ClickException(f"{type(exc).__module__}.{type(exc).__name__}: {exc}")
+        if failures:
+            sys.exit(1)
+
+    return run
 
 
 ring_opts = [
@@ -161,37 +173,30 @@ def main():
 @click.option("--r-max", type=int, default=4, show_default=True)
 @click.option("--n", type=int, default=3, show_default=True, help="linear rank of the ambient group")
 @_add_options(out_opts)
+@_surfaced
 def traces(p, e, denoms, f_text, m_max, r_max, n, out, fmt):
     """Trace-degree certificates for the SL witnesses."""
-
-    def run():
-        field = _field_from_flags(p, e, None)
-        ring = _ring_from_flags(field, denoms)
-        s = fixed_element(parse_poly(field, f_text), ring)
-        cfg = WitnessConfig(ring=ring, s=s, family=FAMILY_SL, n=n)
-        rows = []
-        failures = 0
-        for m in range(1, m_max + 1):
-            for r in range(1, r_max + 1):
-                try:
-                    cert = trace_certificate(m, r, cfg)
-                    rows.append([
-                        FAMILY_SL, m, r, cert.deg_t, cert.expected_deg_t,
-                        str(cert.leading_coeff), "ok",
-                    ])
-                except CertificateMismatch:
-                    rows.append([FAMILY_SL, m, r, "", "", "", "FAIL"])
-                    failures += 1
-        run_line = _run_line(
-            "traces", p=field.p, e=field.e, denoms=denoms, f=f_text,
-            m_max=m_max, r_max=r_max, n=n,
-        )
-        _emit(_write_csv(run_line, WITNESS_HEADER, rows), out, fmt)
-        return failures
-
-    failures = _surface(run)
-    if failures:
-        sys.exit(1)
+    field, ring, s = _fixed_from_flags(p, e, denoms, f_text)
+    cfg = WitnessConfig(ring=ring, s=s, family=FAMILY_SL, n=n)
+    rows = []
+    failures = 0
+    for m in range(1, m_max + 1):
+        for r in range(1, r_max + 1):
+            try:
+                cert = trace_certificate(m, r, cfg)
+                rows.append([
+                    FAMILY_SL, m, r, cert.deg_t, cert.expected_deg_t,
+                    str(cert.leading_coeff), "ok",
+                ])
+            except CertificateMismatch:
+                rows.append([FAMILY_SL, m, r, "", "", "", "FAIL"])
+                failures += 1
+    run_line = _run_line(
+        "traces", p=field.p, e=field.e, denoms=denoms, f=f_text,
+        m_max=m_max, r_max=r_max, n=n,
+    )
+    _emit(_write_csv(run_line, WITNESS_HEADER, rows), out, fmt)
+    return failures
 
 
 @main.command("witness-check")
@@ -203,57 +208,50 @@ def traces(p, e, denoms, f_text, m_max, r_max, n, out, fmt):
 @click.option("--r-max", type=int, default=6, show_default=True)
 @click.option("--k-max", type=int, default=3, show_default=True)
 @_add_options(out_opts)
+@_surfaced
 def witness_check(p, e, denoms, group, n, f_text, m_max, r_max, k_max, out, fmt):
     """Power identities, obstructions and conjugator checks per family."""
+    field, ring, s = _fixed_from_flags(p, e, denoms, f_text)
+    rows = []
+    failures = 0
 
-    def run():
-        field = _field_from_flags(p, e, None)
-        ring = _ring_from_flags(field, denoms)
-        s = fixed_element(parse_poly(field, f_text), ring)
-        rows = []
-        failures = 0
+    def note(family, param, r, ok):
+        nonlocal failures
+        rows.append([family, param, r, "", "", "", "ok" if ok else "FAIL"])
+        if not ok:
+            failures += 1
 
-        def note(family, param, r, ok):
-            nonlocal failures
-            rows.append([family, param, r, "", "", "", "ok" if ok else "FAIL"])
-            if not ok:
-                failures += 1
-
-        if group == "SL":
-            cfg = WitnessConfig(ring=ring, s=s, family=FAMILY_SL, n=n)
-            for m in range(1, m_max + 1):
-                x = witness_sl(m, cfg, n)
-                note(FAMILY_SL, m, "", x.mat.det() == ring.one)
-        elif group == "Sp":
-            cfg = WitnessConfig(ring=ring, s=s, family=FAMILY_SP, n=n)
-            for m in range(1, m_max + 1):
-                y = witness_sp(m, cfg, n)
-                x = witness_sl(m, cfg, n)
-                for r in range(1, r_max + 1):
-                    ok = (y.mat ** r).trace() == (x.mat ** r).trace() * 2
-                    note(FAMILY_SP, m, r, ok)
-        else:
-            fam = FAMILY_SO_ODD if group == "SOodd" else FAMILY_SO_EVEN
-            powers = range(1, r_max + 1) if group == "SOodd" else range(2, r_max + 1, 2)
-            for r in powers:
-                note(fam, "s", r, power_identity_check(s, r, group, n, ring))
-            for k in range(1, k_max + 1):
-                for kp in range(k + 1, k_max + 1):
-                    rep = obstruction_report(s ** k, s ** kp, ring)
-                    note(fam, f"s^{k} vs s^{kp}", "", rep.separated)
-            c = ring.one + ring.one  # the constant 2, a unit since p is odd
-            g = explicit_conjugator(s, c, group, n, ring)
-            note(fam, "conjugator", "", block_constraint_check(g, c * c * s, s))
-        run_line = _run_line(
-            "witness-check", group=group, n=n, p=field.p, e=field.e,
-            denoms=denoms, f=f_text, m_max=m_max, r_max=r_max, k_max=k_max,
-        )
-        _emit(_write_csv(run_line, WITNESS_HEADER, rows), out, fmt)
-        return failures
-
-    failures = _surface(run)
-    if failures:
-        sys.exit(1)
+    if group == "SL":
+        cfg = WitnessConfig(ring=ring, s=s, family=FAMILY_SL, n=n)
+        for m in range(1, m_max + 1):
+            x = witness_sl(m, cfg, n)
+            note(FAMILY_SL, m, "", x.mat.det() == ring.one)
+    elif group == "Sp":
+        cfg = WitnessConfig(ring=ring, s=s, family=FAMILY_SP, n=n)
+        for m in range(1, m_max + 1):
+            y = witness_sp(m, cfg, n)
+            x = witness_sl(m, cfg, n)
+            for r in range(1, r_max + 1):
+                ok = (y.mat ** r).trace() == (x.mat ** r).trace() * 2
+                note(FAMILY_SP, m, r, ok)
+    else:
+        fam = FAMILY_SO_ODD if group == "SOodd" else FAMILY_SO_EVEN
+        powers = range(1, r_max + 1) if group == "SOodd" else range(2, r_max + 1, 2)
+        for r in powers:
+            note(fam, "s", r, power_identity_check(s, r, group, n, ring))
+        for k in range(1, k_max + 1):
+            for kp in range(k + 1, k_max + 1):
+                rep = obstruction_report(s ** k, s ** kp, ring)
+                note(fam, f"s^{k} vs s^{kp}", "", rep.separated)
+        c = ring.one + ring.one  # the constant 2, a unit since p is odd
+        g = explicit_conjugator(s, c, group, n, ring)
+        note(fam, "conjugator", "", block_constraint_check(g, c * c * s, s))
+    run_line = _run_line(
+        "witness-check", group=group, n=n, p=field.p, e=field.e,
+        denoms=denoms, f=f_text, m_max=m_max, r_max=r_max, k_max=k_max,
+    )
+    _emit(_write_csv(run_line, WITNESS_HEADER, rows), out, fmt)
+    return failures
 
 
 @main.command()
@@ -268,6 +266,7 @@ def witness_check(p, e, denoms, group, n, f_text, m_max, r_max, k_max, out, fmt)
               help="largest group order that also gets the fixed-class count")
 @click.option("--expect-count", type=int, default=None, help="fail unless the count matches")
 @_add_options(out_opts)
+@_surfaced
 def reidemeister(group, n, q, p, e, aut_text, cap, burnside_cap, expect_count, out, fmt):
     """Twisted conjugacy class count of a finite instance.
 
@@ -281,26 +280,21 @@ def reidemeister(group, n, q, p, e, aut_text, cap, burnside_cap, expect_count, o
     Omega^+_6(3), has 6,065,280 elements.  A group whose order exceeds
     --cap is refused before it is enumerated.
     """
-
-    def run():
-        field = _field_from_flags(p, e, q)
-        ctx = GroupCtx(_GROUP_FAMILIES[group](n), field)
-        sigma = parse_group_aut(aut_text, ctx)
-        result = reidemeister_count(ctx, sigma, cap=cap, burnside_cap=burnside_cap)
-        run_line = _run_line(
-            "reidemeister", group=group, n=n, q=field.q,
-            aut=render_group_aut(sigma), cap=cap, burnside_cap=burnside_cap,
+    field = _field_from_flags(p, e, q)
+    ctx = GroupCtx(_GROUP_FAMILIES[group](n), field)
+    sigma = parse_group_aut(aut_text, ctx)
+    result = reidemeister_count(ctx, sigma, cap=cap, burnside_cap=burnside_cap)
+    run_line = _run_line(
+        "reidemeister", group=group, n=n, q=field.q,
+        aut=render_group_aut(sigma), cap=cap, burnside_cap=burnside_cap,
+    )
+    _emit(run_line + "\n" + report_to_csv(result.report, method=result.method), out, fmt)
+    if expect_count is not None and result.count != expect_count:
+        click.echo(
+            f"count {result.count} != expected {expect_count}", err=True
         )
-        _emit(run_line + "\n" + report_to_csv(result.report, method=result.method), out, fmt)
-        if expect_count is not None and result.count != expect_count:
-            click.echo(
-                f"count {result.count} != expected {expect_count}", err=True
-            )
-            return 1
-        return 0
-
-    if _surface(run):
-        sys.exit(1)
+        return 1
+    return 0
 
 
 @main.command("aut-compose")
@@ -310,57 +304,53 @@ def reidemeister(group, n, q, p, e, aut_text, cap, burnside_cap, expect_count, o
 @click.option("--seed", type=int, required=True)
 @click.option("--samples", type=int, default=100, show_default=True)
 @_add_options(out_opts)
+@_surfaced
 def aut_compose(group, n, q, seed, samples, out, fmt):
     """Self-test: normal-form composition against pointwise application."""
+    field = _field_from_flags(None, 1, q)
+    ctx = GroupCtx(_GROUP_FAMILIES[group](n), field)
+    rng = random.Random(seed)
+    gens = generators(ctx)
 
-    def run():
-        field = _field_from_flags(None, 1, q)
-        ctx = GroupCtx(_GROUP_FAMILIES[group](n), field)
-        rng = random.Random(seed)
-        gens = generators(ctx)
+    def rand_elem():
+        g = ctx.identity()
+        for _ in range(6):
+            g = g * rng.choice(gens)
+        return g
 
-        def rand_elem():
-            g = ctx.identity()
-            for _ in range(6):
-                g = g * rng.choice(gens)
-            return g
+    graph_choices = [None]
+    if group in ("SL", "PSL"):
+        graph_choices.append("tinv")
+    elif group == "SOeven":
+        graph_choices.append("B")
 
-        graph_choices = [None]
-        if group in ("SL", "PSL"):
-            graph_choices.append("tinv")
-        elif group == "SOeven":
-            graph_choices.append("B")
+    def rand_aut():
+        return GroupAut(
+            ctx,
+            inner=rand_elem() if rng.random() < 0.8 else None,
+            ring=rng.randrange(field.e) if field.e > 1 else None,
+            graph=rng.choice(graph_choices),
+        )
 
-        def rand_aut():
-            return GroupAut(
-                ctx,
-                inner=rand_elem() if rng.random() < 0.8 else None,
-                ring=rng.randrange(field.e) if field.e > 1 else None,
-                graph=rng.choice(graph_choices),
-            )
-
-        fails = {"compose_pointwise": 0, "inner_shift": 0, "graph_ring_commute": 0}
-        for _ in range(samples):
-            sig, tau, g = rand_aut(), rand_aut(), rand_elem()
-            if sig.compose(tau)(g) != sig(tau(g)):
-                fails["compose_pointwise"] += 1
-            x = rand_elem()
-            left = sig.compose(GroupAut(ctx, inner=x))
-            right = GroupAut(ctx, inner=sig(x)).compose(sig)
-            if left != right or left(g) != right(g):
-                fails["inner_shift"] += 1
-            if graph_choices[-1] is not None:
-                eps = GroupAut(ctx, graph=graph_choices[-1])
-                rho = GroupAut(ctx, ring=rng.randrange(field.e) if field.e > 1 else None)
-                if eps.compose(rho)(g) != rho.compose(eps)(g):
-                    fails["graph_ring_commute"] += 1
-        rows = [[name, samples, "ok" if bad == 0 else "FAIL"] for name, bad in fails.items()]
-        run_line = _run_line("aut-compose", group=group, n=n, q=q, seed=seed, samples=samples)
-        _emit(_write_csv(run_line, ["check", "samples", "status"], rows), out, fmt)
-        return sum(fails.values())
-
-    if _surface(run):
-        sys.exit(1)
+    fails = {"compose_pointwise": 0, "inner_shift": 0, "graph_ring_commute": 0}
+    for _ in range(samples):
+        sig, tau, g = rand_aut(), rand_aut(), rand_elem()
+        if sig.compose(tau)(g) != sig(tau(g)):
+            fails["compose_pointwise"] += 1
+        x = rand_elem()
+        left = sig.compose(GroupAut(ctx, inner=x))
+        right = GroupAut(ctx, inner=sig(x)).compose(sig)
+        if left != right or left(g) != right(g):
+            fails["inner_shift"] += 1
+        if graph_choices[-1] is not None:
+            eps = GroupAut(ctx, graph=graph_choices[-1])
+            rho = GroupAut(ctx, ring=rng.randrange(field.e) if field.e > 1 else None)
+            if eps.compose(rho)(g) != rho.compose(eps)(g):
+                fails["graph_ring_commute"] += 1
+    rows = [[name, samples, "ok" if bad == 0 else "FAIL"] for name, bad in fails.items()]
+    run_line = _run_line("aut-compose", group=group, n=n, q=q, seed=seed, samples=samples)
+    _emit(_write_csv(run_line, ["check", "samples", "status"], rows), out, fmt)
+    return sum(fails.values())
 
 
 @main.command("fixed-s")
@@ -368,23 +358,17 @@ def aut_compose(group, n, q, seed, samples, out, fmt):
 @click.option("--f", "f_text", required=True, help="seed polynomial")
 @click.option("--expect", default=None, help="fail unless the result renders to this text")
 @_add_options(out_opts)
+@_surfaced
 def fixed_s(p, e, denoms, f_text, expect, out, fmt):
     """The distinguished non-unit fixed by every ring automorphism."""
-
-    def run():
-        field = _field_from_flags(p, e, None)
-        ring = _ring_from_flags(field, denoms)
-        s = fixed_element(parse_poly(field, f_text), ring)
-        text = str(s)
-        run_line = _run_line("fixed-s", p=field.p, e=field.e, denoms=denoms, f=f_text)
-        _emit(_write_csv(run_line, ["s"], [[text]]), out, fmt)
-        if expect is not None and text != expect.strip():
-            click.echo(f"{text} != expected {expect}", err=True)
-            return 1
-        return 0
-
-    if _surface(run):
-        sys.exit(1)
+    field, ring, s = _fixed_from_flags(p, e, denoms, f_text)
+    text = str(s)
+    run_line = _run_line("fixed-s", p=field.p, e=field.e, denoms=denoms, f=f_text)
+    _emit(_write_csv(run_line, ["s"], [[text]]), out, fmt)
+    if expect is not None and text != expect.strip():
+        click.echo(f"{text} != expected {expect}", err=True)
+        return 1
+    return 0
 
 
 @main.command()
@@ -393,23 +377,17 @@ def fixed_s(p, e, denoms, f_text, expect, out, fmt):
 @click.option("--k-max", type=int, default=3, show_default=True)
 @click.option("--graph", default="tau", show_default=True, help="tau (reflection); rotations are rejected")
 @_add_options(out_opts)
+@_surfaced
 def d4(p, e, denoms, f_text, k_max, graph, out, fmt):
     """Reflection-twisted certificate suite on the rank-4 even orthogonal group."""
-
-    def run():
-        field = _field_from_flags(p, e, None)
-        ring = _ring_from_flags(field, denoms)
-        s = fixed_element(parse_poly(field, f_text), ring)
-        cfg = WitnessConfig(ring=ring, s=s, family=FAMILY_SO_EVEN, n=4)
-        report = d4_tau_suite(cfg, graph=graph, k_max=k_max)
-        rows = [[name, "ok" if ok else "FAIL"] for name, ok in report.checks]
-        rows.append(["reflection_order", report.reflection_order])
-        run_line = _run_line("d4", p=field.p, e=field.e, denoms=denoms, f=f_text, k_max=k_max, graph=graph)
-        _emit(_write_csv(run_line, ["check", "status"], rows), out, fmt)
-        return 0 if report.passed else 1
-
-    if _surface(run):
-        sys.exit(1)
+    field, ring, s = _fixed_from_flags(p, e, denoms, f_text)
+    cfg = WitnessConfig(ring=ring, s=s, family=FAMILY_SO_EVEN, n=4)
+    report = d4_tau_suite(cfg, graph=graph, k_max=k_max)
+    rows = [[name, "ok" if ok else "FAIL"] for name, ok in report.checks]
+    rows.append(["reflection_order", report.reflection_order])
+    run_line = _run_line("d4", p=field.p, e=field.e, denoms=denoms, f=f_text, k_max=k_max, graph=graph)
+    _emit(_write_csv(run_line, ["check", "status"], rows), out, fmt)
+    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":

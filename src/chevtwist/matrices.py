@@ -118,6 +118,8 @@ class Mat:
         return Mat._of(tuple(tuple(other * x for x in row) for row in self.rows))
 
     def __add__(self, other):
+        if not isinstance(other, Mat):
+            return NotImplemented
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise SizeMismatch("shapes differ")
         return Mat._of(
@@ -125,6 +127,8 @@ class Mat:
         )
 
     def __sub__(self, other):
+        if not isinstance(other, Mat):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self):

@@ -8,6 +8,9 @@ containment in F_q(t).
 
 Factorization is trial division against sieve-generated irreducibles; all
 inputs here stay at small degree, so no clever algorithms are needed.
+Aut(R) needs none: a map keeps R iff it permutes the places R removes,
+which is read off Horner numerators of the inverted irreducibles, over
+e q (q - 1) (1 + L) candidates (L linear inverted irreducibles).
 `Poly` arithmetic is schoolbook on the field's nested-list tables (one row
 `mul[c]` per term), with `np.convolve` for long products over F_p.
 
@@ -40,6 +43,7 @@ from .errors import (
 from .gf import Fq, FqElem, evaluate, power
 
 FACTOR_DEGREE_CAP = 64
+AUT_FIELD_CAP = 27
 _SIEVE_BUDGET = 2_000_000
 VAR = "t"
 
@@ -553,10 +557,11 @@ class RingDesc:
         self.denoms = tuple(sorted(checked, key=lambda f: f.sort_key()))
 
     def contains(self, x) -> bool:
-        x = self._as_frac(x)
-        if x.den.is_one:
-            return True
-        return all(irr in self.denoms for irr, _ in factorize(x.den))
+        return self._inverts(self._as_frac(x).den)
+
+    def _inverts(self, f: Poly) -> bool:
+        """Every irreducible factor of the nonzero f is inverted."""
+        return f.is_constant() or all(irr in self.denoms for irr, _ in factorize(f))
 
     def require_member(self, x) -> RatFrac:
         x = self._as_frac(x)
@@ -566,17 +571,12 @@ class RingDesc:
 
     def is_unit(self, x) -> bool:
         """Unit test for x already in R (raises NotInRing otherwise)."""
-        x = self.require_member(x)
-        if x.is_zero:
-            return False
-        return all(irr in self.denoms for irr, _ in factorize(x.num))
+        return self.is_unit_of(self.require_member(x))
 
     def is_unit_of(self, x) -> bool:
         """Unit test without the membership precondition: x and 1/x in R."""
         x = self._as_frac(x)
-        if x.is_zero:
-            return False
-        return self.contains(x) and self.contains(x.inverse())
+        return not x.is_zero and self._inverts(x.den) and self._inverts(x.num)
 
     def _as_frac(self, x) -> RatFrac:
         if isinstance(x, RatFrac):
@@ -619,38 +619,26 @@ class RingAut:
 
     Acts on F_q by x -> x^(p^r) and on t by t -> (a t + b)/(c t + d), with
     a d - b c nonzero.  Construction verifies that the map sends the ring
-    into itself: the image of t lies in R and every inverted irreducible
-    maps to a unit of R.  Such a map has finite order, so stability of R
-    under the map follows.  With check=False the caller makes that check
-    itself, with _escape().
+    into itself (see _escape); such a map has finite order, so stability
+    of R under the map follows.
     """
 
-    __slots__ = ("ring", "frob", "mobius", "_t_image")
+    __slots__ = ("ring", "frob", "mobius")
 
-    def __init__(self, ring: RingDesc, frob: int = 0, mobius=(1, 0, 0, 1), check: bool = True):
+    def __init__(self, ring: RingDesc, frob: int = 0, mobius=(1, 0, 0, 1)):
         field = ring.field
         a, b, c, d = mobius = tuple(field.elem(x) for x in mobius)
         if not (a * d - b * c):
             raise Singular("Moebius parameters have zero determinant")
         self.ring = ring
         self.frob, self.mobius = _compose_params((frob, mobius))
-        a, b, c, d = self.mobius
-        tpoly = Poly.t(field)
-        self._t_image = RatFrac(tpoly * a + b, tpoly * c + d)
-        escape = self._escape() if check else None
-        if escape is not None:
-            raise NotStabilizing(escape())
-
-    def _escape(self):
-        """None when the map sends R into itself, else a function that
-        says what leaves R: a scan over candidates formats no message."""
-        ring = self.ring
-        if not ring.contains(self._t_image):
-            return lambda: f"t maps to {self._t_image}, outside {ring}"
-        for irr in ring.denoms:
-            if not ring.is_unit_of(self._image_of_poly(irr)):
-                return lambda: f"inverted irreducible {irr} maps to a non-unit"
-        return None
+        lost = _escape(ring, self.frob, self.mobius)
+        if lost is None:
+            return
+        if lost in ring.denoms:
+            raise NotStabilizing(f"inverted irreducible {lost} maps to a non-unit")
+        a, b, _, _ = self.mobius
+        raise NotStabilizing(f"t maps to {Poly(field, (b.code, a.code))} / {lost}, outside {ring}")
 
     @classmethod
     def identity(cls, ring: RingDesc) -> "RingAut":
@@ -662,23 +650,7 @@ class RingAut:
         return self.frob == 0 and self.mobius == (field.one, field.zero, field.zero, field.one)
 
     def _image_of_poly(self, f: Poly) -> RatFrac:
-        field = self.ring.field
-        a, b, c, d = self.mobius
-        tpoly = Poly.t(field)
-        num_lin = tpoly * a + b
-        den_lin = tpoly * c + d
-        deg = f.degree()
-        if deg <= 0:
-            code = f._codes[0] if f._codes else 0
-            return RatFrac.const(field, field.from_code(code).frobenius(self.frob))
-        num = Poly.zero(field)
-        den_pow = Poly.one(field)
-        # Horner from the top coefficient; den_pow tracks (c t + d)^(deg - i)
-        for code in reversed(f._codes):
-            coef = field.from_code(code).frobenius(self.frob)
-            num = num * num_lin + den_pow * coef
-            den_pow = den_pow * den_lin
-        return RatFrac(num, den_lin ** deg)
+        return RatFrac(*_image_parts(f, self.frob, self.mobius))
 
     def __call__(self, x) -> RatFrac:
         x = self.ring.require_member(x)
@@ -701,14 +673,6 @@ class RingAut:
         inv = tuple(x.frobenius(r) for x in inv)
         return RingAut(self.ring, r, inv)
 
-    def order(self, cap: int = 10_000) -> int:
-        acc = self
-        for k in range(1, cap + 1):
-            if acc.is_identity:
-                return k
-            acc = self.compose(acc)
-        raise Unsupported("automorphism order exceeds cap")
-
     def __eq__(self, other):
         return (
             isinstance(other, RingAut)
@@ -723,6 +687,47 @@ class RingAut:
     def __repr__(self):
         a, b, c, d = self.mobius
         return f"RingAut(frob^{self.frob}, t -> ({a})t+({b}) / ({c})t+({d}))"
+
+
+def _image_parts(f: Poly, frob: int, mobius):
+    """(N, D) with f^(p^frob)((a t + b)/(c t + d)) = N / D, where
+    D = (c t + d)^deg(f); N, the Horner numerator, need not be coprime to D."""
+    field = f.field
+    a, b, c, d = mobius
+    num_lin = Poly(field, (b.code, a.code))
+    den_lin = Poly(field, (d.code, c.code))
+    codes = f._codes
+    for _ in range(frob):
+        codes = [field._frob[x] for x in codes]
+    # Horner from the top coefficient; den_pow tracks (c t + d)^(deg - i)
+    num, den_pow = Poly(field, codes[-1:]), Poly.one(field)
+    for code in reversed(codes[:-1]):
+        den_pow = den_pow * den_lin
+        num = num * num_lin + den_pow * Poly(field, (code,))
+    return num, den_pow
+
+
+def _escape(ring: RingDesc, frob: int, mobius):
+    """None when the map with these canonical parameters keeps R, else
+    what leaves it: the pole t + d of the image of t, not inverted, or
+    the first inverted irreducible that maps to a non-unit.
+
+    The map keeps R iff it permutes the places R removes: infinity and the
+    zeros of the inverted irreducibles.  A Moebius image of an irreducible
+    is an irreducible or a constant over a power of the pole, so the image
+    is a unit iff that numerator is constant or inverted: no factorization.
+    """
+    field = ring.field
+    _, _, c, d = mobius
+    if c:
+        pole = Poly(field, (d.code, 1))
+        if pole not in ring.denoms:
+            return pole
+    for irr in ring.denoms:
+        num, _ = _image_parts(irr, frob, mobius)
+        if num.degree() > 0 and num.monic() not in ring.denoms:
+            return irr
+    return None
 
 
 def _compose_params(s, t=None):
@@ -740,25 +745,22 @@ def _compose_params(s, t=None):
     return r % a.field.e, (a * scale, b * scale, c * scale, d * scale)
 
 
-def ring_automorphisms(R: RingDesc, q_cap: int = 27):
+def ring_automorphisms(R: RingDesc):
     """All automorphisms of R, deterministic order, verified to be a group.
 
-    The candidate pool has size e * (q^3 - q); fields past q_cap would
-    make the stabilization filter crawl, so they are rejected outright.
-    The found set X is verified at every size, with no cap: it must be
-    closed under inverses, and _verify_group must find it to be the group
-    generated by a few of its members.  A composite outside X raises
-    CertificateMismatch.
+    The candidates are the e Frobenius powers times the Moebius maps that
+    can send infinity into the places R removes (_candidates), each tested
+    by _escape with no fraction and no factorization.  Fields past
+    AUT_FIELD_CAP are rejected outright.  The found set X is verified at
+    every size, with no cap: it must be closed under inverses, and
+    _verify_group must find it to be the group generated by a few of its
+    members.  A composite outside X raises CertificateMismatch.
     """
     field = R.field
-    if field.q > q_cap:
-        raise CapExceeded(f"automorphism enumeration capped at q <= {q_cap}")
-    out = []
-    for r in range(field.e):
-        for mob in _pgl2_reps(field):
-            aut = RingAut(R, r, mob, check=False)
-            if aut._escape() is None:
-                out.append(aut)
+    if field.q > AUT_FIELD_CAP:
+        raise CapExceeded(f"automorphism enumeration capped at q <= {AUT_FIELD_CAP}")
+    mobs = _candidates(R)
+    out = [RingAut(R, r, mob) for r in range(field.e) for mob in mobs if _escape(R, r, mob) is None]
     keys = [(s.frob, s.mobius) for s in out]
     key_set = set(keys)
     for s in out:
@@ -810,20 +812,17 @@ def _verify_group(keys, identity):
     return gens
 
 
-def _pgl2_reps(field: Fq):
-    """Coset representatives of PGL2(F_q): c in {0,1} first, then (a,b,d)."""
+def _candidates(R: RingDesc):
+    """Canonical Moebius parameters whose image of t has its pole at a
+    removed place, in PGL2(F_q) coset order: c = 0 (pole at infinity)
+    first, then c = 1 with t + d inverted, over (a, b, d).  That is
+    q (q - 1) (1 + L) maps, L the number of linear inverted irreducibles."""
+    field = R.field
     elems = field.elements()
-    reps = []
     one, zero = field.one, field.zero
-    for b in elems:
-        for d in elems:
-            if d:
-                reps.append((one, b, zero, d))
-    for a in elems:
-        for b in elems:
-            for d in elems:
-                if a * d - b:
-                    reps.append((a, b, one, d))
+    poles = [d for d in elems if Poly(field, (d.code, 1)) in R.denoms]
+    reps = [(one, b, zero, d) for b in elems for d in elems if d]
+    reps += [(a, b, one, d) for a in elems for b in elems for d in poles if a * d - b]
     return reps
 
 

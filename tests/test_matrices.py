@@ -548,3 +548,15 @@ def test_matrix_without_entries_is_refused():
         with pytest.raises(SizeMismatch):
             Mat(rows)
     assert nullspace([]) == nullspace([[]]) == []
+
+
+def test_matrix_sum_with_a_non_matrix_is_a_type_error():
+    a = Mat([[Fq(3).one]])
+    for other in (1, Fq(3).one, "1"):
+        with pytest.raises(TypeError):
+            a + other
+        with pytest.raises(TypeError):
+            a - other
+        with pytest.raises(TypeError):
+            other + a
+    assert a + a == Mat([[Fq(3).elem(2)]]) and (a - a).rows[0][0] == Fq(3).zero

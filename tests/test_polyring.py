@@ -158,19 +158,33 @@ def test_ring_desc_validation():
         RingDesc(F3, ["t", "t"])  # duplicate
 
 
+def _mobius(*codes):
+    return tuple(F3.elem(x) for x in codes)
+
+
 def test_ring_aut_validation():
     R = RingDesc(F3)
     RingAut(R, 0, (1, 1, 0, 1))  # t -> t + 1
-    with pytest.raises(NotStabilizing):
+    with pytest.raises(NotStabilizing, match=r"^t maps to 1 / t, outside RingDesc\(F3\[t\]\)$"):
         RingAut(R, 0, (0, 1, 1, 0))  # t -> 1/t leaves F_3[t]
-    assert RingAut(R, 0, (0, 1, 1, 0), check=False)._escape() is not None
-    assert RingAut(R, 0, (1, 1, 0, 1), check=False)._escape() is None
+    assert polyring._escape(R, 0, _mobius(0, 1, 1, 0)) == P("t")
+    assert polyring._escape(R, 0, _mobius(1, 1, 0, 1)) is None
     with pytest.raises(Singular):
         RingAut(R, 0, (1, 1, 1, 1))
     R_t = RingDesc(F3, ["t"])
     rho = RingAut(R_t, 0, (0, 1, 1, 0))  # t -> 1/t is fine on F_3[t][1/t]
     t = RatFrac.t(F3)
     assert rho(t) == 1 / t
+
+
+def test_ring_aut_must_keep_inverted_irreducibles_inverted():
+    R = RingDesc(F3, ["t^2+1"])
+    # t -> t+1 sends t^2+1 to t^2+2*t+2, irreducible and not inverted
+    assert is_irreducible(P("t^2+2*t+2"))
+    with pytest.raises(NotStabilizing, match=r"^inverted irreducible t\^2\+1 maps to a non-unit$"):
+        RingAut(R, 0, (1, 1, 0, 1))
+    assert polyring._escape(R, 0, _mobius(1, 1, 0, 1)) == P("t^2+1")
+    assert RingAut(R, 0, (2, 0, 0, 1))(RatFrac(P("t^2+1"))) == RatFrac(P("t^2+1"))
 
 
 def test_ring_aut_apply():
@@ -345,9 +359,9 @@ def test_aut_group_pinned(p, e, denoms, count, digest):
 
 
 def _drop_candidate(monkeypatch, mobius):
-    plain = polyring._pgl2_reps
-    drop = tuple(F3.elem(x) for x in mobius)
-    monkeypatch.setattr(polyring, "_pgl2_reps", lambda field: [m for m in plain(field) if m != drop])
+    plain = polyring._candidates
+    drop = _mobius(*mobius)
+    monkeypatch.setattr(polyring, "_candidates", lambda R: [m for m in plain(R) if m != drop])
 
 
 @pytest.mark.parametrize("mobius, message", [
@@ -382,6 +396,79 @@ def test_aut_group_closure_makes_x_times_gamma_compositions(monkeypatch):
     (gamma,) = gammas
     assert len(auts) == 144 and len(gamma) == 4
     assert len(composed) == 144 * len(gamma)  # not 144^2 = 20,736
+
+
+# -- Aut(R) against a brute-force reference: every Frobenius power times
+# every PGL_2(F_q) coset, kept when the fraction images pass the
+# factorization-based contains and is_unit_of
+
+
+def _brute_force_automorphisms(R):
+    F = R.field
+    elems = F.elements()
+    one, zero = F.one, F.zero
+    cosets = [(one, b, zero, d) for b in elems for d in elems if d]
+    cosets += [(a, b, one, d) for a in elems for b in elems for d in elems if a * d - b]
+    t = RatFrac.t(F)
+    kept = []
+    for r in range(F.e):
+        for a, b, c, d in cosets:
+            image_t = (t * a + b) / (t * c + d)
+
+            def image(f):
+                acc = RatFrac.zero(F)
+                for coef in reversed(f.coeffs):
+                    acc = acc * image_t + coef.frobenius(r)
+                return acc
+
+            if R.contains(image_t) and all(R.is_unit_of(image(irr)) for irr in R.denoms):
+                kept.append((r, (a, b, c, d)))
+    return kept
+
+
+_BRUTE_FORCE_RINGS = [
+    (3, 1, "t^2+1"),
+    (3, 1, "t,t^3+2*t+1"),
+    (3, 1, "t,t+1,t+2"),
+    (5, 1, "t+1,t^2+2"),
+    (5, 1, "t^3+t+1"),
+    (7, 1, "t,t^2+1"),
+    (7, 1, "t^3+2"),
+    (3, 2, "t+1,t^2+t+w"),
+]
+
+
+@pytest.mark.parametrize(
+    "p, e, denoms", _BRUTE_FORCE_RINGS,
+    ids=[f"F{p ** e}[t]_({d})" for p, e, d in _BRUTE_FORCE_RINGS],
+)
+def test_aut_group_matches_brute_force_scan(p, e, denoms):
+    F = Fq(p, e)
+    R = RingDesc(F, [parse_poly(F, d) for d in denoms.split(",")])
+    auts = ring_automorphisms(R)
+    assert [(s.frob, s.mobius) for s in auts] == _brute_force_automorphisms(R)
+
+
+@pytest.mark.parametrize("p, e, denoms, linear", [
+    (3, 1, "", 0), (7, 1, "t,t^2+1", 1), (3, 2, "t,t+1", 2), (5, 1, "t,t+1,t+2,t+3,t+4", 5),
+])
+def test_aut_candidates_are_the_maps_with_a_removed_pole(p, e, denoms, linear):
+    F = Fq(p, e)
+    R = RingDesc(F, [parse_poly(F, d) for d in denoms.split(",") if d])
+    assert len(polyring._candidates(R)) == F.q * (F.q - 1) * (1 + linear)
+
+
+def test_aut_group_makes_no_fraction_and_no_factorization(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("fraction or factorization on the Aut(R) path")
+
+    monkeypatch.setattr(polyring, "factorize", boom)
+    monkeypatch.setattr(RingDesc, "contains", boom)
+    monkeypatch.setattr(RingDesc, "is_unit_of", boom)
+    monkeypatch.setattr(RatFrac, "__init__", boom)
+    auts = ring_automorphisms(RingDesc(F9, [parse_poly(F9, "t"), parse_poly(F9, "t+1")]))
+    assert len(auts) == 12
+    RingAut(RingDesc(F3, [P("t^2+1")]), 1, (2, 0, 0, 1))
 
 
 # -- Poly arithmetic against a reference on FqElem lists: the same
