@@ -14,6 +14,18 @@ The modulus is the lexicographically least monic irreducible of degree e,
 coefficients compared from the constant term up.  For e = 1 this yields
 the polynomial t itself, so prime fields need no special casing.
 
+The tables come from matrix products over F_p, with no polynomial
+arithmetic.  Multiplication by w in F_p[t]/(m) is the companion matrix of
+m, so the matrix of multiplication by a code c (`_mulmat[c]`) has column k
+the digits of c*w^k: column k-1 shifted up one degree, less its top digit
+times m.  F_p[t]/(m) is a field iff it has no zero divisors (Lidl and
+Niederreiter, Finite Fields, ch. 2), and a reducible m has a monic factor
+of degree at most e/2, itself a zero divisor; so the modulus is the first
+candidate under which no code of that degree times a nonzero code gives 0.
+Then `mul` is one product of the matrices with the digit array; `add`,
+`neg`, `inv`, `frob` (`power` on the code array) and `_rank` are
+whole-array expressions.  Codes are uint8, so q <= 255.
+
 Text forms: elements render as `2*w^2+w+1` (w the class of t modulo the
 modulus).  `evaluate` reads the one scalar grammar every text input of the
 library shares: integers, named symbols (`w` here; `t` as well for
@@ -106,6 +118,19 @@ def power(x, k: int, one, mul=operator.mul):
         x = mul(x, x)
 
 
+def render_terms(coeffs, var: str) -> str:
+    """`c*var^k` for each nonempty coefficient text c (constant term first
+    in `coeffs`), highest power first and joined by `+`: a coefficient "1"
+    leaves `var^k` alone, and no terms render as "0"."""
+    terms = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c:
+            mono = var if k == 1 else f"{var}^{k}"
+            terms.append(c if k == 0 else mono if c == "1" else f"{c}*{mono}")
+    return "+".join(terms) or "0"
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -117,63 +142,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# -- tiny polynomial helpers over F_p (tuples of ints, constant term first) --
-
-def _ptrim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
-
-
-def _pmod(a, m, p):
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1] % p
-        if lead:
-            shift = len(a) - 1 - dm
-            for i, c in enumerate(m):
-                a[shift + i] = (a[shift + i] - lead * c) % p
-        a.pop()
-    return _ptrim(a)
-
-
-def _divides(d, a, p):
-    """Does monic d divide a over F_p?"""
-    return not _pmod(a, d, p)
-
-
-def _is_irreducible_fp(f, p):
-    deg = len(f) - 1
-    if deg < 1:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            cand = tail + (1,)
-            if _divides(cand, f, p):
-                return False
-    return True
-
-
-def _least_irreducible(p, e):
-    for tail in itertools.product(range(p), repeat=e):
-        cand = tail + (1,)
-        if _is_irreducible_fp(cand, p):
-            return cand
-    raise AssertionError("no irreducible found")  # cannot happen
+def _mulmats(digits, tail, p):
+    """The matrix over F_p of multiplication by each row c of `digits`
+    modulo m = t^e + tail (tail constant term first): column k, the digits
+    of c*w^k, is column k-1 shifted up one degree less its top digit times
+    the tail."""
+    out = np.zeros(digits.shape + (len(tail),), dtype=digits.dtype)
+    out[..., 0] = digits
+    for k in range(1, len(tail)):
+        prev, col = out[..., k - 1], out[..., k]
+        col[:, 1:] = prev[:, :-1]
+        col -= prev[:, -1:] * tail
+        col %= p
+    return out
 
 
 class Fq:
@@ -189,28 +170,33 @@ class Fq:
         q = p ** e
         if q > cap:
             raise Unsupported(f"field size {q} exceeds cap {cap}")
+        if q > 255:
+            raise Unsupported(f"field size {q} exceeds 255, the largest code a uint8 table holds")
         self.p = p
         self.e = e
         self.q = q
-        self.modulus = _least_irreducible(p, e)
         self._build_tables()
 
     def _build_tables(self):
+        """Choose the modulus and build every table on the digit array of
+        all codes (see the module docstring)."""
         p, e, q = self.p, self.e, self.q
-        digits = [self._decode(c) for c in range(q)]
-        add = np.zeros((q, q), dtype=np.uint8)
-        mul = np.zeros((q, q), dtype=np.uint8)
-        for a in range(q):
-            da = digits[a]
-            for b in range(a, q):
-                db = digits[b]
-                s = self._encode(tuple((x + y) % p for x, y in zip(da, db)))
-                add[a, b] = add[b, a] = s
-                m = self._encode(_pmod(_pmul(_ptrim(da), _ptrim(db), p), self.modulus, p) + (0,) * e)
-                mul[a, b] = mul[b, a] = m
-        neg = np.array([self._encode(tuple((-x) % p for x in digits[a])) for a in range(q)], dtype=np.uint8)
-        inv = np.array([0] + [int(np.nonzero(mul[a] == 1)[0][0]) for a in range(1, q)], dtype=np.uint8)
-        frob = np.array([power(a, p, 1, lambda x, y: int(mul[x, y])) for a in range(q)], dtype=np.uint8)
+        place = p ** np.arange(e, dtype=np.int32)
+        digits = np.arange(q, dtype=np.int32)[:, None] // place % p
+        # m = t when e = 1; else the first candidate m with m(0) != 0 (or t
+        # divides m) under which no code of degree 1..e/2 is a zero divisor
+        low, others = digits[p:p ** (e // 2 + 1)], digits[1:].T
+        tail = next(
+            tail for tail in itertools.product(range(p), repeat=e)
+            if e == 1 or tail[0] and (_mulmats(low, tail, p) @ others % p).any(axis=1).all()
+        )
+        self.modulus = tail + (1,)
+        mulmat = _mulmats(digits, tail, p)
+        mul = (place @ (mulmat @ digits.T % p)).astype(np.uint8)
+        add = ((digits[:, None] + digits) % p @ place).astype(np.uint8)
+        # row 0 of mul holds no 1, so inv[0] = 0
+        neg, inv = (add == 0).argmax(axis=1), (mul == 1).argmax(axis=1)
+        frob = power(np.arange(q, dtype=np.uint8), p, None, lambda x, y: mul[x, y])
         # nested lists serve per-element arithmetic (a list index is several
         # times cheaper than a numpy scalar lookup); the _np copies serve the
         # stack kernels that index with whole arrays
@@ -218,27 +204,12 @@ class Fq:
         self._neg, self._inv, self._frob = neg.tolist(), inv.tolist(), frob.tolist()
         self._mul_np, self._frob_np = mul, frob
         self._elem = [FqElem(self, c) for c in range(q)]  # the boxed element of each code
-        # base-p digits of each code, and the matrix over F_p of multiplication
-        # by each code on the basis 1, w, ..., w^(e-1): column k holds the
-        # digits of c * w^k.  Matrix products over F_q run through these.
-        self._digits = np.array(digits, dtype=np.int32)
-        self._mulmat = self._digits[mul[:, p ** np.arange(e)]].transpose(0, 2, 1).copy()
-        # rank of each code in the coefficient-lexicographic total order
-        order = sorted(range(q), key=lambda c: digits[c])
-        rank = np.zeros(q, dtype=np.int32)
-        for pos, c in enumerate(order):
-            rank[c] = pos
-        self._rank = rank
-
-    # -- code <-> coefficient digits (little endian, length e) --
-
-    def _decode(self, code: int):
-        p, e = self.p, self.e
-        out = []
-        for _ in range(e):
-            out.append(code % p)
-            code //= p
-        return tuple(out)
+        self._coeffs = [tuple(row) for row in digits.tolist()]
+        # matrix products over F_q run through the digits and the
+        # multiplication matrices; _rank is each code's place in the
+        # coefficient-lexicographic total order (constant term first)
+        self._digits, self._mulmat = digits, mulmat
+        self._rank = digits @ place[::-1]
 
     def _encode(self, digits) -> int:
         code = 0
@@ -280,18 +251,7 @@ class Fq:
     # -- text form --
 
     def render(self, code: int) -> str:
-        digits = self._decode(code)
-        terms = []
-        for k in range(self.e - 1, -1, -1):
-            c = digits[k]
-            if not c:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            else:
-                var = GEN_SYMBOL if k == 1 else f"{GEN_SYMBOL}^{k}"
-                terms.append(var if c == 1 else f"{c}*{var}")
-        return "+".join(terms) if terms else "0"
+        return render_terms([str(c) if c else "" for c in self._coeffs[code]], GEN_SYMBOL)
 
     @property
     def symbols(self) -> dict:
@@ -329,7 +289,7 @@ class FqElem:
 
     @property
     def coeffs(self):
-        return self.field._decode(self.code)
+        return self.field._coeffs[self.code]
 
     def _coerce(self, other):
         if isinstance(other, FqElem):

@@ -40,7 +40,7 @@ from .errors import (
     Unsupported,
     ZeroPolynomial,
 )
-from .gf import Fq, FqElem, evaluate, power
+from .gf import Fq, FqElem, evaluate, power, render_terms
 
 FACTOR_DEGREE_CAP = 64
 AUT_FIELD_CAP = 27
@@ -249,22 +249,8 @@ class Poly:
     # -- text form --
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        terms = []
-        for k in range(len(self._codes) - 1, -1, -1):
-            code = self._codes[k]
-            if not code:
-                continue
-            c = self.field.render(code)
-            if "+" in c:
-                c = f"({c})"
-            if k == 0:
-                terms.append(c)
-            else:
-                var = VAR if k == 1 else f"{VAR}^{k}"
-                terms.append(var if c == "1" else f"{c}*{var}")
-        return "+".join(terms)
+        texts = [self.field.render(code) if code else "" for code in self._codes]
+        return render_terms([f"({c})" if "+" in c else c for c in texts], VAR)
 
     def __repr__(self):
         return f"Poly({self})"

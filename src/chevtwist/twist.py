@@ -76,7 +76,6 @@ class TwistedOrbitReport:
     orbit_representatives: list
     orbit_sizes: list
     group_order: int
-    truncated: bool = False
 
     @property
     def count(self) -> int:

@@ -175,9 +175,15 @@ def witness_so(lam, kind: str, n: int, scalars) -> GrpElem:
         ctx = GroupCtx(GroupKind.so_even(n), scalars)
     else:
         raise IncompatibleKind(f"witness kind must be SOodd or SOeven, not {kind!r}")
+    return _x_lambda(ctx, lam)
+
+
+def _x_lambda(ctx: GroupCtx, lam) -> GrpElem:
+    """The witness x_lambda of `witness_so` in an orthogonal context."""
     lam = ctx.scalar(lam)
     if not lam:
         raise ZeroLambda("witness parameter must be nonzero")
+    n = ctx.kind.n
     return GrpElem(ctx, unit_mat(ctx, [(0, n + 1, -lam), (1, n, lam)]), check=True)
 
 
@@ -191,7 +197,7 @@ def power_identity_check(lam, r: int, kind: str, n: int, scalars) -> bool:
     if not rlam:
         target = x.ctx.identity_mat()
     else:
-        target = witness_so(rlam, kind, n, scalars).mat
+        target = _x_lambda(x.ctx, rlam).mat
     if kind == "SOodd":
         return (x.mat ** r) == target
     if r % 2:
@@ -247,7 +253,7 @@ def explicit_conjugator(lam, c, kind: str, n: int, scalars) -> GrpElem:
     rows[0][0], rows[1][1] = c, c
     rows[n][n], rows[n + 1][n + 1] = cinv, cinv
     g = GrpElem(ctx, Mat(rows), check=True)
-    target = witness_so(c * c * lam, kind, n, scalars)
+    target = _x_lambda(ctx, c * c * lam)
     if g * x * g.inverse() != target:
         raise CertificateMismatch("conjugation identity failed")
     return g
@@ -316,12 +322,10 @@ def block_constraint_check(g: GrpElem, lam: RatFrac, lam_prime: RatFrac) -> bool
     if kind.family not in ("SOodd", "SOeven"):
         raise IncompatibleKind("constraint check applies to orthogonal kinds")
     n = kind.n
-    scalars = ctx.scalars
     lam = ctx.scalar(lam)
     lam_prime = ctx.scalar(lam_prime)
-    fam = "SOodd" if kind.family == "SOodd" else "SOeven"
-    x1 = witness_so(lam, fam, n, scalars).mat
-    x2 = witness_so(lam_prime, fam, n, scalars).mat
+    x1 = _x_lambda(ctx, lam).mat
+    x2 = _x_lambda(ctx, lam_prime).mat
     if x1 * g.mat != g.mat * x2:
         raise NotAConjugator("matrix does not intertwine the two witnesses")
     dec = decompose_blocks(g)
@@ -382,7 +386,7 @@ def d4_tau_suite(cfg: WitnessConfig, graph: str = "tau", k_max: int = 3) -> D4Re
     so8 = GroupCtx(GroupKind.so_even(n), ring)
     checks.append(("reflection_involution", B * B == so8.identity_mat()))
     checks.append(("reflection_preserves_form", B.transpose() * so8.form * B == so8.form))
-    x = witness_so(s, "SOeven", n, ring)
+    x = _x_lambda(so8, s)
     checks.append(("reflection_fixes_witness", B * x.mat * B == x.mat))
     # the order of the reflection automorphism, measured on an element it
     # actually moves (a root element touching the swapped coordinate pair)

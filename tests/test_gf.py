@@ -41,6 +41,14 @@ def test_cap_and_degree_limits():
     Fq(3, 4)  # q = 81 sits exactly at the default cap
 
 
+def test_fields_beyond_uint8_codes_refused():
+    # codes are uint8, so q <= 255 whatever the cap
+    for p, e in [(257, 1), (17, 2)]:
+        with pytest.raises(Unsupported, match="255"):
+            Fq(p, e, cap=300)
+    assert Fq(251, 1, cap=300).q == 251
+
+
 def test_f9_square_of_generator():
     F = Fq(3, 2)
     i = F.elem((0, 1))  # class of t, i^2 = -1
@@ -165,6 +173,28 @@ def test_scalars_never_equal_ints():
 TABLE_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4)]
 
 
+def _first_irreducible(p, e):
+    """The first monic polynomial of degree e over F_p, constant term up,
+    that is no product of monic factors of degrees d <= e/2 and e - d."""
+    def times(f, g):
+        out = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                out[i + j] = (out[i + j] + a * b) % p
+        return tuple(out)
+
+    def monic(d):
+        return [tail + (1,) for tail in itertools.product(range(p), repeat=d)]
+
+    reducible = {times(f, g) for d in range(1, e // 2 + 1) for f in monic(d) for g in monic(e - d)}
+    return next(m for m in monic(e) if m not in reducible)
+
+
+@pytest.mark.parametrize("p, e", TABLE_FIELDS)
+def test_modulus_is_first_irreducible(p, e):
+    assert Fq(p, e).modulus == _first_irreducible(p, e)
+
+
 def _numpy_tables(F):
     """add, mul, neg, inv and frob of F from the definition: digit vectors
     (constant term first) added mod p, multiplied as polynomials and
@@ -189,13 +219,30 @@ def _numpy_tables(F):
     return {"_add": add, "_mul": mul, "_neg": neg, "_inv": inv, "_frob": frob}
 
 
-@pytest.mark.parametrize("p, e", TABLE_FIELDS)
+@pytest.mark.parametrize("p, e", TABLE_FIELDS + [(83, 1), (251, 1)])
 def test_list_tables_match_numpy_definition(p, e):
-    F = Fq(p, e)
+    F = Fq(p, e, cap=255)
     for name, want in _numpy_tables(F).items():
         assert np.array_equal(np.array(getattr(F, name)), want), name
     # the stack kernels' numpy copies hold the same entries
     assert np.array_equal(F._mul_np, F._mul) and np.array_equal(F._frob_np, F._frob)
+
+
+@pytest.mark.parametrize("p, e", TABLE_FIELDS + [(83, 1), (251, 1)])
+def test_digits_mulmat_and_rank_match_definition(p, e):
+    F = Fq(p, e, cap=255)
+    q = F.q
+    digits = [[c // p ** i % p for i in range(e)] for c in range(q)]
+    assert F._digits.dtype == F._mulmat.dtype == F._rank.dtype == np.int32
+    assert F._digits.tolist() == digits
+    # column k of the matrix of c holds the digits of c * w^k
+    assert F._mulmat.shape == (q, e, e)
+    for c in range(q):
+        for k in range(e):
+            assert F._mulmat[c][:, k].tolist() == digits[F._mul[c][p ** k]]
+    # the rank of a code is its place in the order of digit tuples
+    order = sorted(range(q), key=lambda c: digits[c])
+    assert [int(F._rank[c]) for c in order] == list(range(q))
 
 
 @pytest.mark.parametrize("p, e", TABLE_FIELDS)

@@ -355,3 +355,24 @@ def test_witness_block_check_wrong_kind():
     x = witness_sl(1, cfg, 3)
     with pytest.raises(IncompatibleKind):
         block_constraint_check(x, S3, S3)
+
+
+def test_orthogonal_witnesses_reuse_the_context_they_hold(monkeypatch):
+    # witness_so builds the one context of a call; the checks build every
+    # further x_lambda in it
+    built = []
+    init = GroupCtx.__init__
+
+    def counting_init(self, kind, scalars):
+        built.append(kind)
+        init(self, kind, scalars)
+
+    t = RatFrac.t(F3)
+    g = explicit_conjugator(S3, t, "SOodd", 2, R3_T)
+    monkeypatch.setattr(GroupCtx, "__init__", counting_init)
+    assert explicit_conjugator(S3, t, "SOodd", 2, R3_T) == g
+    assert power_identity_check(S3, 2, "SOeven", 3, R3_T)
+    assert block_constraint_check(g, t * t * S3, S3)
+    assert built == [GroupKind.so_odd(2), GroupKind.so_even(3)]
+    with pytest.raises(ZeroLambda):
+        block_constraint_check(g, S3, RatFrac.zero(F3))
