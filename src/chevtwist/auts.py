@@ -14,6 +14,9 @@ and the reflection matrix B has 0/1 entries fixed by every ring map).
 Graph parts: "tinv" (transpose inverse) for the special linear kinds,
 "B" (conjugation by the reflection matrix swapping the last hyperbolic
 pair) for the even orthogonal kinds.  Other kinds admit no graph part.
+
+The normal form is complete for the linear kinds (SL, PSL) only from rank
+3 up; rank 2 stays available as test plumbing.
 """
 
 from __future__ import annotations

@@ -10,6 +10,10 @@ over one field) indexes nested lists of ints; the stack kernels
 of `groups` and `twist` index numpy arrays (`_mul_np`, `_frob_np`,
 `_digits`, `_mulmat`, `_rank`) with whole code arrays.
 
+There is one `Fq` object per (p, e): the first call builds the tables and
+every later call returns that object, so field equality is identity
+(`is`), and `copy`, `deepcopy` and `pickle` give back the same object.
+
 The modulus is the lexicographically least monic irreducible of degree e,
 coefficients compared from the constant term up.  For e = 1 this yields
 the polynomial t itself, so prime fields need no special casing.
@@ -157,10 +161,18 @@ def _mulmats(digits, tail, p):
     return out
 
 
-class Fq:
-    """Descriptor for F_{p^e}: modulus choice plus arithmetic tables."""
+_FIELDS = {}  # (p, e) -> the one Fq object of that field, built on first use
 
-    def __init__(self, p: int, e: int = 1, cap: int = DEFAULT_CAP):
+
+class Fq:
+    """The field F_{p^e}: modulus choice plus arithmetic tables.
+
+    There is one object per (p, e).  Every call checks its arguments and
+    then returns the field its first call built, so two fields are equal
+    iff they are the same object; copies and unpickled fields are that
+    object too."""
+
+    def __new__(cls, p: int, e: int = 1, cap: int = DEFAULT_CAP):
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if e < 1:
@@ -172,10 +184,17 @@ class Fq:
             raise Unsupported(f"field size {q} exceeds cap {cap}")
         if q > 255:
             raise Unsupported(f"field size {q} exceeds 255, the largest code a uint8 table holds")
-        self.p = p
-        self.e = e
-        self.q = q
-        self._build_tables()
+        return _FIELDS.get((p, e)) or object.__new__(cls)
+
+    def __init__(self, p: int, e: int = 1, cap: int = DEFAULT_CAP):
+        # a registered field is already built
+        if _FIELDS.get((p, e)) is not self:
+            self.p, self.e, self.q = p, e, p ** e
+            self._build_tables()
+            _FIELDS[p, e] = self
+
+    def __reduce__(self):
+        return Fq, (self.p, self.e, self.q)
 
     def _build_tables(self):
         """Choose the modulus and build every table on the digit array of
@@ -225,7 +244,7 @@ class Fq:
     def elem(self, value) -> "FqElem":
         """Build an element from an int (embedded mod p) or coefficient seq."""
         if isinstance(value, FqElem):
-            if value.field != self:
+            if value.field is not self:
                 raise MixedFields("element from a different field")
             return value
         if isinstance(value, int):
@@ -261,16 +280,6 @@ class Fq:
     def parse(self, text: str) -> "FqElem":
         return evaluate(text, self.elem, self.symbols)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, Fq)
-            and self.p == other.p
-            and self.e == other.e
-            and self.modulus == other.modulus
-        )
-
     def __hash__(self):
         return hash((self.p, self.e, self.modulus))
 
@@ -293,7 +302,7 @@ class FqElem:
 
     def _coerce(self, other):
         if isinstance(other, FqElem):
-            if other.field != self.field:
+            if other.field is not self.field:
                 raise MixedFields("elements of different fields")
             return other
         if isinstance(other, int):
@@ -373,7 +382,7 @@ class FqElem:
     def __eq__(self, other):
         return (
             isinstance(other, FqElem)
-            and self.field == other.field
+            and self.field is other.field
             and self.code == other.code
         )
 

@@ -115,14 +115,6 @@ class GroupKind:
     def formed(self) -> bool:
         return self.family in _FORMED
 
-    @property
-    def in_classified_range(self) -> bool:
-        # the automorphism normal form is only complete for the linear
-        # kinds from rank 3 up; rank 2 stays available as test plumbing
-        if self.family in ("SL", "PSL"):
-            return self.n >= 3
-        return True
-
     def linear(self) -> "GroupKind":
         """The matrix group whose cosets a projective kind represents."""
         drop = {"PSL": "SL", "PSp": "Sp", "PSOeven": "SOeven"}
@@ -242,9 +234,6 @@ class GroupCtx:
     def _center_codes(self):
         self.center_scalars()
         return [lam.code for lam in self._center_cache]
-
-    def quotient(self) -> "GroupCtx":
-        return GroupCtx(self.kind.projectivization(), self.scalars)
 
     def __eq__(self, other):
         return self is other or (

@@ -7,15 +7,13 @@ beyond "first nonzero" is needed.  Products and elimination skip the terms
 with a zero factor: the group witnesses are the identity plus a few
 entries, and zero is the additive identity of normalised scalars, so every
 value is the same as with the full sums.
-Both have three arithmetic modes.  Over one Fq object (every entry an
-FqElem of that very object) they run on the integer codes through the
-field's table rows; over one Fq object's fractions, on polynomial
-numerators, each row (and column of a right factor) cleared over the lcm
-of its denominators, and the elimination is fraction-free.  Both box their
-results once, at the end.  Other entries (mixed or equal but distinct
-fields, mixed scalar types) use the scalars' operators, which raise
-MixedFields where the fields differ.  The pivots are the same in every
-mode and normalised scalars are unique, so every value is the same.
+Both have two arithmetic modes, which _mode picks.  Over one field (every
+entry an FqElem of that field) they run on the integer codes through the
+field's table rows; over one field's fractions (every entry a RatFrac), on
+polynomial numerators, each row (and column of a right factor) cleared
+over the lcm of its denominators, and the elimination is fraction-free.
+Both box their results once, at the end.  Entries over two fields or of
+two scalar types raise MixedFields; any other entry raises TypeError.
 Powers go through gf.power, the library's one binary-power routine:
 M^k makes floor(log2 k) squarings plus popcount(k) - 1 products, and the
 identity is built only for k = 0.
@@ -26,7 +24,7 @@ from __future__ import annotations
 import functools
 import operator
 
-from .errors import CertificateMismatch, SizeMismatch, Singular
+from .errors import CertificateMismatch, MixedFields, SizeMismatch, Singular
 from .gf import FqElem, power
 from .polyring import Poly, RatFrac, poly_gcd
 
@@ -101,16 +99,13 @@ class Mat:
         if isinstance(other, Mat):
             if self.ncols != other.nrows:
                 raise SizeMismatch("inner dimensions differ")
-            a = _field_codes(self.rows)
-            if a:
-                b = _field_codes(other.rows)
-                if b and a[0] is b[0]:
-                    return Mat._of(_code_product(a[0], a[1], b[1]))
-            bt = other.transpose().rows
-            field = _frac_field(self.rows)
-            if field is not None and _frac_field(bt) is field:
-                return Mat._of(_frac_product(field, self.rows, bt))
-            return Mat._of(tuple(tuple(_dot(row, col) for col in bt) for row in self.rows))
+            field, a = _mode(self.rows)
+            other_field, b = _mode(other.rows)
+            if other_field is not field or (a is None) is not (b is None):
+                raise MixedFields("factors over two fields or of two scalar types")
+            if a is not None:
+                return Mat._of(_code_product(field, a, b))
+            return Mat._of(_frac_product(field, self.rows, other.transpose().rows))
         # scalar on the right
         return Mat._of(tuple(tuple(x * other for x in row) for row in self.rows))
 
@@ -188,23 +183,23 @@ class Mat:
         return f"Mat({self})"
 
 
-def _dot(row, col):
-    acc = None
-    for x, y in zip(row, col):
-        if x and y:
-            acc = x * y if acc is None else acc + x * y
-    return zero_like(row[0]) if acc is None else acc
-
-
-def _field_codes(rows):
-    """(field, code rows) when every entry is an FqElem of the one Fq
-    object field, else None."""
-    field = rows[0][0].field if type(rows[0][0]) is FqElem else None
+def _mode(rows):
+    """(field, code rows) when every entry is an FqElem of one field, and
+    (field, None) when every entry is a RatFrac over one field.  Entries
+    over two fields or of two scalar types raise MixedFields; any other
+    entry raises TypeError."""
+    x = rows[0][0]
+    kind = type(x)
+    if kind is not FqElem and kind is not RatFrac:
+        raise TypeError(f"unsupported scalar {x!r}")
+    field = x.field
     for row in rows:
         for x in row:
-            if type(x) is not FqElem or x.field is not field:
-                return None
-    return field and (field, [[x.code for x in row] for row in rows])
+            if type(x) is not kind or x.field is not field:
+                if type(x) in (FqElem, RatFrac):
+                    raise MixedFields("matrix entries over two fields or of two scalar types")
+                raise TypeError(f"unsupported scalar {x!r}")
+    return field, [[x.code for x in row] for row in rows] if kind is FqElem else None
 
 
 def _code_product(field, a, b):
@@ -219,17 +214,6 @@ def _code_product(field, a, b):
                 acc = [add[s][mx[y]] for s, y in zip(acc, brow)]
         out.append(tuple([box[s] for s in acc]))
     return tuple(out)
-
-
-def _frac_field(rows):
-    """The Fq object field when every entry is a RatFrac over that very
-    object, else None."""
-    field = rows[0][0].num.field if type(rows[0][0]) is RatFrac else None
-    for row in rows:
-        for x in row:
-            if type(x) is not RatFrac or x.num.field is not field:
-                return None
-    return field
 
 
 def _exact(num, den):
@@ -301,15 +285,13 @@ def _gauss_jordan(a, ncols):
     the pivots' values before scaling when every row holds a pivot (else
     None), and the number of swaps.
 
-    The integer-code and operator modes scale the pivot row to a leading
-    1; over one field's fractions the rows are polynomials, see
-    _fraction_free.
+    The integer-code mode scales the pivot row to a leading 1; over one
+    field's fractions the rows are polynomials, see _fraction_free.
     """
     m = len(a)
-    coded = _field_codes(a)
-    field = None if coded else _frac_field(a)
+    field, coded = _mode(a)
     if coded is not None:
-        field, a[:] = coded
+        a[:] = coded
         add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
 
         def times(x, y):
@@ -322,18 +304,8 @@ def _gauss_jordan(a, ncols):
         def reduced(row, factor, prow):
             by = mul[neg[factor]]
             return [add[x][by[y]] for x, y in zip(row, prow)]
-    elif field is not None:
-        times, scaled, reduced, finish = _fraction_free(a, field)
     else:
-        one = one_like(a[0][0])
-        times = operator.mul
-
-        def scaled(row, lead):
-            inv = one / lead
-            return [x * inv if x else x for x in row]
-
-        def reduced(row, factor, prow):
-            return [x - factor * y if y else x for x, y in zip(row, prow)]
+        times, scaled, reduced, finish = _fraction_free(a, field)
 
     pivots, product, swaps = [], None, 0
     for col in range(ncols):
@@ -360,7 +332,7 @@ def _gauss_jordan(a, ncols):
         a[:] = [[box[x] for x in row] for row in a]
         if product is not None:
             product = box[product]
-    elif field is not None:
+    else:
         product = finish(product)
     return pivots, product, swaps
 

@@ -123,7 +123,7 @@ class Poly:
     # -- arithmetic --
 
     def _check(self, other):
-        if self.field != other.field:
+        if self.field is not other.field:
             raise MixedFields("polynomials over different fields")
 
     def __add__(self, other):
@@ -236,7 +236,7 @@ class Poly:
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
-            and self.field == other.field
+            and self.field is other.field
             and self._codes == other._codes
         )
 
@@ -353,7 +353,7 @@ class RatFrac:
         field = num.field
         if den is None:
             den = Poly.one(field)
-        if num.field != den.field:
+        if num.field is not den.field:
             raise MixedFields("numerator and denominator over different fields")
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
@@ -414,7 +414,7 @@ class RatFrac:
 
     def _coerce(self, other):
         if isinstance(other, RatFrac):
-            if other.field != self.field:
+            if other.field is not self.field:
                 raise MixedFields("fractions over different fields")
             return other
         if isinstance(other, Poly):
@@ -488,7 +488,7 @@ class RatFrac:
     def __eq__(self, other):
         return (
             isinstance(other, RatFrac)
-            and self.field == other.field
+            and self.field is other.field
             and self.num == other.num
             and self.den == other.den
         )
@@ -530,7 +530,7 @@ class RingDesc:
         for d in denoms:
             if isinstance(d, str):
                 d = parse_poly(field, d)
-            if d.field != field:
+            if d.field is not field:
                 raise MixedFields("denominator over a different field")
             if not d.is_monic():
                 raise PreconditionFailed(f"denominator {d} is not monic")
@@ -566,7 +566,7 @@ class RingDesc:
 
     def _as_frac(self, x) -> RatFrac:
         if isinstance(x, RatFrac):
-            if x.field != self.field:
+            if x.field is not self.field:
                 raise MixedFields("fraction over a different field")
             return x
         if isinstance(x, Poly):
@@ -586,7 +586,7 @@ class RingDesc:
     def __eq__(self, other):
         return (
             isinstance(other, RingDesc)
-            and self.field == other.field
+            and self.field is other.field
             and self.denoms == other.denoms
         )
 

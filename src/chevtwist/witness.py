@@ -193,17 +193,19 @@ def power_identity_check(lam, r: int, kind: str, n: int, scalars) -> bool:
     if r < 1:
         raise ValueError("power must be >= 1")
     x = witness_so(lam, kind, n, scalars)
-    rlam = x.ctx.scalar(lam) * r
-    if not rlam:
-        target = x.ctx.identity_mat()
-    else:
-        target = _x_lambda(x.ctx, rlam).mat
     if kind == "SOodd":
-        return (x.mat ** r) == target
+        return _power_identity(x, lam, r)
     if r % 2:
         raise OddPower("the reflection-twisted identity needs an even power")
-    B = b_matrix(n, scalars)
-    return ((x.mat * B) ** r) == target
+    return _power_identity(x, lam, r, b_matrix(n, scalars))
+
+
+def _power_identity(x: GrpElem, lam, r: int, B: Mat | None = None) -> bool:
+    """x^r (or (x B)^r when B is given) = x_{r lambda}, for x = x_lambda in
+    the context it holds."""
+    rlam = x.ctx.scalar(lam) * r
+    target = _x_lambda(x.ctx, rlam).mat if rlam else x.ctx.identity_mat()
+    return (x.mat if B is None else x.mat * B) ** r == target
 
 
 @dataclass
@@ -396,7 +398,7 @@ def d4_tau_suite(cfg: WitnessConfig, graph: str = "tau", k_max: int = 3) -> D4Re
     checks.append(("reflection_order_two", refl_order == 2))
     for r in (2, 4, 6, 8):
         checks.append(
-            (f"power_identity_r{r}", power_identity_check(s, r, "SOeven", n, ring))
+            (f"power_identity_r{r}", _power_identity(x, s, r, B))
         )
     for k in range(1, k_max + 1):
         for kp in range(k + 1, k_max + 1):

@@ -1,7 +1,8 @@
 """Scans of the library source: correctness checks are explicit raises (an
 assert statement would vanish under python -O), binary powering and row
-elimination are each written once, scalar field arithmetic stays off the
-numpy tables, and the quadratic Cayley table serves the tests only."""
+elimination are each written once, fields are compared by identity, scalar
+field arithmetic stays off the numpy tables, and the quadratic Cayley
+table serves the tests only."""
 
 import ast
 import pathlib
@@ -71,8 +72,8 @@ def _row_swaps(tree):
 
 def test_library_has_one_elimination():
     # matrices._gauss_jordan is the one pivot loop: det, inverse and
-    # nullspace call it, and each arithmetic mode (integer codes,
-    # fraction-free polynomials, scalar operators) plugs into it
+    # nullspace call it, and both arithmetic modes (integer codes,
+    # fraction-free polynomials) plug into it
     found = sorted(
         (str(path.relative_to(SRC)), name)
         for path in SRC.rglob("*.py")
@@ -89,6 +90,35 @@ def test_row_swap_scan_sees_a_swap():
         "def g(a, i, j):\n    a[i], a[j] = a[i], a[j]\n    x, y = y, x\n"
     )
     assert _row_swaps(tree) == [("f", 2)]
+
+
+def _field_equalities(tree):
+    """Line of each `==` / `!=` with a `.field` operand."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+        and any(isinstance(x, ast.Attribute) and x.attr == "field"
+                for x in [node.left, *node.comparators])
+    ]
+
+
+def test_library_compares_fields_by_identity():
+    # there is one Fq object per field, so fields are compared with `is`
+    found = [
+        f"{path.relative_to(SRC)}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line in _field_equalities(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not found, found
+
+
+def test_field_equality_scan_sees_an_equality():
+    tree = ast.parse(
+        "a.field == b.field\nx != y.field\na.field is b.field\n"
+        "a.field.one == b\nx == y"
+    )
+    assert _field_equalities(tree) == [1, 2]
 
 
 NUMPY_TABLES = {"_mul_np", "_frob_np"}

@@ -1,6 +1,8 @@
 """Finite field arithmetic, Frobenius maps, enumeration, text form."""
 
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 
 from chevtwist.errors import MixedFields, NotPrime, Unsupported
 from chevtwist.gf import Fq
+from chevtwist.matrices import Mat
+from chevtwist.polyring import Poly
 
 
 def test_prime_field_modulus_is_t():
@@ -272,3 +276,35 @@ def test_scalar_results_carry_int_codes(pair, k, r):
     if y:
         out += [x / y, y.inverse(), y ** k, 1 / y]
     assert all(type(z.code) is int for z in out)
+
+
+@pytest.mark.parametrize("p, e", TABLE_FIELDS + [(251, 1)])
+def test_one_object_per_field(p, e):
+    F = Fq(p, e, cap=255)
+    assert Fq(p, e, cap=255) is F and Fq(p, e, cap=F.q) is F
+    assert F.elem(1).field is Fq(p, e, cap=255)
+
+
+def test_registered_field_still_checks_its_arguments():
+    # every call runs the cap and prime checks, built field or not
+    F = Fq(251, 1, cap=300)
+    with pytest.raises(Unsupported, match="cap"):
+        Fq(251)
+    with pytest.raises(NotPrime):
+        Fq(9, 1)
+    assert Fq(251, 1, cap=251) is F
+
+
+def test_copies_and_pickles_keep_the_field_object():
+    F = Fq(3, 2)
+    w = F.elem((0, 1))
+    cases = [
+        (F, lambda x: [x]),
+        (w, lambda x: [x.field]),
+        (Poly(F, [1, 0, 2]), lambda x: [x.field]),
+        (Mat([[w, F.one], [F.zero, w * w]]), lambda x: [y.field for row in x.rows for y in row]),
+    ]
+    for value, fields in cases:
+        for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert copied == value
+            assert all(field is F for field in fields(copied)), value

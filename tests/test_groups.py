@@ -61,8 +61,6 @@ def test_kind_dimensions_and_bounds():
         GroupKind.so_even(2)
     with pytest.raises(ValueError):
         GroupKind.sl(1)
-    assert not GroupKind.psl(2).in_classified_range
-    assert GroupKind.psl(3).in_classified_range
 
 
 def test_characteristic_two_rejected():

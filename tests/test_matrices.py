@@ -1,10 +1,11 @@
 """The one product routine and the one Gauss-Jordan elimination behind det,
 inverse and nullspace, over F_3, F_9, F_25, F_81 and fractions over F_3(t),
-F_5(t) and F_9(t).  Over one Fq object both run on the integer codes, and
-over one field's fractions on polynomial numerators (fraction-free
-elimination); each mode is pinned here to dense references and to the
-scalars' operator path, and a guard checks that neither calls a scalar
-operator."""
+F_5(t) and F_9(t).  Over one field both run on the integer codes, and over
+one field's fractions on polynomial numerators (fraction-free
+elimination); each mode is pinned here to dense references that do the
+arithmetic with the scalars' own operators (the operator path), a guard
+checks that neither mode calls a scalar operator, and any other entries
+are refused."""
 
 import itertools
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from chevtwist.errors import CertificateMismatch, MixedFields, Singular, SizeMismatch
 from chevtwist.gf import Fq, FqElem
+from chevtwist.groups import GroupCtx, GroupKind, enumerate_group, generators
 from chevtwist.matrices import Mat, _exact, nullspace, one_like, zero_like
 from chevtwist.polyring import Poly, RatFrac, parse_poly
 
@@ -107,22 +109,7 @@ def test_nullspace_basis(scalars, max_n):
         n = data.draw(st.integers(1, max_n + 1))
         rows = data.draw(st.lists(st.lists(scalars, min_size=n, max_size=n),
                                   min_size=m, max_size=m))
-        basis = nullspace(rows)
-        zero = zero_like(rows[0][0])
-        for v in basis:
-            assert all(_dot(row, v) == zero for row in rows)
-        # rank-nullity, the rank read off the left kernel
-        rank = m - len(nullspace([list(c) for c in zip(*rows)]))
-        assert rank + len(basis) == n
-        # free columns ascending, each vector 1 there and 0 in the others
-        previous = -1
-        for i, v in enumerate(basis):
-            free = [
-                c for c in range(n) if c > previous and v[c] == one_like(v[c])
-                and all(not w[c] for j, w in enumerate(basis) if j != i)
-            ]
-            assert free
-            previous = free[0]
+        _check_kernel(rows, nullspace(rows))
 
     check()
 
@@ -132,6 +119,27 @@ def _dot(row, v):
     for x, y in zip(row, v):
         acc = acc + x * y
     return acc
+
+
+def _check_kernel(rows, basis):
+    """basis is the reduced basis of the right kernel of rows: every row
+    kills every vector, there are n - rank of them, and each has a 1 in its
+    free column and 0 in the others, free columns ascending."""
+    m, n = len(rows), len(rows[0])
+    zero = zero_like(rows[0][0])
+    for v in basis:
+        assert all(_dot(row, v) == zero for row in rows)
+    # rank-nullity, the rank read off the left kernel
+    rank = m - len(nullspace([list(c) for c in zip(*rows)]))
+    assert rank + len(basis) == n
+    previous = -1
+    for i, v in enumerate(basis):
+        free = [
+            c for c in range(n) if c > previous and v[c] == one_like(v[c])
+            and all(not w[c] for j, w in enumerate(basis) if j != i)
+        ]
+        assert free
+        previous = free[0]
 
 
 def test_mat_power_makes_the_binary_method_products(monkeypatch):
@@ -184,8 +192,11 @@ def _dense_det(a):
 
 
 def _dense_inverse(a):
-    """Adjugate over the determinant, cofactors by _dense_det."""
+    """Adjugate over the determinant, cofactors by _dense_det; the adjugate
+    of a 1 x 1 matrix is 1."""
     n, det = a.nrows, _dense_det(a)
+    if n == 1:
+        return Mat([[one_like(det) / det]])
 
     def cofactor(i, j):
         minor = Mat([[a[r, c] for c in range(n) if c != j] for r in range(n) if r != i])
@@ -292,19 +303,6 @@ def _matrices(field, m, n, sparse):
     return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m).map(Mat)
 
 
-# a separately built, equal field per size: entries of both take the FqElem
-# operator path, which the code path must agree with
-TWINS = {f.q: Fq(f.p, f.e) for f in FIELDS}
-
-
-def _operator_path(rows):
-    """rows with the first entry moved to the twin field."""
-    rows = [list(r) for r in rows]
-    x = rows[0][0]
-    rows[0][0] = TWINS[x.field.q].from_code(x.code)
-    return rows
-
-
 def _over(field, m):
     return all(type(x) is FqElem and x.field is field for row in m.rows for x in row)
 
@@ -343,6 +341,8 @@ def test_code_path_matches_dense_references(field):
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"F{f.q}")
 def test_code_path_matches_operator_path(field):
+    # non-square factors, the kernel of a non-square matrix and the
+    # det / inverse of their square product, against the dense references
     @SETTINGS
     @given(st.data())
     def check(data):
@@ -350,15 +350,17 @@ def test_code_path_matches_operator_path(field):
         sparse = data.draw(st.booleans())
         a = data.draw(_matrices(field, m, n, sparse))
         b = data.draw(_matrices(field, n, m, sparse))
-        assert a * b == Mat(_operator_path(a.rows)) * b
-        basis = nullspace([list(r) for r in a.rows])
-        assert basis == nullspace(_operator_path(a.rows))
-        assert all(_dot(row, v) == field.zero for row in a.rows for v in basis)
         sq = a * b
-        twin = Mat(_operator_path(sq.rows))
-        assert sq.det() == twin.det()
+        assert sq == _dense_mul(a, b) and _over(field, sq)
+        basis = nullspace([list(r) for r in a.rows])
+        assert all(type(x) is FqElem and x.field is field for v in basis for x in v)
+        _check_kernel(a.rows, basis)
+        assert sq.det() == _dense_det(sq)
         if sq.det():
-            assert sq.inverse() == twin.inverse()
+            assert sq.inverse() == _dense_inverse(sq)
+        else:
+            with pytest.raises(Singular):
+                sq.inverse()
 
     check()
 
@@ -380,19 +382,60 @@ def test_one_field_matrices_make_no_scalar_operator_call(monkeypatch):
     assert nullspace([list(r) for r in b.transpose().rows])
 
 
-def test_mixed_and_twin_fields_take_the_operator_path():
-    F5, F9 = Fq(5), FIELDS[1]
+def _refused_everywhere(rows, error):
+    """*, det, inverse and nullspace of rows all raise error."""
+    a = Mat(rows)
+    with pytest.raises(error):
+        a * a.transpose()
+    with pytest.raises(error):
+        a.det()
+    with pytest.raises(error):
+        a.inverse()
+    with pytest.raises(error):
+        nullspace(rows)
+
+
+def test_mixed_fields_scalar_types_and_ints_are_refused():
+    F5, x3 = Fq(5), RatFrac.t(F3)
+    # two fields, within one matrix and across the factors
+    _refused_everywhere([[F3.one, F5.one], [F5.elem(2), F3.one]], MixedFields)
     with pytest.raises(MixedFields):
         Mat([[F3.one, F3.one]]) * Mat([[F5.one], [F5.elem(2)]])
+    # field elements beside fractions over the same field
+    _refused_everywhere([[F3.one, x3], [x3, F3.elem(2)]], MixedFields)
     with pytest.raises(MixedFields):
-        Mat([[F3.one, F5.one], [F5.elem(2), F3.one]]).det()
-    # two separately built F_9: the same product as over one of them
-    twin = TWINS[9]
-    w = F9.elem((0, 1))
-    a = Mat([[w, F9.one], [F9.elem(2), w + 1]])
-    b = Mat([[F9.one, w], [w + 2, F9.zero]])
-    b_twin = b.map(lambda x: twin.from_code(x.code))
-    assert a * b_twin == a * b == _dense_mul(a, b)
+        Mat([[F3.one, F3.one]]) * Mat([[x3], [x3]])
+    with pytest.raises(MixedFields):
+        Mat([[x3]]) * Mat([[F3.one]])
+    # ints are no field scalars, alone or beside field elements
+    _refused_everywhere([[1, 2], [3, 4]], TypeError)
+    with pytest.raises(TypeError, match="unsupported scalar"):
+        Mat([[F3.one, 1], [F3.one, F3.one]]).det()
+    with pytest.raises(TypeError, match="unsupported scalar"):
+        Mat([[F3.one]]) * Mat([[1]])
+
+
+def test_enumerated_elements_meet_a_second_context_on_the_codes(monkeypatch):
+    # enumerate_group caches its group by the context's value, so a second
+    # context over Fq(3) gets elements of the first one's group; both run
+    # on the codes of the one F_3 object, with no FqElem operator call
+    first = GroupCtx(GroupKind.sl(2), Fq(3))
+    elements = enumerate_group(first).elements()
+    ctx = GroupCtx(GroupKind.sl(2), Fq(3))
+    assert ctx.field is first.field
+    gens = generators(ctx)
+
+    def refuse(*args):
+        raise AssertionError("an FqElem operator was called")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__truediv__"):
+        monkeypatch.setattr(FqElem, name, refuse)
+    identity = ctx.identity()
+    for g in elements:
+        for h in gens:
+            gh = g * h
+            assert gh * h.inverse() == g and h.inverse() * (h * g) == g
+            assert gh.inverse() * gh == identity == g.inverse() * g
 
 
 # -- the fraction-free path: matrices over one field's fractions run on
@@ -419,22 +462,6 @@ def _fracs(field, sparse=False):
 def _frac_matrices(field, m, n, sparse):
     row = st.lists(_fracs(field, sparse), min_size=n, max_size=n)
     return st.lists(row, min_size=m, max_size=m).map(Mat)
-
-
-FRAC_TWINS = {f.q: Fq(f.p, f.e) for f in FRAC_FIELDS}
-
-
-def _twin_frac(x):
-    twin = FRAC_TWINS[x.field.q]
-    return RatFrac(*(Poly(twin, [c.code for c in f.coeffs]) for f in (x.num, x.den)))
-
-
-def _frac_operator_path(rows):
-    """rows with the first entry moved to the twin field, so that the
-    scalars' operators do the arithmetic."""
-    rows = [list(r) for r in rows]
-    rows[0][0] = _twin_frac(rows[0][0])
-    return rows
 
 
 def _over_fracs(field, m):
@@ -488,16 +515,14 @@ def test_fraction_path_matches_operator_path(field):
         b = data.draw(_frac_matrices(field, n, m, sparse))
         if data.draw(st.booleans()):  # a zero row
             a = Mat(a.rows[:-1] + ((RatFrac.zero(field),) * n,))
-        assert a * b == Mat(_frac_operator_path(a.rows)) * b
-        basis = nullspace([list(r) for r in a.rows])
-        assert basis == nullspace(_frac_operator_path(a.rows))
-        assert all(_dot(row, v) == RatFrac.zero(field) for row in a.rows for v in basis)
-        assert all(type(x) is RatFrac and x.field is field for v in basis for x in v)
         sq = a * b
-        twin = Mat(_frac_operator_path(sq.rows))
-        assert sq.det() == twin.det()
+        assert sq == _dense_mul(a, b) and _over_fracs(field, sq)
+        basis = nullspace([list(r) for r in a.rows])
+        assert all(type(x) is RatFrac and x.field is field for v in basis for x in v)
+        _check_kernel(a.rows, basis)
+        assert sq.det() == _dense_det(sq)
         if sq.det():
-            assert sq.inverse() == twin.inverse()
+            assert sq.inverse() == _dense_inverse(sq)
         else:
             with pytest.raises(Singular):
                 sq.inverse()

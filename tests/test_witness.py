@@ -376,3 +376,10 @@ def test_orthogonal_witnesses_reuse_the_context_they_hold(monkeypatch):
     assert built == [GroupKind.so_odd(2), GroupKind.so_even(3)]
     with pytest.raises(ZeroLambda):
         block_constraint_check(g, S3, RatFrac.zero(F3))
+    # the D4 suite checks its power identities in its own SO_8 context
+    built.clear()
+    cfg = WitnessConfig(ring=R3, s=S3, family=FAMILY_SO_EVEN, n=4)
+    report = d4_tau_suite(cfg, k_max=1)
+    assert report.passed and [n for n, _ in report.checks if n.startswith("power")] == [
+        "power_identity_r2", "power_identity_r4", "power_identity_r6", "power_identity_r8"]
+    assert built == [GroupKind.so_even(4)]
