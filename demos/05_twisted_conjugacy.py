@@ -25,7 +25,7 @@ print("conjugacy classes of SL_2(F_3):", res.count, "| methods:", res.method)
 print("classes of PSL_2(F_3):", reidemeister_count(psl2, GroupAut.identity(psl2)).count)
 
 # the quotient can only merge classes, never split them
-print("quotient comparison:", quotient_count_comparison(sl2, psl2, GroupAut.identity(sl2)))
+print("classes upstairs and in the quotient:", quotient_count_comparison(sl2, psl2, GroupAut.identity(sl2)))
 
 # a genuinely twisted example: entrywise Frobenius on SL_2(F_9)
 sl2_9 = GroupCtx(GroupKind.sl(2), F9)

@@ -37,9 +37,10 @@ y = witness_sp(1, cfg_sp, 2)
 x = witness_sl(1, cfg_sp, 2)
 print("symplectic doubling:", (y.mat ** 3).trace() == (x.mat ** 3).trace() * 2)
 
-# orthogonal witnesses satisfy an exact power identity
+# orthogonal witnesses satisfy an exact power identity; the reflection B
+# fixes x_s and squares to I, so (x_s B)^4 = x_s^4 adds nothing in SO_6
 print("x_s^5 = x_{5s} in SO_5:", power_identity_check(s, 5, "SOodd", 2, R))
-print("(x_s B)^4 = x_{4s} in SO_6:", power_identity_check(s, 4, "SOeven", 3, R))
+print("x_s^4 = x_{4s} in SO_6:", power_identity_check(s, 4, "SOeven", 3, R))
 
 # the separation obstruction: conjugate witnesses force a unit ratio
 R_t = RingDesc(F3, ["t"])
@@ -50,5 +51,5 @@ print("x_s vs x_{s^2}:", rep.verdict, "(ratio", rep.ratio, "is not a unit)")
 c = RatFrac.t(F3)
 g = explicit_conjugator(s, c, "SOodd", 2, R_t)
 print("conjugator entries:", g)
-print("entry relations on the intertwining:", block_constraint_check(g, c * c * s, s))
+print("x_{t^2 s} g = g x_s:", block_constraint_check(g, c * c * s, s))
 print("x_s vs x_{t^2 s}:", obstruction_report(s, c * c * s, R_t).verdict)

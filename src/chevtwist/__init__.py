@@ -48,7 +48,6 @@ from .twist import (
     twisted_orbits,
 )
 from .witness import (
-    BlockDecomposition,
     ObstructionReport,
     TraceCertificate,
     WitnessConfig,
@@ -102,7 +101,6 @@ __all__ = [
     "twist_step",
     "twisted_orbit_of",
     "twisted_orbits",
-    "BlockDecomposition",
     "ObstructionReport",
     "TraceCertificate",
     "WitnessConfig",

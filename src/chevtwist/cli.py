@@ -201,7 +201,7 @@ def traces(p, e, denoms, f_text, m_max, r_max, n, out, fmt):
 
 @main.command("witness-check")
 @_add_options(ring_opts)
-@click.option("--group", type=click.Choice(["SL", "Sp", "SOodd", "SOeven"]), required=True)
+@click.option("--group", type=click.Choice(["Sp", "SOodd", "SOeven"]), required=True)
 @click.option("--n", type=int, required=True)
 @click.option("--f", "f_text", default="t", show_default=True)
 @click.option("--m-max", type=int, default=3, show_default=True)
@@ -210,7 +210,8 @@ def traces(p, e, denoms, f_text, m_max, r_max, n, out, fmt):
 @_add_options(out_opts)
 @_surfaced
 def witness_check(p, e, denoms, group, n, f_text, m_max, r_max, k_max, out, fmt):
-    """Power identities, obstructions and conjugator checks per family."""
+    """Sp trace doubling, or the orthogonal power identities, obstructions
+    and conjugator check."""
     field, ring, s = _fixed_from_flags(p, e, denoms, f_text)
     rows = []
     failures = 0
@@ -221,12 +222,7 @@ def witness_check(p, e, denoms, group, n, f_text, m_max, r_max, k_max, out, fmt)
         if not ok:
             failures += 1
 
-    if group == "SL":
-        cfg = WitnessConfig(ring=ring, s=s, family=FAMILY_SL, n=n)
-        for m in range(1, m_max + 1):
-            x = witness_sl(m, cfg, n)
-            note(FAMILY_SL, m, "", x.mat.det() == ring.one)
-    elif group == "Sp":
+    if group == "Sp":
         cfg = WitnessConfig(ring=ring, s=s, family=FAMILY_SP, n=n)
         for m in range(1, m_max + 1):
             y = witness_sp(m, cfg, n)
@@ -236,8 +232,7 @@ def witness_check(p, e, denoms, group, n, f_text, m_max, r_max, k_max, out, fmt)
                 note(FAMILY_SP, m, r, ok)
     else:
         fam = FAMILY_SO_ODD if group == "SOodd" else FAMILY_SO_EVEN
-        powers = range(1, r_max + 1) if group == "SOodd" else range(2, r_max + 1, 2)
-        for r in powers:
+        for r in range(1, r_max + 1):
             note(fam, "s", r, power_identity_check(s, r, group, n, ring))
         for k in range(1, k_max + 1):
             for kp in range(k + 1, k_max + 1):

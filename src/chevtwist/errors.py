@@ -60,20 +60,12 @@ class PreconditionFailed(ValueError):
     """A stated precondition of the operation does not hold."""
 
 
-class OddPower(ValueError):
-    """Even exponent required for the reflection-twisted power identity."""
-
-
 class ZeroLambda(ValueError):
     """Witness parameter must be nonzero."""
 
 
 class NotUnit(ValueError):
     """A unit of the ring was required."""
-
-
-class NotAConjugator(ValueError):
-    """Supplied matrix does not intertwine the two witnesses."""
 
 
 class TrialityUnsupported(ValueError):

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadRank,
     CapExceeded,
     CertificateMismatch,
     NoForm,
@@ -69,7 +70,7 @@ class GroupKind:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.n < _MIN_RANK[self.family]:
-            raise ValueError(f"{self.family} needs rank >= {_MIN_RANK[self.family]}")
+            raise BadRank(f"{self.family} needs rank >= {_MIN_RANK[self.family]}")
 
     @classmethod
     def sl(cls, n):

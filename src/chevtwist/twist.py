@@ -406,7 +406,8 @@ def quotient_count_comparison(
     cap: int = ENUM_CAP,
     burnside_cap: int = BURNSIDE_CAP,
 ):
-    """Counts upstairs and downstairs; the quotient never has more classes."""
+    """Counts upstairs and downstairs, (big, down); the quotient never has
+    more classes, and a count that says otherwise raises CertificateMismatch."""
     if ctx_quot.kind != ctx_big.kind.projectivization() or ctx_quot.scalars != ctx_big.scalars:
         raise IncompatibleKind("second context is not the projective quotient of the first")
     if sigma.ctx != ctx_big:
@@ -415,7 +416,7 @@ def quotient_count_comparison(
     down = reidemeister_count(ctx_quot, descend_aut(sigma, ctx_quot), cap, burnside_cap)
     if big.count < down.count:
         raise CertificateMismatch("quotient count exceeded the source count")
-    return big.count, down.count, big.count >= down.count
+    return big.count, down.count
 
 
 def report_to_csv(report: TwistedOrbitReport, method: str = "orbit-partition") -> str:

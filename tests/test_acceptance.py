@@ -117,8 +117,7 @@ def test_criterion_4_reidemeister_counts():
     sl2_f9 = GroupCtx(GroupKind.sl(2), F9)
     res_frob = reidemeister_count(sl2_f9, GroupAut(sl2_f9, ring=1))
     assert res_frob.burnside_count == res_frob.count  # both methods agree
-    big, quot, ok = quotient_count_comparison(sl2, psl2, GroupAut.identity(sl2))
-    assert ok and big == 7 and quot == 4
+    assert quotient_count_comparison(sl2, psl2, GroupAut.identity(sl2)) == (7, 4)
     _report(4, "Reidemeister counts", started, 30)
 
 

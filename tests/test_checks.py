@@ -1,8 +1,8 @@
 """Scans of the library source: correctness checks are explicit raises (an
-assert statement would vanish under python -O), binary powering and row
-elimination are each written once, fields are compared by identity, scalar
-field arithmetic stays off the numpy tables, and the quadratic Cayley
-table serves the tests only."""
+assert statement would vanish under python -O), every error type is raised
+somewhere, binary powering and row elimination are each written once,
+fields are compared by identity, scalar field arithmetic stays off the
+numpy tables, and the quadratic Cayley table serves the tests only."""
 
 import ast
 import pathlib
@@ -18,6 +18,32 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def _raised_names(tree):
+    """Names of the classes raised in `tree`, as `raise X` or `raise X(...)`."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                found.add(exc.id)
+    return found
+
+
+def test_every_error_type_is_raised():
+    # an error type leaves with the mechanism that raised it
+    errors = ast.parse((SRC / "chevtwist" / "errors.py").read_text())
+    declared = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set().union(*(
+        _raised_names(ast.parse(path.read_text(), str(path))) for path in SRC.rglob("*.py")
+    ))
+    assert declared and not declared - raised, sorted(declared - raised)
+
+
+def test_raise_scan_sees_both_forms():
+    tree = ast.parse("raise A\nraise B('x')\nraise\nraise m.C()\nx = D()")
+    assert _raised_names(tree) == {"A", "B"}
 
 
 def test_library_builds_no_cayley_table():

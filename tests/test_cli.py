@@ -109,6 +109,8 @@ def test_d4_command():
     res = run_cli("d4", "--p", "3", "--denoms", "t", "--f", "t+1", "--k-max", "2")
     assert res.exit_code == 0
     assert "reflection_order,2" in res.output
+    assert "reflection_det_minus_one,ok" in res.output
+    assert "power_identity" not in res.output
 
 
 def test_markdown_format():
@@ -214,3 +216,24 @@ def test_reidemeister_even_orthogonal_refused_up_front(group, monkeypatch):
     assert "CapExceeded: group enumeration exceeded cap 1000000" in res.output
     order = "6065280" if group == "SOeven" else "at least 3032640"
     assert f"has order {order}" in res.output
+
+
+@pytest.mark.parametrize("args, error", [
+    (("reidemeister", "--group", "SL", "--n", "1", "--q", "3"), "BadRank"),
+    (("witness-check", "--group", "SOeven", "--n", "2", "--p", "3", "--f", "t"), "BadRank"),
+    (("witness-check", "--group", "Sp", "--n", "1", "--p", "3", "--f", "t"), "BadRank"),
+    (("traces", "--p", "3", "--f", "t", "--n", "1"), "BadRank"),
+    (("d4", "--p", "3", "--f", "t", "--graph", "foo"), "IncompatibleKind"),
+])
+def test_bad_rank_and_graph_are_typed_errors(args, error):
+    res = run_cli(*args)
+    assert res.exit_code == 1
+    assert f"chevtwist.errors.{error}" in res.output
+    assert "builtins" not in res.output
+
+
+def test_witness_check_has_no_sl_group():
+    # witness_sl builds with check=True, so a det row could never fail;
+    # the SL certificates are the traces command
+    res = run_cli("witness-check", "--group", "SL", "--n", "3", "--p", "3")
+    assert res.exit_code == 2

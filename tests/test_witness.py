@@ -4,10 +4,9 @@ import pytest
 
 from chevtwist.auts import b_matrix
 from chevtwist.errors import (
+    BadRank,
     IncompatibleKind,
-    NotAConjugator,
     NotUnit,
-    OddPower,
     TrialityUnsupported,
     UnitInput,
     ZeroLambda,
@@ -23,7 +22,6 @@ from chevtwist.witness import (
     WitnessConfig,
     block_constraint_check,
     d4_tau_suite,
-    decompose_blocks,
     explicit_conjugator,
     obstruction_report,
     power_identity_check,
@@ -45,6 +43,8 @@ def test_config_validation():
         WitnessConfig(ring=R3, s=RatFrac.const(F3, 2), family=FAMILY_SL, n=2)
     with pytest.raises(ValueError):
         WitnessConfig(ring=R3, s=S3, family="bogus", n=2)
+    with pytest.raises(BadRank):
+        WitnessConfig(ring=R3, s=S3, family=FAMILY_SL, n=1)
 
 
 def test_witness_sl_block_values():
@@ -176,18 +176,17 @@ def test_power_identity_characteristic_collapse():
 def test_power_identity_so_even():
     t = RatFrac.t(F3)
     for n in (3, 4):
-        for r in (2, 4, 6, 8):
+        for r in range(1, 9):
             assert power_identity_check(t, r, "SOeven", n, R3)
-    with pytest.raises(OddPower):
-        power_identity_check(t, 3, "SOeven", 3, R3)
 
 
 def test_reflected_witness_squares_to_shifted_parameter():
-    # (x_lambda B)^2 = x_{2 lambda}, spelled out at rank 3
+    # (x_lambda B)^2 = x_{2 lambda}, spelled out at rank 3; B fixes x_lambda
+    # and B^2 = I, so the reflected power is the plain one
     t = RatFrac.t(F3)
     x = witness_so(t, "SOeven", 3, R3)
     B = b_matrix(3, R3)
-    assert (x.mat * B) ** 2 == witness_so(2 * t, "SOeven", 3, R3).mat
+    assert (x.mat * B) ** 2 == witness_so(2 * t, "SOeven", 3, R3).mat == x.mat ** 2
 
 
 def test_obstruction_separates_fixed_element_powers():
@@ -270,18 +269,9 @@ def test_block_constraints_identity_case():
 
 def test_block_constraints_reject_non_conjugator():
     g = witness_so(RatFrac.t(F3), "SOodd", 2, R3)  # does not intertwine
-    with pytest.raises(NotAConjugator):
-        block_constraint_check(g, S3, S3 ** 2)
-
-
-def test_block_decomposition_shape():
-    g = explicit_conjugator(S3, RatFrac.t(F3), "SOodd", 2, R3_T)
-    dec = decompose_blocks(g)
-    assert dec.K.nrows == 2 and dec.N.nrows == 2
-    assert dec.last_col is not None and dec.last_row is not None
-    h = witness_so(S3, "SOeven", 3, R3)
-    dec_even = decompose_blocks(h)
-    assert dec_even.last_col is None
+    assert not block_constraint_check(g, S3, S3 ** 2)
+    ident = GroupCtx(GroupKind.so_odd(2), R3).identity()
+    assert not block_constraint_check(ident, S3, S3 ** 2)
 
 
 def test_d4_suite_passes():
@@ -292,18 +282,21 @@ def test_d4_suite_passes():
     assert report.reflection_order == 2
     names = [name for name, _ in report.checks]
     assert "reflection_involution" in names
-    assert "power_identity_r8" in names
+    assert "reflection_det_minus_one" in names
+    assert not any(name.startswith("power_identity") for name in names)
 
 
 def test_d4_rejects_triality():
     cfg = WitnessConfig(ring=R3, s=S3, family=FAMILY_SO_EVEN, n=4)
     with pytest.raises(TrialityUnsupported):
         d4_tau_suite(cfg, graph="sigma")
+    with pytest.raises(IncompatibleKind):
+        d4_tau_suite(cfg, graph="foo")
 
 
 def test_d4_needs_rank_four():
     cfg = WitnessConfig(ring=R3, s=S3, family=FAMILY_SO_EVEN, n=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadRank):
         d4_tau_suite(cfg)
 
 
@@ -376,10 +369,11 @@ def test_orthogonal_witnesses_reuse_the_context_they_hold(monkeypatch):
     assert built == [GroupKind.so_odd(2), GroupKind.so_even(3)]
     with pytest.raises(ZeroLambda):
         block_constraint_check(g, S3, RatFrac.zero(F3))
-    # the D4 suite checks its power identities in its own SO_8 context
+    # the D4 suite checks the reflection in its own SO_8 context
     built.clear()
     cfg = WitnessConfig(ring=R3, s=S3, family=FAMILY_SO_EVEN, n=4)
     report = d4_tau_suite(cfg, k_max=1)
-    assert report.passed and [n for n, _ in report.checks if n.startswith("power")] == [
-        "power_identity_r2", "power_identity_r4", "power_identity_r6", "power_identity_r8"]
+    assert report.passed and [n for n, _ in report.checks if n.startswith("reflection")] == [
+        "reflection_involution", "reflection_det_minus_one", "reflection_preserves_form",
+        "reflection_fixes_witness", "reflection_order_two"]
     assert built == [GroupKind.so_even(4)]
