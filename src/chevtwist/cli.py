@@ -21,7 +21,7 @@ from .auts import GroupAut, parse_group_aut, render_group_aut
 from .errors import CertificateMismatch
 from .gf import Fq, is_prime
 from .groups import ENUM_CAP, GroupCtx, GroupKind, generators
-from .polyring import RingDesc, fixed_element, parse_poly
+from .polyring import RatFrac, RingDesc, fixed_element, parse_poly
 from .twist import BURNSIDE_CAP, reidemeister_count, report_to_csv
 from .witness import (
     FAMILY_SL,
@@ -171,7 +171,8 @@ def main():
 @click.option("--f", "f_text", default="t", show_default=True, help="seed polynomial for the fixed element")
 @click.option("--m-max", type=int, default=3, show_default=True)
 @click.option("--r-max", type=int, default=4, show_default=True)
-@click.option("--n", type=int, default=3, show_default=True, help="linear rank of the ambient group")
+@click.option("--n", type=int, default=3, show_default=True,
+              help="rank n >= 2, recorded in the run line; the rows, from the 2x2 block, are the same for every n")
 @_add_options(out_opts)
 @_surfaced
 def traces(p, e, denoms, f_text, m_max, r_max, n, out, fmt):
@@ -238,7 +239,10 @@ def witness_check(p, e, denoms, group, n, f_text, m_max, r_max, k_max, out, fmt)
             for kp in range(k + 1, k_max + 1):
                 rep = obstruction_report(s ** k, s ** kp, ring)
                 note(fam, f"s^{k} vs s^{kp}", "", rep.separated)
-        c = ring.one + ring.one  # the constant 2, a unit since p is odd
+        # a unit c with c^2 != 1, so that g moves x_s to x_{c^2 s}; F_3[t] has
+        # only the units +-1, and there g = diag(2, 2, ...) centralises x_s
+        units = [RatFrac.const(field, x) for x in field.elements() if x] + [RatFrac(d) for d in ring.denoms]
+        c = next((u for u in units if u * u != ring.one), ring.one + ring.one)
         g = explicit_conjugator(s, c, group, n, ring)
         note(fam, "conjugator", "", block_constraint_check(g, c * c * s, s))
     run_line = _run_line(

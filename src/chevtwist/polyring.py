@@ -557,7 +557,8 @@ class RingDesc:
 
     def is_unit(self, x) -> bool:
         """Unit test for x already in R (raises NotInRing otherwise)."""
-        return self.is_unit_of(self.require_member(x))
+        x = self.require_member(x)
+        return not x.is_zero and self._inverts(x.num)
 
     def is_unit_of(self, x) -> bool:
         """Unit test without the membership precondition: x and 1/x in R."""
@@ -651,14 +652,6 @@ class RingAut:
             raise MixedFields("automorphisms of different rings")
         return RingAut(self.ring, *_compose_params((self.frob, self.mobius), (other.frob, other.mobius)))
 
-    def inverse(self) -> "RingAut":
-        e = self.ring.field.e
-        r = (-self.frob) % e
-        a, b, c, d = self.mobius
-        inv = (d, -b, -c, a)
-        inv = tuple(x.frobenius(r) for x in inv)
-        return RingAut(self.ring, r, inv)
-
     def __eq__(self, other):
         return (
             isinstance(other, RingAut)
@@ -738,24 +731,24 @@ def ring_automorphisms(R: RingDesc):
     can send infinity into the places R removes (_candidates), each tested
     by _escape with no fraction and no factorization.  Fields past
     AUT_FIELD_CAP are rejected outright.  The found set X is verified at
-    every size, with no cap: it must be closed under inverses, and
-    _verify_group must find it to be the group generated by a few of its
-    members.  A composite outside X raises CertificateMismatch.
+    every size, with no cap: _verify_group must find it to be the group
+    generated by a few of its members (closure under inverses follows).
+    A composite outside X raises CertificateMismatch.
     """
+    return _aut_group(R)[0]
+
+
+def _aut_group(R: RingDesc):
+    """(X, Gamma): the automorphisms of R and the generators of X that
+    _verify_group found, both as RingAut in the order of X."""
     field = R.field
     if field.q > AUT_FIELD_CAP:
         raise CapExceeded(f"automorphism enumeration capped at q <= {AUT_FIELD_CAP}")
     mobs = _candidates(R)
-    out = [RingAut(R, r, mob) for r in range(field.e) for mob in mobs if _escape(R, r, mob) is None]
-    keys = [(s.frob, s.mobius) for s in out]
-    key_set = set(keys)
-    for s in out:
-        t = s.inverse()
-        if (t.frob, t.mobius) not in key_set:
-            raise CertificateMismatch("automorphism set not inverse closed")
-    one, zero = field.one, field.zero
-    _verify_group(keys, (0, (one, zero, zero, one)))
-    return out
+    auts = [RingAut(R, r, mob) for r in range(field.e) for mob in mobs if _escape(R, r, mob) is None]
+    by_key = {(s.frob, s.mobius): s for s in auts}
+    gens = _verify_group(list(by_key), (0, (field.one, field.zero, field.zero, field.one)))
+    return auts, [by_key[g] for g in gens]
 
 
 def _verify_group(keys, identity):
@@ -816,14 +809,16 @@ def fixed_element(f: Poly, R: RingDesc) -> RatFrac:
     """Product of the images of f under every automorphism of R.
 
     The result lies in R, is fixed pointwise by every automorphism of R,
-    and is not a unit (any of its automorphic factors divides it).
+    and is not a unit (any of its automorphic factors divides it).  Fixity
+    is checked on the generators Gamma of Aut(R) only: what each of them
+    fixes, every product of them fixes.
     """
     if f.is_zero:
         raise ZeroPolynomial("fixed element needs a nonzero polynomial")
     frac = RatFrac(f)
     if R.is_unit(frac):
         raise UnitInput(f"{f} is a unit of {R}")
-    auts = ring_automorphisms(R)
+    auts, gens = _aut_group(R)
     s = RatFrac.one(R.field)
     for sigma in auts:
         s = s * sigma(frac)
@@ -831,6 +826,6 @@ def fixed_element(f: Poly, R: RingDesc) -> RatFrac:
         raise CertificateMismatch("fixed element outside the ring")
     if R.is_unit(s):
         raise CertificateMismatch("fixed element unexpectedly a unit")
-    if any(sigma(s) != s for sigma in auts):
+    if any(sigma(s) != s for sigma in gens):
         raise CertificateMismatch("fixed element not fixed by the full group")
     return s

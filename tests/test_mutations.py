@@ -29,8 +29,13 @@ def _trace_off_by_one(monkeypatch):
 
 
 def _drop_last_automorphism(monkeypatch):
-    auts = polyring.ring_automorphisms
-    monkeypatch.setattr(polyring, "ring_automorphisms", lambda R: auts(R)[:-1])
+    aut_group = polyring._aut_group
+
+    def dropped(R):
+        auts, gens = aut_group(R)
+        return auts[:-1], gens
+
+    monkeypatch.setattr(polyring, "_aut_group", dropped)
 
 
 def _sp_witness_off_by_one(monkeypatch):
@@ -58,9 +63,9 @@ def _obstruction_ratio_a_unit(monkeypatch):
     monkeypatch.setattr(RingDesc, "is_unit_of", always)
 
 
-def _conjugator_scale_shifted(monkeypatch):
+def _conjugator_scale_squared(monkeypatch):
     conj = cli.explicit_conjugator
-    monkeypatch.setattr(cli, "explicit_conjugator", lambda lam, c, *rest: conj(lam, c - 1, *rest))
+    monkeypatch.setattr(cli, "explicit_conjugator", lambda lam, c, *rest: conj(lam, c * c, *rest))
 
 
 def _reflection_is_identity(monkeypatch):
@@ -70,10 +75,13 @@ def _reflection_is_identity(monkeypatch):
 
 
 WITNESS_SO = ("--denoms", "t", "--f", "t+1", "--r-max", "3", "--k-max", "2")
+CONJUGATOR = ("witness-check", "--group", "SOodd", "--n", "2", "--denoms", "t", "--f", "t+1",
+              "--r-max", "1", "--k-max", "1")
 
 # (id, command, corruption, predicate on the CSV rows that must fail);
-# the conjugator runs over F_5: over F_3 every constant unit c has c^2 = 1,
-# so the identity conjugates x_s to x_{c^2 s} and a shifted c goes unseen
+# the conjugator scale c is squared, which the row sees when c^2 != 1: the
+# constant 2 over F_5, w over F_9, and over F_3, whose constant units are
+# +-1, the inverted t
 CASES = [
     ("traces", ("traces", "--p", "3", "--f", "t", "--m-max", "2", "--r-max", "2"),
      _trace_off_by_one, lambda row: row.startswith("A_xm,")),
@@ -89,9 +97,10 @@ CASES = [
      _obstruction_ratio_a_unit, lambda row: " vs " in row),
     ("d4 obstructions", ("d4", "--p", "3", "--denoms", "t", "--f", "t+1", "--k-max", "2"),
      _obstruction_ratio_a_unit, lambda row: row.startswith("obstruction_")),
-    ("conjugator", ("witness-check", "--group", "SOodd", "--n", "2", "--p", "5", "--denoms", "t",
-                    "--f", "t+1", "--r-max", "1", "--k-max", "1"),
-     _conjugator_scale_shifted, lambda row: ",conjugator," in row),
+    ("conjugator", CONJUGATOR + ("--p", "5"), _conjugator_scale_squared, lambda row: ",conjugator," in row),
+    ("conjugator F3", CONJUGATOR + ("--p", "3"), _conjugator_scale_squared, lambda row: ",conjugator," in row),
+    ("conjugator F9", CONJUGATOR + ("--p", "3", "--e", "2"), _conjugator_scale_squared,
+     lambda row: ",conjugator," in row),
     ("d4 reflection", ("d4", "--p", "3", "--f", "t", "--k-max", "1"),
      _reflection_is_identity, lambda row: row.startswith("reflection_det_minus_one,")),
 ]

@@ -149,6 +149,31 @@ def test_ring_membership_and_units():
     assert not R_plain.is_unit(t)
 
 
+_UNIT_RINGS = [(Fq(p, e), denoms) for p, e in ((3, 1), (5, 1), (7, 1), (3, 2)) for denoms in ("", "t", "t,t+1")]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_is_unit_agrees_with_is_unit_of(data):
+    """is_unit tests only the numerator once membership holds."""
+    field, denoms = data.draw(st.sampled_from(_UNIT_RINGS))
+    R = RingDesc(field, [d for d in denoms.split(",") if d])
+
+    def part():
+        # t^i (t+1)^j times a polynomial of degree < 3 (maybe zero)
+        i, j = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+        codes = data.draw(st.lists(st.integers(0, field.q - 1), max_size=3))
+        return Poly.t(field) ** i * P("t+1", field) ** j * Poly(field, codes)
+
+    num, den = part(), part()
+    x = RatFrac(num, den if not den.is_zero else Poly.one(field))
+    if R.contains(x):
+        assert R.is_unit(x) == R.is_unit_of(x)
+    else:
+        with pytest.raises(NotInRing):
+            R.is_unit(x)
+
+
 def test_ring_desc_validation():
     with pytest.raises(ValueError):
         RingDesc(F3, ["t^2+2"])  # reducible
@@ -279,6 +304,23 @@ def test_fixed_element_is_fixed_and_nonunit():
     assert not R_t.is_unit(s2)
 
 
+def test_fixed_element_checks_fixity_on_the_generators(monkeypatch):
+    R = RingDesc(F9, ["t"])
+    auts, gens = polyring._aut_group(R)
+    plain, args = RingAut.__call__, []
+
+    def call(self, x):
+        args.append(x)
+        return plain(self, x)
+
+    monkeypatch.setattr(RingAut, "__call__", call)
+    s = fixed_element(P("t+1", F9), R)
+    assert (len(auts), len(gens)) == (32, 4)
+    # |X| images of the seed, then sigma(s) for sigma in Gamma only
+    assert len(args) == len(auts) + len(gens)
+    assert sum(x == s for x in args) == len(gens)
+
+
 def test_fixed_element_rejects_units():
     with pytest.raises(UnitInput):
         fixed_element(Poly.const(F3, 2), RingDesc(F3))
@@ -365,8 +407,9 @@ def _drop_candidate(monkeypatch, mobius):
 
 
 @pytest.mark.parametrize("mobius, message", [
-    # without t -> t+1, the set still holds its inverse t -> t+2
-    pytest.param((1, 1, 0, 1), "not inverse closed", id="inverse-branch"),
+    # without t -> t+1, the set still holds its inverse t -> t+2, whose
+    # square t -> t+1 is missing: closure implies closure under inverses
+    pytest.param((1, 1, 0, 1), "not closed", id="inverse-branch"),
     # t -> t/2 = -t is its own inverse, so only a composite can miss it
     pytest.param((1, 0, 0, 2), "not closed", id="closure-branch"),
     pytest.param((1, 0, 0, 1), "lacks the identity", id="identity"),

@@ -41,6 +41,9 @@ CFG3 = WitnessConfig(ring=R3, s=S3, family=FAMILY_SL, n=2)
 def test_config_validation():
     with pytest.raises(UnitInput):
         WitnessConfig(ring=R3, s=RatFrac.const(F3, 2), family=FAMILY_SL, n=2)
+    for zero in (RatFrac.zero(F3), F3.zero, 0):  # the one constant that is not a unit
+        with pytest.raises(ValueError, match="must not be zero"):
+            WitnessConfig(ring=R3, s=zero, family=FAMILY_SL, n=2)
     with pytest.raises(ValueError):
         WitnessConfig(ring=R3, s=S3, family="bogus", n=2)
     with pytest.raises(BadRank):
