@@ -18,7 +18,7 @@ import sys
 import click
 
 from .auts import GroupAut, parse_group_aut, render_group_aut
-from .errors import CertificateMismatch
+from .errors import CertificateMismatch, Unsupported
 from .gf import Fq, is_prime
 from .groups import ENUM_CAP, GroupCtx, GroupKind, generators
 from .polyring import RatFrac, RingDesc, fixed_element, parse_poly
@@ -75,6 +75,8 @@ def _field_from_flags(p, e, q):
 def _fixed_from_flags(p, e, denoms, f_text):
     """The field, the ring and its fixed element s named by a ring command's flags."""
     field = _field_from_flags(p, e, None)
+    if field.p == 2:
+        raise Unsupported("characteristic 2 is out of scope")
     names = [d for d in (denoms or "").split(",") if d.strip()]
     ring = RingDesc(field, [parse_poly(field, d.strip()) for d in names])
     return field, ring, fixed_element(parse_poly(field, f_text), ring)
@@ -169,8 +171,8 @@ def main():
 @main.command()
 @_add_options(ring_opts)
 @click.option("--f", "f_text", default="t", show_default=True, help="seed polynomial for the fixed element")
-@click.option("--m-max", type=int, default=3, show_default=True)
-@click.option("--r-max", type=int, default=4, show_default=True)
+@click.option("--m-max", type=click.IntRange(min=1), default=3, show_default=True)
+@click.option("--r-max", type=click.IntRange(min=1), default=4, show_default=True)
 @click.option("--n", type=int, default=3, show_default=True,
               help="rank n >= 2, recorded in the run line; the rows, from the 2x2 block, are the same for every n")
 @_add_options(out_opts)
@@ -205,8 +207,8 @@ def traces(p, e, denoms, f_text, m_max, r_max, n, out, fmt):
 @click.option("--group", type=click.Choice(["Sp", "SOodd", "SOeven"]), required=True)
 @click.option("--n", type=int, required=True)
 @click.option("--f", "f_text", default="t", show_default=True)
-@click.option("--m-max", type=int, default=3, show_default=True)
-@click.option("--r-max", type=int, default=6, show_default=True)
+@click.option("--m-max", type=click.IntRange(min=1), default=3, show_default=True)
+@click.option("--r-max", type=click.IntRange(min=1), default=6, show_default=True)
 @click.option("--k-max", type=int, default=3, show_default=True)
 @_add_options(out_opts)
 @_surfaced

@@ -53,7 +53,7 @@ import operator
 
 import numpy as np
 
-from .errors import MixedFields, NotPrime, ParseError, Unsupported
+from .errors import MixedFields, NotPrime, ParseError, PreconditionFailed, Unsupported
 
 DEFAULT_CAP = 81
 
@@ -251,7 +251,7 @@ class Fq:
             return FqElem(self, value % self.p)
         coeffs = tuple(int(c) % self.p for c in value)
         if len(coeffs) > self.e:
-            raise ValueError("too many coefficients")
+            raise PreconditionFailed("too many coefficients")
         coeffs = coeffs + (0,) * (self.e - len(coeffs))
         return FqElem(self, self._encode(coeffs))
 
@@ -370,7 +370,7 @@ class FqElem:
     def frobenius(self, k: int = 1) -> "FqElem":
         """x -> x^(p^k); k = e gives the identity."""
         if k < 0:
-            raise ValueError("frobenius power must be >= 0")
+            raise PreconditionFailed("frobenius power must be >= 0")
         code = self.code
         for _ in range(k % self.field.e):
             code = self.field._frob[code]

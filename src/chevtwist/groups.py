@@ -43,6 +43,7 @@ from .errors import (
     BadRank,
     CapExceeded,
     CertificateMismatch,
+    IncompatibleKind,
     NoForm,
     NotInGroup,
     NotProjective,
@@ -68,7 +69,7 @@ class GroupKind:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise IncompatibleKind(f"unknown family {self.family!r}")
         if self.n < _MIN_RANK[self.family]:
             raise BadRank(f"{self.family} needs rank >= {_MIN_RANK[self.family]}")
 
@@ -126,7 +127,7 @@ class GroupKind:
     def projectivization(self) -> "GroupKind":
         lift = {"SL": "PSL", "Sp": "PSp", "SOeven": "PSOeven", "SOodd": "SOodd"}
         if self.family not in lift:
-            raise ValueError(f"{self.family} has no projective quotient here")
+            raise IncompatibleKind(f"{self.family} has no projective quotient here")
         return GroupKind(lift[self.family], self.n)
 
     def __repr__(self):
@@ -205,17 +206,17 @@ class GroupCtx:
         return Mat.identity(self.dim, self.one, self.zero)
 
     def identity(self) -> "GrpElem":
-        return GrpElem(self, self.identity_mat(), check=False)
+        return GrpElem._of(self, self.identity_mat())
 
-    def elem(self, rows, check: bool = True) -> "GrpElem":
+    def elem(self, rows) -> "GrpElem":
+        """The member with these rows, verified (NotInGroup otherwise)."""
         mat = rows if isinstance(rows, Mat) else Mat([[self.scalar(x) for x in r] for r in rows])
-        return GrpElem(self, mat, check=check)
+        return GrpElem(self, mat)
 
     def parse_elem(self, text: str) -> "GrpElem":
-        if self.is_finite:
-            return self.elem(parse_matrix(text, self.field.parse))
         field = self.field
-        return self.elem(parse_matrix(text, lambda s: parse_frac(field, s)))
+        parse = field.parse if self.is_finite else lambda s: parse_frac(field, s)
+        return self.elem(parse_matrix(text, parse))
 
     def center_scalars(self):
         """Scalars lambda with lambda*I in the linear group of this kind."""
@@ -262,16 +263,11 @@ def is_member(ctx: GroupCtx, mat: Mat) -> bool:
     """det = 1, entries in the scalar ring, and form preservation."""
     if mat.nrows != ctx.dim or mat.ncols != ctx.dim:
         raise SizeMismatch(f"expected {ctx.dim}x{ctx.dim}, got {mat.nrows}x{mat.ncols}")
-    if not ctx.is_finite:
-        R = ctx.scalars
-        if not all(R.contains(x) for row in mat.rows for x in row):
-            return False
+    if not ctx.is_finite and not all(ctx.scalars.contains(x) for row in mat.rows for x in row):
+        return False
     if mat.det() != ctx.one:
         return False
-    if ctx.form is not None:
-        if mat.transpose() * ctx.form * mat != ctx.form:
-            return False
-    return True
+    return ctx.form is None or mat.transpose() * ctx.form * mat == ctx.form
 
 
 def canonical_rep(ctx: GroupCtx, mat: Mat) -> Mat:
@@ -296,26 +292,35 @@ def canonical_rep(ctx: GroupCtx, mat: Mat) -> Mat:
 class GrpElem:
     """Group member: a matrix plus its context.
 
+    Membership is an invariant, verified once: the constructor raises
+    NotInGroup unless is_member holds, for matrices from a caller and for
+    witnesses, whose membership is the certificate; _of trusts matrices
+    derived from members or already tested by is_member.
+
     Projective contexts store the canonical coset representative, so
     equality and hashing are plain matrix comparisons.
     """
 
     __slots__ = ("ctx", "mat")
 
-    def __init__(self, ctx: GroupCtx, mat: Mat, check: bool = True):
-        if check and not is_member(ctx, mat):
+    def __init__(self, ctx: GroupCtx, mat: Mat):
+        if not is_member(ctx, mat):
             raise NotInGroup(f"matrix is not a member of {ctx!r}")
-        if ctx.projective:
-            mat = canonical_rep(ctx, mat)
-        self.ctx = ctx
-        self.mat = mat
+        self.ctx, self.mat = ctx, canonical_rep(ctx, mat) if ctx.projective else mat
+
+    @classmethod
+    def _of(cls, ctx: GroupCtx, mat: Mat) -> "GrpElem":
+        """A GrpElem on a matrix known to be a member, not re-verified."""
+        g = object.__new__(cls)
+        g.ctx, g.mat = ctx, canonical_rep(ctx, mat) if ctx.projective else mat
+        return g
 
     def __mul__(self, other):
         if not isinstance(other, GrpElem):
             return NotImplemented
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise SizeMismatch("elements of different groups")
-        return GrpElem(self.ctx, self.mat * other.mat, check=False)
+        return GrpElem._of(self.ctx, self.mat * other.mat)
 
     def inverse(self) -> "GrpElem":
         """g^-1.  A formed kind needs no elimination: g^T J g = J gives
@@ -323,16 +328,16 @@ class GrpElem:
         canonical coset representative lam*g preserves J too (lam^2 = 1)."""
         form = self.ctx.form
         if form is None:
-            return GrpElem(self.ctx, self.mat.inverse(), check=False)
+            return GrpElem._of(self.ctx, self.mat.inverse())
         inv = form * (self.mat.transpose() * form)
         if self.ctx.kind.family in ("Sp", "PSp"):
             inv = -inv
-        return GrpElem(self.ctx, inv, check=False)
+        return GrpElem._of(self.ctx, inv)
 
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        return GrpElem(self.ctx, self.mat ** k, check=False)
+        return GrpElem._of(self.ctx, self.mat ** k)
 
     def trace(self):
         return self.mat.trace()
@@ -358,7 +363,7 @@ def projective_canonicalize(g: GrpElem) -> GrpElem:
     """Canonical coset representative; identity map on already-canonical input."""
     if not g.ctx.projective:
         raise NotProjective(f"{g.ctx.kind!r} is not a projective kind")
-    return GrpElem(g.ctx, canonical_rep(g.ctx, g.mat), check=False)
+    return GrpElem._of(g.ctx, g.mat)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +395,7 @@ def generators(ctx: GroupCtx, params=None):
     out = []
 
     def emit(entries):
-        out.append(GrpElem(ctx, unit_mat(ctx, entries), check=True))
+        out.append(GrpElem(ctx, unit_mat(ctx, entries)))
 
     if fam in ("SL", "PSL"):
         for i in range(n):
@@ -611,7 +616,7 @@ class FiniteGroup:
         return self.codes.shape[0]
 
     def elem(self, i: int) -> GrpElem:
-        return GrpElem(self.ctx, codes_to_mat(self.ctx.field, self.codes[i]), check=False)
+        return GrpElem._of(self.ctx, codes_to_mat(self.ctx.field, self.codes[i]))
 
     def elements(self):
         return [self.elem(i) for i in range(self.order)]
@@ -766,7 +771,7 @@ def intertwiners(ctx: GroupCtx, pairs, cap: int = SOLVE_CAP):
         for coefs in itertools.product(field.elements(), repeat=len(basis)):
             mat = _combine(coefs, basis)
             if any(x for row in mat.rows for x in row) and is_member(ctx, mat):
-                g = GrpElem(ctx, mat, check=False)
+                g = GrpElem._of(ctx, mat)
                 found.setdefault(mat_to_codes(g.mat).tobytes(), g)
     return [found[key] for key in sorted(found)]
 

@@ -185,7 +185,7 @@ class Poly:
 
     def __pow__(self, k: int):
         if k < 0:
-            raise ValueError("negative power of a polynomial; use RatFrac")
+            raise PreconditionFailed("negative power of a polynomial; use RatFrac")
         return power(self, k, Poly.one(self.field))
 
     def __divmod__(self, other):
@@ -607,7 +607,8 @@ class RingAut:
     Acts on F_q by x -> x^(p^r) and on t by t -> (a t + b)/(c t + d), with
     a d - b c nonzero.  Construction verifies that the map sends the ring
     into itself (see _escape); such a map has finite order, so stability
-    of R under the map follows.
+    of R under the map follows.  A call verifies that its argument lies in
+    R (NotInRing otherwise); _image skips that, for known members.
     """
 
     __slots__ = ("ring", "frob", "mobius")
@@ -636,14 +637,13 @@ class RingAut:
         field = self.ring.field
         return self.frob == 0 and self.mobius == (field.one, field.zero, field.zero, field.one)
 
-    def _image_of_poly(self, f: Poly) -> RatFrac:
-        return RatFrac(*_image_parts(f, self.frob, self.mobius))
-
     def __call__(self, x) -> RatFrac:
-        x = self.ring.require_member(x)
-        img = self._image_of_poly(x.num)
+        return self._image(self.ring.require_member(x))
+
+    def _image(self, x: RatFrac) -> RatFrac:
+        img = RatFrac(*_image_parts(x.num, self.frob, self.mobius))
         if not x.den.is_one:
-            img = img / self._image_of_poly(x.den)
+            img = img / RatFrac(*_image_parts(x.den, self.frob, self.mobius))
         return img
 
     def compose(self, other: "RingAut") -> "RingAut":
@@ -811,7 +811,8 @@ def fixed_element(f: Poly, R: RingDesc) -> RatFrac:
     The result lies in R, is fixed pointwise by every automorphism of R,
     and is not a unit (any of its automorphic factors divides it).  Fixity
     is checked on the generators Gamma of Aut(R) only: what each of them
-    fixes, every product of them fixes.
+    fixes, every product of them fixes.  The membership of s is tested
+    once, and the images of f and s skip it.
     """
     if f.is_zero:
         raise ZeroPolynomial("fixed element needs a nonzero polynomial")
@@ -821,11 +822,11 @@ def fixed_element(f: Poly, R: RingDesc) -> RatFrac:
     auts, gens = _aut_group(R)
     s = RatFrac.one(R.field)
     for sigma in auts:
-        s = s * sigma(frac)
+        s = s * sigma._image(frac)
     if not R.contains(s):
         raise CertificateMismatch("fixed element outside the ring")
-    if R.is_unit(s):
+    if R._inverts(s.num):  # s is nonzero, a product of nonzero images
         raise CertificateMismatch("fixed element unexpectedly a unit")
-    if any(sigma(s) != s for sigma in gens):
+    if any(sigma._image(s) != s for sigma in gens):
         raise CertificateMismatch("fixed element not fixed by the full group")
     return s

@@ -249,7 +249,7 @@ def are_twisted_conjugate(
             if strategy == "auto":
                 return _sampled_search(x, y, sigma, seed, samples)
             raise
-    raise ValueError(f"unknown strategy {strategy!r}")
+    raise Unsupported(f"unknown strategy {strategy!r}")
 
 
 def _orbit_stacks(x: GrpElem, sigma: GroupAut, cap: int):
@@ -314,8 +314,7 @@ def twisted_orbit_of(x: GrpElem, sigma: GroupAut, cap: int = ENUM_CAP) -> dict:
     field = ctx.field
     _, elems, witnesses = _orbit_stacks(x, sigma, cap)
     return {
-        GrpElem(ctx, codes_to_mat(field, y), check=False):
-            GrpElem(ctx, codes_to_mat(field, g), check=False)
+        GrpElem._of(ctx, codes_to_mat(field, y)): GrpElem._of(ctx, codes_to_mat(field, g))
         for y, g in zip(elems, witnesses)
     }
 
@@ -325,7 +324,7 @@ def _orbit_search(x: GrpElem, y: GrpElem, sigma: GroupAut, cap: int):
     hit = np.flatnonzero(keys == stack_keys(mat_to_codes(y.mat)[None], x.ctx.field.q))
     if not len(hit):
         return False, None
-    g = GrpElem(x.ctx, codes_to_mat(x.ctx.field, witnesses[hit[0]]), check=False)
+    g = GrpElem._of(x.ctx, codes_to_mat(x.ctx.field, witnesses[hit[0]]))
     if twist_step(g, x, sigma) != y:
         raise CertificateMismatch("witness failed verification")
     return True, g
@@ -395,7 +394,7 @@ def descend_aut(sigma: GroupAut, quot_ctx: GroupCtx) -> GroupAut:
         raise IncompatibleKind("not the projective quotient of the source context")
     inner = None
     if sigma.inner is not None:
-        inner = GrpElem(quot_ctx, sigma.inner.mat, check=False)
+        inner = GrpElem._of(quot_ctx, sigma.inner.mat)
     return GroupAut(quot_ctx, inner=inner, ring=sigma.ring, graph=sigma.graph)
 
 

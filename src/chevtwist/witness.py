@@ -28,6 +28,7 @@ from .errors import (
     CertificateMismatch,
     IncompatibleKind,
     NotUnit,
+    PreconditionFailed,
     TrialityUnsupported,
     UnitInput,
     Unsupported,
@@ -56,28 +57,25 @@ class WitnessConfig:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise IncompatibleKind(f"unknown family {self.family!r}")
         if self.n < 2:
             raise BadRank("witness rank must be >= 2")
         if self.ring.is_unit(self.s):
             raise UnitInput("the distinguished element must not be a unit")
         if not self.s:  # a nonzero constant is a unit of R
-            raise ValueError("the distinguished element must not be zero")
-
-
-def _sl_ctx(ring: RingDesc, n: int) -> GroupCtx:
-    return GroupCtx(GroupKind.sl(n), ring)
+            raise ZeroLambda("the distinguished element must not be zero")
 
 
 def witness_sl(m: int, cfg: WitnessConfig, n: int) -> GrpElem:
-    """x_m in SL_n: the 2x2 block [[1-u^2, u], [-u, 1]] with u = s^m."""
+    """x_m in SL_n: the 2x2 block [[1-u^2, u], [-u, 1]] with u = s^m, a
+    member as the product e12(u) e21(-u) of elementary matrices over R."""
     if m < 1:
-        raise ValueError("index must be >= 1")
-    ctx = _sl_ctx(cfg.ring, n)
+        raise PreconditionFailed("index must be >= 1")
+    ctx = GroupCtx(GroupKind.sl(n), cfg.ring)
     u = cfg.s ** m
-    g = GrpElem(ctx, unit_mat(ctx, [(0, 0, -u * u), (0, 1, u), (1, 0, -u)]), check=True)
-    e12 = GrpElem(ctx, unit_mat(ctx, [(0, 1, u)]), check=False)
-    e21 = GrpElem(ctx, unit_mat(ctx, [(1, 0, -u)]), check=False)
+    g = GrpElem._of(ctx, unit_mat(ctx, [(0, 0, -u * u), (0, 1, u), (1, 0, -u)]))
+    e12 = GrpElem._of(ctx, unit_mat(ctx, [(0, 1, u)]))
+    e21 = GrpElem._of(ctx, unit_mat(ctx, [(1, 0, -u)]))
     if g != e12 * e21:
         raise CertificateMismatch("witness does not split into elementary factors")
     return g
@@ -109,7 +107,7 @@ def trace_certificate(m: int, r: int, cfg: WitnessConfig) -> TraceCertificate:
     direct matrix power; any disagreement raises CertificateMismatch.
     """
     if m < 1 or r < 1:
-        raise ValueError("indices must be >= 1")
+        raise PreconditionFailed("indices must be >= 1")
     if not cfg.s.is_poly():
         raise Unsupported("trace degree bookkeeping needs a polynomial s")
     field = cfg.ring.field
@@ -158,7 +156,7 @@ def witness_sp(m: int, cfg: WitnessConfig, n: int) -> GrpElem:
     D = X.inverse().transpose()
     ctx = GroupCtx(GroupKind.sp(n), cfg.ring)
     mat = Mat.block_diag([X, D], ctx.zero)
-    g = GrpElem(ctx, mat, check=True)
+    g = GrpElem(ctx, mat)
     if g.trace() != X.trace() * 2:
         raise CertificateMismatch("trace doubling failed at construction")
     return g
@@ -186,7 +184,7 @@ def _x_lambda(ctx: GroupCtx, lam) -> GrpElem:
     if not lam:
         raise ZeroLambda("witness parameter must be nonzero")
     n = ctx.kind.n
-    return GrpElem(ctx, unit_mat(ctx, [(0, n + 1, -lam), (1, n, lam)]), check=True)
+    return GrpElem(ctx, unit_mat(ctx, [(0, n + 1, -lam), (1, n, lam)]))
 
 
 def power_identity_check(lam, r: int, kind: str, n: int, scalars) -> bool:
@@ -194,7 +192,7 @@ def power_identity_check(lam, r: int, kind: str, n: int, scalars) -> bool:
     equality.  In SO_2n it is also the reflection-twisted identity: B fixes
     x_lambda and B^2 = I, so (x_lambda B)^r = x_lambda^r for even r."""
     if r < 1:
-        raise ValueError("power must be >= 1")
+        raise PreconditionFailed("power must be >= 1")
     x = witness_so(lam, kind, n, scalars)
     rlam = x.ctx.scalar(lam) * r
     target = _x_lambda(x.ctx, rlam).mat if rlam else x.ctx.identity_mat()
@@ -244,7 +242,7 @@ def explicit_conjugator(lam, c, kind: str, n: int, scalars) -> GrpElem:
     cinv = c.inverse()
     rows[0][0], rows[1][1] = c, c
     rows[n][n], rows[n + 1][n + 1] = cinv, cinv
-    g = GrpElem(ctx, Mat(rows), check=True)
+    g = GrpElem(ctx, Mat(rows))
     target = _x_lambda(ctx, c * c * lam)
     if g * x * g.inverse() != target:
         raise CertificateMismatch("conjugation identity failed")
@@ -265,9 +263,10 @@ def block_constraint_check(g: GrpElem, lam: RatFrac, lam_prime: RatFrac) -> bool
     kind = ctx.kind
     if kind.family == "PSOeven":
         # coset-level conjugation only determines the witnesses up to sign;
-        # squaring removes the sign, and x_lambda^2 = x_{2 lambda}
+        # squaring removes the sign, and x_lambda^2 = x_{2 lambda}; g's
+        # matrix, a coset representative, lies in SO_2n
         lifted_ctx = GroupCtx(kind.linear(), ctx.scalars)
-        lifted = GrpElem(lifted_ctx, g.mat, check=True)
+        lifted = GrpElem._of(lifted_ctx, g.mat)
         two = lifted_ctx.scalar(2)
         return block_constraint_check(
             lifted, two * lifted_ctx.scalar(lam), two * lifted_ctx.scalar(lam_prime)
@@ -314,7 +313,7 @@ def d4_tau_suite(cfg: WitnessConfig, graph: str = "tau", k_max: int = 3) -> D4Re
     checks.append(("reflection_fixes_witness", B * x.mat * B == x.mat))
     # the order of the reflection automorphism, measured on an element it
     # actually moves (a root element touching the swapped coordinate pair)
-    probe = GrpElem(so8, unit_mat(so8, [(0, 2 * n - 1, s), (n - 1, n, -s)]), check=True)
+    probe = GrpElem(so8, unit_mat(so8, [(0, 2 * n - 1, s), (n - 1, n, -s)]))
     tau = GroupAut(so8, graph="B")
     refl_order = aut_order_on(tau, [probe]) or 0
     checks.append(("reflection_order_two", refl_order == 2))

@@ -22,7 +22,8 @@ from chevtwist.groups import (
     is_member,
 )
 from chevtwist.matrices import Mat
-from chevtwist.polyring import Poly, RatFrac, RingAut, RingDesc, fixed_element
+from chevtwist.polyring import Poly, RatFrac, RingAut, RingDesc, _aut_group, fixed_element, parse_poly
+from chevtwist.witness import FAMILY_SL, WitnessConfig, witness_sl
 
 F3 = Fq(3, 1)
 F9 = Fq(3, 2)
@@ -247,6 +248,23 @@ def test_ring_aut_group_aut_fixes_witness():
         Mat([[one, RatFrac.t(F3), zero], [zero, one, zero], [zero, zero, one]])
     )
     assert rho(t_elem) != t_elem
+
+
+def test_ring_aut_on_a_witness_over_f9_localised_at_t():
+    # the entries of x_3 have denominators t^96, past the factorization
+    # cap; a ring part maps a member's entries without re-testing that
+    # they lie in R, so the image is answered
+    R = RingDesc(F9, ["t"])
+    s = fixed_element(parse_poly(F9, "t+2"), R)
+    cfg = WitnessConfig(ring=R, s=s, family=FAMILY_SL, n=3)
+    _, gens = _aut_group(R)
+    for m in (1, 3):
+        x = witness_sl(m, cfg, 3)
+        for rho in gens:
+            image = GroupAut(x.ctx, ring=rho)(x)
+            assert image == x  # s is fixed, and x_m has entries in F_3[s]
+            if m == 1:
+                assert image.mat == x.mat.map(rho)
 
 
 def test_aut_grammar_roundtrip():

@@ -1,8 +1,9 @@
 """Scans of the library source: correctness checks are explicit raises (an
 assert statement would vanish under python -O), every error type is raised
-somewhere, binary powering and row elimination are each written once,
-fields are compared by identity, scalar field arithmetic stays off the
-numpy tables, and the quadratic Cayley table serves the tests only."""
+somewhere and no builtin ValueError is, no call passes a `check=` switch,
+binary powering and row elimination are each written once, fields are
+compared by identity, scalar field arithmetic stays off the numpy tables,
+and the quadratic Cayley table serves the tests only."""
 
 import ast
 import pathlib
@@ -39,6 +40,41 @@ def test_every_error_type_is_raised():
         _raised_names(ast.parse(path.read_text(), str(path))) for path in SRC.rglob("*.py")
     ))
     assert declared and not declared - raised, sorted(declared - raised)
+
+
+def test_library_raises_no_builtin_value_error():
+    # every refusal is a typed chevtwist.errors exception (each subclasses
+    # ValueError, so `except ValueError` callers keep working)
+    found = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if "ValueError" in _raised_names(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not found, found
+
+
+def _check_keywords(tree):
+    """Line of each call that passes a `check=` keyword."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and any(kw.arg == "check" for kw in node.keywords)
+    ]
+
+
+def test_library_passes_no_check_keyword():
+    # membership is an invariant of GrpElem, with no switch to turn it off:
+    # the constructor verifies, GrpElem._of trusts a derived member
+    found = [
+        f"{path.relative_to(SRC)}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line in _check_keywords(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not found, found
+
+
+def test_check_keyword_scan_sees_a_keyword():
+    tree = ast.parse("f(m, check=False)\ng(m, True)\nh(check)\nk(m, checked=1)")
+    assert _check_keywords(tree) == [1]
 
 
 def test_raise_scan_sees_both_forms():

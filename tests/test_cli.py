@@ -232,8 +232,36 @@ def test_bad_rank_and_graph_are_typed_errors(args, error):
     assert "builtins" not in res.output
 
 
+@pytest.mark.parametrize("args", [
+    ("traces", "--p", "2", "--f", "t"),
+    ("fixed-s", "--p", "2", "--f", "t"),
+    ("witness-check", "--group", "Sp", "--n", "2", "--p", "2", "--f", "t"),
+    ("d4", "--p", "2", "--f", "t"),
+    ("reidemeister", "--group", "SL", "--n", "2", "--p", "2"),
+])
+def test_characteristic_two_is_refused_by_every_command(args):
+    res = run_cli(*args)
+    assert res.exit_code == 1
+    assert "chevtwist.errors.Unsupported: characteristic 2 is out of scope" in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ("traces", "--p", "3", "--f", "t", "--m-max", "0"),
+    ("traces", "--p", "3", "--f", "t", "--r-max", "0"),
+    ("witness-check", "--group", "Sp", "--n", "2", "--p", "3", "--f", "t", "--m-max", "0"),
+    ("witness-check", "--group", "Sp", "--n", "2", "--p", "3", "--f", "t", "--r-max", "0"),
+    ("witness-check", "--group", "SOodd", "--n", "2", "--p", "3", "--f", "t", "--r-max", "0"),
+])
+def test_empty_sweeps_are_refused(args):
+    # a run with no certificate rows would print a header and pass
+    res = run_cli(*args)
+    assert res.exit_code == 2
+    assert "x>=1" in res.output
+
+
 def test_witness_check_has_no_sl_group():
-    # witness_sl builds with check=True, so a det row could never fail;
+    # witness_sl's membership is certified when it is built, so a det row
+    # could never fail;
     # the SL certificates are the traces command
     res = run_cli("witness-check", "--group", "SL", "--n", "3", "--p", "3")
     assert res.exit_code == 2

@@ -17,6 +17,7 @@ from chevtwist.errors import (
     Unsupported,
 )
 from chevtwist import groups
+from chevtwist.auts import GroupAut
 from chevtwist.gf import Fq
 from chevtwist.groups import (
     ENUM_CAP,
@@ -43,10 +44,18 @@ from chevtwist.groups import (
     order_sp,
     projective_canonicalize,
     stack_keys,
+    unit_mat,
 )
 from chevtwist.matrices import Mat
-from chevtwist.polyring import RatFrac, RingDesc, fixed_element, parse_poly
-from chevtwist.witness import FAMILY_SP, WitnessConfig, witness_so, witness_sp
+from chevtwist.polyring import (
+    RatFrac,
+    RingDesc,
+    fixed_element,
+    parse_frac,
+    parse_poly,
+    ring_automorphisms,
+)
+from chevtwist.witness import FAMILY_SP, WitnessConfig, explicit_conjugator, witness_so, witness_sp
 
 F3 = Fq(3, 1)
 F9 = Fq(3, 2)
@@ -333,6 +342,37 @@ def test_grp_elem_rejects_non_member():
         ctx.elem([[1, 0], [0, 2]])
 
 
+# a root element with parameter a, a member whenever a lies in the scalars
+ROOT_ENTRIES = {
+    "SL": lambda n, a: [(0, 1, a)],
+    "Sp": lambda n, a: [(0, 1, a), (n + 1, n, -a)],
+    "SOodd": lambda n, a: [(0, n + 1, -a), (1, n, a)],
+}
+
+
+@pytest.mark.parametrize("scalars", [F3, RingDesc(F3, ["t"])], ids=["F3", "F3[t]_(t)"])
+@pytest.mark.parametrize("kind", [GroupKind.sl(3), GroupKind.sp(2), GroupKind.so_odd(2)], ids=repr)
+def test_constructors_verify_membership(kind, scalars):
+    ctx = GroupCtx(kind, scalars)
+    n, one = kind.n, ctx.one
+    root = ROOT_ENTRIES[kind.family]
+    a = one if ctx.is_finite else ctx.scalar(RatFrac.t(F3))
+    member = unit_mat(ctx, root(n, a))
+    assert GrpElem(ctx, member).mat == ctx.elem(member).mat == member
+    bad = {"det": unit_mat(ctx, [(ctx.dim - 1, ctx.dim - 1, -(one + one))])}  # det -1
+    if kind.formed:
+        bad["form"] = unit_mat(ctx, root(n, a)[:1])  # det 1, half a root element
+    if not ctx.is_finite:
+        bad["entry"] = unit_mat(ctx, root(n, parse_frac(F3, "1 / t+1")))
+    assert len(bad) == 1 + kind.formed + (not ctx.is_finite)
+    for why, mat in bad.items():
+        assert not is_member(ctx, mat), why
+        with pytest.raises(NotInGroup):
+            GrpElem(ctx, mat)
+        with pytest.raises(NotInGroup):
+            ctx.elem(mat)
+
+
 def test_matrix_text_roundtrip():
     ctx = GroupCtx(GroupKind.sl(2), F9)
     g = ctx.elem([[F9.elem((1, 1)), F9.one], [F9.zero, F9.elem((1, 1)) ** (-1)]])
@@ -565,10 +605,25 @@ def _check_form_inverse(g):
     ctx = g.ctx
     inv = g.inverse()
     eliminated = g.mat.inverse()
-    assert inv == GrpElem(ctx, eliminated, check=False)
+    assert inv == GrpElem._of(ctx, eliminated)
     assert inv.mat == (canonical_rep(ctx, eliminated) if ctx.projective else eliminated)
     assert is_member(ctx, inv.mat)
     assert g * inv == ctx.identity() == inv * g
+
+
+def _check_closure(g, h, auts):
+    """Products, inverses, powers and automorphic images of members are
+    members: the matrices GrpElem._of takes without a check."""
+    ctx = g.ctx
+    for x in (g * h, h * g, g.inverse(), g ** 3, g ** -2, *(sigma(g) for sigma in auts)):
+        assert x.ctx == ctx and is_member(ctx, x.mat)
+
+
+def _finite_auts(ctx, inner):
+    auts = [GroupAut(ctx, ring=1), GroupAut(ctx, inner=inner, ring=1)]
+    if ctx.kind.family in ("SOeven", "PSOeven"):
+        auts.append(GroupAut(ctx, inner=inner, ring=1, graph="B"))
+    return auts
 
 
 @pytest.mark.parametrize("field", [F3, F9], ids=["F3", "F9"])
@@ -576,6 +631,7 @@ def _check_form_inverse(g):
 def test_form_inverse_matches_elimination(kind, field):
     ctx = GroupCtx(kind, field)
     gens = generators(ctx)
+    auts = _finite_auts(ctx, gens[-1])
 
     @settings(derandomize=True, max_examples=15, deadline=None)
     @given(st.lists(st.integers(0, len(gens) - 1), min_size=1, max_size=10))
@@ -584,6 +640,7 @@ def test_form_inverse_matches_elimination(kind, field):
         for i in word[1:]:
             g = g * gens[i]
         _check_form_inverse(g)
+        _check_closure(g, gens[word[-1]], auts)
 
     check()
 
@@ -599,3 +656,26 @@ def test_form_inverse_on_witnesses_over_localization():
     for g in witnesses:
         assert g.ctx.kind.formed and not g.ctx.is_finite
         _check_form_inverse(g)
+
+
+def test_members_closed_under_moebius_maps_over_localization():
+    # ring parts are the Moebius maps t -> +-t, +-1/t of F_3[t, 1/t]
+    ring = RingDesc(F3, ["t"])
+    t = RatFrac.t(F3)
+    pool = [witness_so(lam, "SOodd", 2, ring) for lam in (t, t.inverse(), t + 1)]
+    pool.append(explicit_conjugator(t, t, "SOodd", 2, ring))
+    ctx = pool[0].ctx
+    rhos = [rho for rho in ring_automorphisms(ring) if not rho.is_identity]
+    assert len(rhos) == 3
+    auts = [GroupAut(ctx, inner=h, ring=rho) for rho in rhos for h in (None, pool[-1])]
+
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=4),
+           st.integers(0, len(auts) - 1))
+    def check(word, k):
+        g = pool[word[0]]
+        for i in word[1:]:
+            g = g * pool[i]
+        _check_closure(g, pool[word[-1]], [auts[k]])
+
+    check()

@@ -307,18 +307,43 @@ def test_fixed_element_is_fixed_and_nonunit():
 def test_fixed_element_checks_fixity_on_the_generators(monkeypatch):
     R = RingDesc(F9, ["t"])
     auts, gens = polyring._aut_group(R)
-    plain, args = RingAut.__call__, []
+    plain, args = RingAut._image, []
 
-    def call(self, x):
+    def image(self, x):
         args.append(x)
         return plain(self, x)
 
-    monkeypatch.setattr(RingAut, "__call__", call)
+    monkeypatch.setattr(RingAut, "_image", image)
     s = fixed_element(P("t+1", F9), R)
     assert (len(auts), len(gens)) == (32, 4)
     # |X| images of the seed, then sigma(s) for sigma in Gamma only
     assert len(args) == len(auts) + len(gens)
     assert sum(x == s for x in args) == len(gens)
+
+
+def test_fixed_element_tests_the_membership_of_s_once(monkeypatch):
+    # the seed's unit test (degree 1), then s: its denominator t^16 once
+    # for membership, its numerator once for the unit test; the images of
+    # known members skip the membership test
+    plain, degrees = polyring.factorize, []
+
+    def factor(f):
+        degrees.append(f.degree())
+        return plain(f)
+
+    monkeypatch.setattr(polyring, "factorize", factor)
+    s = fixed_element(P("t+2", F9), RingDesc(F9, ["t"]))
+    assert (s.den.degree(), s.num.degree()) == (16, 32)
+    assert degrees == [1, 16, 32]
+
+
+def test_ring_aut_call_refuses_non_members():
+    R = RingDesc(F3, ["t"])
+    outside = parse_frac(F3, "1 / t+1")
+    for sigma in ring_automorphisms(R):
+        with pytest.raises(NotInRing):
+            sigma(outside)
+        assert sigma(outside.inverse()) == sigma._image(outside.inverse())
 
 
 def test_fixed_element_rejects_units():
