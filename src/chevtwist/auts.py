@@ -96,9 +96,7 @@ class GroupAut:
         if inner is not None:
             if inner.ctx != ctx:
                 raise IncompatibleKind("inner part from a different context")
-            one, zero = ctx.one, ctx.zero
-            if all(x == (one if i == j else zero)
-                   for i, row in enumerate(inner.mat.rows) for j, x in enumerate(row)):
+            if inner.mat == ctx.identity_mat():
                 inner = None
         self.ctx = ctx
         self.inner = inner
@@ -121,15 +119,17 @@ class GroupAut:
             return mat
         if self.graph == "tinv":
             return mat.inverse().transpose()
-        perm = b_swap(self.ctx.kind.n)
-        return Mat([[mat[i, j] for j in perm] for i in perm])
+        return mat._permuted(b_swap(self.ctx.kind.n))
 
     def _apply_ring(self, mat: Mat) -> Mat:
         """The ring part on a member's entries, which lie in R."""
         if self.ring is None:
             return mat
         if isinstance(self.ring, int):
-            return mat.map(lambda x: x.frobenius(self.ring))
+            frob = table = self.ctx.field._frob
+            for _ in range(self.ring - 1):
+                table = [frob[c] for c in table]
+            return mat._mapped(table)
         return mat.map(self.ring._image)
 
     def outer_apply(self, g: GrpElem) -> GrpElem:

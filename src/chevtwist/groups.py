@@ -159,7 +159,7 @@ def _scalar_one_zero(scalars):
 class GroupCtx:
     """A group kind together with its scalar domain and form matrix."""
 
-    __slots__ = ("kind", "scalars", "form", "_center_cache")
+    __slots__ = ("kind", "scalars", "form", "_center_cache", "_identity")
 
     def __init__(self, kind: GroupKind, scalars):
         field = scalars if isinstance(scalars, Fq) else scalars.field
@@ -168,7 +168,7 @@ class GroupCtx:
         self.kind = kind
         self.scalars = scalars
         self.form = form_matrix(kind, kind.n, scalars) if kind.formed else None
-        self._center_cache = None
+        self._center_cache = self._identity = None
         if self.form is not None:
             _check_form_invariants(self.form, kind)
 
@@ -203,7 +203,12 @@ class GroupCtx:
         return self.scalar(0)
 
     def identity_mat(self) -> Mat:
-        return Mat.identity(self.dim, self.one, self.zero)
+        """The identity, built and scanned once, so products with it read
+        its kept codes."""
+        if self._identity is None:
+            self._identity = Mat.identity(self.dim, self.one, self.zero)
+            self._identity._mode()
+        return self._identity
 
     def identity(self) -> "GrpElem":
         return GrpElem._of(self, self.identity_mat())
@@ -452,11 +457,11 @@ def generators(ctx: GroupCtx, params=None):
 
 
 def mat_to_codes(mat: Mat) -> np.ndarray:
-    return np.array([[x.code for x in row] for row in mat.rows], dtype=np.uint8)
+    return np.array(mat._mode()[1], dtype=np.uint8)
 
 
 def codes_to_mat(field: Fq, arr: np.ndarray) -> Mat:
-    return Mat([[field.from_code(int(c)) for c in row] for row in arr])
+    return Mat._coded(field, tuple(map(tuple, arr.tolist())))
 
 
 # Products go through float32 matmul, which BLAS runs far faster than

@@ -7,13 +7,21 @@ beyond "first nonzero" is needed.  Products and elimination skip the terms
 with a zero factor: the group witnesses are the identity plus a few
 entries, and zero is the additive identity of normalised scalars, so every
 value is the same as with the full sums.
-Both have two arithmetic modes, which _mode picks.  Over one field (every
-entry an FqElem of that field) they run on the integer codes through the
-field's table rows; over one field's fractions (every entry a RatFrac), on
-polynomial numerators, each row (and column of a right factor) cleared
-over the lcm of its denominators, and the elimination is fraction-free.
-Both box their results once, at the end.  Entries over two fields or of
-two scalar types raise MixedFields; any other entry raises TypeError.
+Both have two arithmetic modes, which Mat._mode reads off the entries
+(see _scan).  Over one field (every entry an FqElem of that field) they
+run on the integer codes through the field's table rows; over one field's
+fractions (every entry a RatFrac), on polynomial numerators, each row (and
+column of a right factor) cleared over the lcm of its denominators, and
+the elimination is fraction-free.  Results are boxed once, at the end.
+Entries over two fields or of two scalar types raise MixedFields; any
+other entry raises TypeError.
+A Mat over one field keeps its code rows beside its entries: the code
+product, transpose, the inverses and the code maps (_mapped, _permuted)
+fill them as they box, and the first scan of any other such Mat stores
+what it read, so a chain of products, determinants and inverses unboxes
+nothing.  An inverse over one field of size n <= 3 is the adjugate times
+det^-1, with no pivots; larger ones and fractions go through
+_gauss_jordan.
 Powers go through gf.power, the library's one binary-power routine:
 M^k makes floor(log2 k) squarings plus popcount(k) - 1 products, and the
 identity is built only for k = 0.
@@ -46,7 +54,7 @@ def one_like(x):
 
 
 class Mat:
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_codes")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -54,14 +62,46 @@ class Mat:
             raise SizeMismatch("matrix with no entries")
         if any(len(r) != len(rows[0]) for r in rows):
             raise SizeMismatch("ragged rows")
-        self.rows = rows
+        self.rows, self._codes = rows, None
 
     @classmethod
-    def _of(cls, rows):
-        """A Mat on rows that are already a rectangular tuple of tuples."""
+    def _of(cls, rows, codes=None):
+        """A Mat on rows that are already a rectangular tuple of tuples, and
+        on their code rows when they lie over one field and codes is given."""
         m = object.__new__(cls)
-        m.rows = rows
+        m.rows, m._codes = rows, codes
         return m
+
+    @classmethod
+    def _coded(cls, field, codes):
+        """The Mat over field with these code rows (a tuple of tuples)."""
+        box = field._elem
+        return cls._of(tuple([tuple([box[c] for c in row]) for row in codes]), codes)
+
+    def _mapped(self, table):
+        """The Mat over one field whose codes are table[c] for its codes c."""
+        field, codes = self._mode()
+        return Mat._coded(field, _map_codes(table, codes))
+
+    def _permuted(self, perm):
+        """Rows and columns alike reordered by perm: entry (i, j) is
+        self[perm[i], perm[j]].  Kept code rows are reordered with them."""
+
+        def permuted(rows):
+            return tuple([tuple([rows[i][j] for j in perm]) for i in perm])
+
+        codes = self._codes
+        return Mat._of(permuted(self.rows), None if codes is None else permuted(codes))
+
+    def _mode(self):
+        """(field, code rows) over one field, (field, None) over one field's
+        fractions; see _scan.  The code rows are kept, so a Mat over one
+        field is scanned at most once."""
+        codes = self._codes
+        if codes is not None:
+            return self.rows[0][0].field, codes
+        field, self._codes = _scan(self.rows)
+        return field, self._codes
 
     @property
     def nrows(self):
@@ -99,12 +139,12 @@ class Mat:
         if isinstance(other, Mat):
             if self.ncols != other.nrows:
                 raise SizeMismatch("inner dimensions differ")
-            field, a = _mode(self.rows)
-            other_field, b = _mode(other.rows)
+            field, a = self._mode()
+            other_field, b = other._mode()
             if other_field is not field or (a is None) is not (b is None):
                 raise MixedFields("factors over two fields or of two scalar types")
             if a is not None:
-                return Mat._of(_code_product(field, a, b))
+                return Mat._coded(field, _code_product(field, a, b))
             return Mat._of(_frac_product(field, self.rows, other.transpose().rows))
         # scalar on the right
         return Mat._of(tuple(tuple(x * other for x in row) for row in self.rows))
@@ -140,7 +180,8 @@ class Mat:
         return Mat.identity(self.nrows, one_like(x), zero_like(x))
 
     def transpose(self):
-        return Mat._of(tuple(zip(*self.rows)))
+        codes = self._codes
+        return Mat._of(tuple(zip(*self.rows)), None if codes is None else tuple(zip(*codes)))
 
     def trace(self):
         return _sum(self.rows[i][i] for i in range(self.nrows))
@@ -153,22 +194,33 @@ class Mat:
         if not self.is_square:
             raise SizeMismatch("determinant of a non-square matrix")
         n = self.nrows
-        pivots, product, swaps = _gauss_jordan([list(r) for r in self.rows], n)
+        field, codes = self._mode()
+        a = list(codes or self.rows)
+        pivots, product, swaps = _gauss_jordan(a, n, field, codes is not None)
         if len(pivots) < n:
             return zero_like(self.rows[0][0])
+        if codes is not None:
+            product = field._elem[product]
         return -product if swaps % 2 else product
 
     def inverse(self):
-        """The right half of [A | I] after reducing its left half to I."""
+        """Over one field and for n <= 3 the adjugate times det^-1; else the
+        right half of [A | I] after reducing its left half to I."""
         if not self.is_square:
             raise SizeMismatch("inverse of a non-square matrix")
         n = self.nrows
-        one = one_like(self.rows[0][0])
-        zero = zero_like(self.rows[0][0])
-        a = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(self.rows)]
-        if len(_gauss_jordan(a, n)[0]) < n:
+        field, codes = self._mode()
+        if codes is None:
+            rows, one, zero = self.rows, RatFrac.one(field), RatFrac.zero(field)
+        elif n <= 3:
+            return Mat._coded(field, _small_inverse(field, codes))
+        else:
+            rows, one, zero = codes, 1, 0
+        a = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(rows)]
+        if len(_gauss_jordan(a, n, field, codes is not None)[0]) < n:
             raise Singular("matrix is singular")
-        return Mat._of(tuple(tuple(row[n:]) for row in a))
+        inverse = tuple(tuple(row[n:]) for row in a)
+        return Mat._of(inverse) if codes is None else Mat._coded(field, inverse)
 
     def __eq__(self, other):
         return isinstance(other, Mat) and self.rows == other.rows
@@ -183,7 +235,7 @@ class Mat:
         return f"Mat({self})"
 
 
-def _mode(rows):
+def _scan(rows):
     """(field, code rows) when every entry is an FqElem of one field, and
     (field, None) when every entry is a RatFrac over one field.  Entries
     over two fields or of two scalar types raise MixedFields; any other
@@ -199,12 +251,14 @@ def _mode(rows):
                 if type(x) in (FqElem, RatFrac):
                     raise MixedFields("matrix entries over two fields or of two scalar types")
                 raise TypeError(f"unsupported scalar {x!r}")
-    return field, [[x.code for x in row] for row in rows] if kind is FqElem else None
+    if kind is not FqElem:
+        return field, None
+    return field, tuple([tuple([x.code for x in row]) for row in rows])
 
 
 def _code_product(field, a, b):
-    """Boxed rows of a b: row i sums b's rows times a's nonzero codes."""
-    add, mul, box = field._add, field._mul, field._elem
+    """Code rows of a b: row i sums b's rows times a's nonzero codes."""
+    add, mul = field._add, field._mul
     out = []
     for row in a:
         acc = [0] * len(b[0])
@@ -212,8 +266,43 @@ def _code_product(field, a, b):
             if x:
                 mx = mul[x]
                 acc = [add[s][mx[y]] for s, y in zip(acc, brow)]
-        out.append(tuple([box[s] for s in acc]))
+        out.append(tuple(acc))
     return tuple(out)
+
+
+def _small_inverse(field, a):
+    """Code rows of the inverse of the n x n code rows a, n <= 3: the
+    adjugate (transposed cofactors) times det^-1, det by the first row.
+    Raises Singular when det = 0."""
+    add, mul, neg = field._add, field._mul, field._neg
+
+    def minor(w, x, y, z):  # w z - x y
+        return add[mul[w][z]][neg[mul[x][y]]]
+
+    n = len(a)
+    if n == 1:
+        det, adj = a[0][0], ((1,),)
+    elif n == 2:
+        (w, x), (y, z) = a
+        det, adj = minor(w, x, y, z), ((z, neg[x]), (neg[y], w))
+    else:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a
+        adj = (
+            (minor(b1, b2, c1, c2), minor(a2, a1, c2, c1), minor(a1, a2, b1, b2)),
+            (minor(b2, b0, c2, c0), minor(a0, a2, c0, c2), minor(a2, a0, b2, b0)),
+            (minor(b0, b1, c0, c1), minor(a1, a0, c1, c0), minor(a0, a1, b0, b1)),
+        )
+        det = add[add[mul[a0][adj[0][0]]][mul[a1][adj[1][0]]]][mul[a2][adj[2][0]]]
+    if not det:
+        raise Singular("matrix is singular")
+    if det == 1:
+        return adj
+    return _map_codes(mul[field._inv[det]], adj)
+
+
+def _map_codes(table, codes):
+    """The code rows table[c] for the code rows c."""
+    return tuple([tuple([table[c] for c in row]) for row in codes])
 
 
 def _exact(num, den):
@@ -275,9 +364,10 @@ def parse_matrix(text: str, entry_parser) -> Mat:
     return Mat(rows)
 
 
-def _gauss_jordan(a, ncols):
-    """Reduce the rows a (lists of field scalars, changed in place) to
-    reduced row echelon form on their first ncols columns.
+def _gauss_jordan(a, ncols, field, coded):
+    """Reduce the rows a (a list, changed in place) to reduced row echelon
+    form on their first ncols columns: code rows over field when coded,
+    else rows of RatFrac over field.
 
     Column by column: the first row at or below the next pivot row with a
     nonzero entry is swapped up and cleared from every other row with a
@@ -285,13 +375,12 @@ def _gauss_jordan(a, ncols):
     the pivots' values before scaling when every row holds a pivot (else
     None), and the number of swaps.
 
-    The integer-code mode scales the pivot row to a leading 1; over one
-    field's fractions the rows are polynomials, see _fraction_free.
+    The integer-code mode scales the pivot row to a leading 1 and leaves
+    the rows and the product as codes; over one field's fractions the rows
+    are polynomials, see _fraction_free, and come back as RatFrac.
     """
     m = len(a)
-    field, coded = _mode(a)
-    if coded is not None:
-        a[:] = coded
+    if coded:
         add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
 
         def times(x, y):
@@ -327,12 +416,7 @@ def _gauss_jordan(a, ncols):
         pivots.append(col)
     if len(pivots) < m:
         product = None
-    if coded is not None:
-        box = field._elem
-        a[:] = [[box[x] for x in row] for row in a]
-        if product is not None:
-            product = box[product]
-    else:
+    if not coded:
         product = finish(product)
     return pivots, product, swaps
 
@@ -408,8 +492,11 @@ def nullspace(rows):
     n = len(rows[0])
     one = one_like(rows[0][0])
     zero = zero_like(rows[0][0])
-    a = [list(r) for r in rows]
-    pivots = _gauss_jordan(a, n)[0]
+    field, codes = _scan(rows)
+    a = list(codes or rows)
+    pivots = _gauss_jordan(a, n, field, codes is not None)[0]
+    if codes is not None:
+        a = [[field._elem[x] for x in row] for row in a]
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:

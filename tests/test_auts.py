@@ -16,11 +16,13 @@ from chevtwist.gf import Fq
 from chevtwist.groups import (
     GroupCtx,
     GroupKind,
+    GrpElem,
     enumerate_group,
     form_matrix,
     generators,
     is_member,
 )
+from chevtwist import matrices
 from chevtwist.matrices import Mat
 from chevtwist.polyring import Poly, RatFrac, RingAut, RingDesc, _aut_group, fixed_element, parse_poly
 from chevtwist.witness import FAMILY_SL, WitnessConfig, witness_sl
@@ -149,6 +151,31 @@ def test_inner_part_is_inverted_once_per_automorphism(monkeypatch):
     sigma = GroupAut(ctx, inner=x)
     assert [sigma(g) for g in elems] == want
     assert len(calls) == 1
+
+
+def test_inner_application_rescans_no_coded_factor(monkeypatch):
+    # x and g are products and x^-1 an adjugate, so all three carry their
+    # codes and x g x^-1 scans no factor, nor does the membership test of
+    # the image (its det); an uncoded copy of g is scanned once
+    rng = random.Random(11)
+    ctx = GroupCtx(GroupKind.sl(3), F3)
+    x, g = _random_elem(ctx, rng), _random_elem(ctx, rng)
+    assert x != ctx.identity() and g * x != x * g
+    want = x * g * x.inverse()
+    scans = []
+    plain_scan = matrices._scan
+
+    def scan(rows):
+        scans.append(rows)
+        return plain_scan(rows)
+
+    monkeypatch.setattr(matrices, "_scan", scan)
+    sigma = GroupAut(ctx, inner=x)
+    assert sigma(g) == want and sigma(sigma(g)) == x * want * x.inverse()
+    assert is_member(ctx, sigma(g).mat)
+    assert scans == []
+    uncoded = Mat(g.mat.rows)
+    assert sigma(GrpElem._of(ctx, uncoded)) == want and scans == [g.mat.rows]
 
 
 def test_conj_by_b_preserves_membership():

@@ -7,15 +7,19 @@ arithmetic with the scalars' own operators (the operator path), a guard
 checks that neither mode calls a scalar operator, and any other entries
 are refused."""
 
+import copy
 import itertools
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chevtwist.auts import GroupAut, b_swap
 from chevtwist.errors import CertificateMismatch, MixedFields, Singular, SizeMismatch
 from chevtwist.gf import Fq, FqElem
-from chevtwist.groups import GroupCtx, GroupKind, enumerate_group, generators
+from chevtwist.groups import GroupCtx, GroupKind, codes_to_mat, enumerate_group, generators
 from chevtwist.matrices import Mat, _exact, nullspace, one_like, zero_like
 from chevtwist.polyring import Poly, RatFrac, parse_poly
 
@@ -585,3 +589,110 @@ def test_matrix_sum_with_a_non_matrix_is_a_type_error():
         with pytest.raises(TypeError):
             other + a
     assert a + a == Mat([[Fq(3).elem(2)]]) and (a - a).rows[0][0] == Fq(3).zero
+
+
+# -- kept codes: a Mat over one field carries its code rows, filled by the
+# code paths and by the first scan, and the small inverse is the adjugate
+
+def _codes_of(m):
+    return tuple(tuple(x.code for x in row) for row in m.rows)
+
+
+def _coded(m):
+    """m carries codes, and they are the codes of its entries."""
+    return m._codes is not None and m._codes == _codes_of(m)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"F{f.q}")
+def test_kept_codes_are_the_codes_of_the_entries(field):
+    B = GroupAut(GroupCtx(GroupKind.so_even(3), field), graph="B")
+
+    @SETTINGS
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 4))
+        a = data.draw(_matrices(field, n, data.draw(st.integers(1, 4)), data.draw(st.booleans())))
+        assert a._codes is None
+        b = data.draw(_matrices(field, a.ncols, n, False))
+        product = a * b
+        # the first scan of each factor stored what it read
+        assert _coded(a) and _coded(b) and _coded(product)
+        sq = data.draw(_matrices(field, n, n, False))
+        for m in (product ** data.draw(st.integers(1, 5)), product.transpose(), a.transpose()):
+            assert _coded(m)
+        if sq.det():  # the adjugate up to n = 3, Gauss-Jordan from n = 4 on
+            assert _coded(sq) and _coded(sq.inverse())
+        arr = np.array(_codes_of(sq), dtype=np.uint8)
+        assert _coded(codes_to_mat(field, arr)) and codes_to_mat(field, arr) == sq
+        six = data.draw(_matrices(field, 6, 6, False))
+        k = data.draw(st.integers(1, 3))
+        frob = GroupAut(B.ctx, ring=k)
+        for m in (B._apply_graph(six * six), frob._apply_ring(six), frob._apply_ring(six * six)):
+            if m is not six:  # the Frobenius of F_p is the identity
+                assert _coded(m)
+        assert B._apply_graph(six) == Mat([[six[i, j] for j in b_swap(3)] for i in b_swap(3)])
+        assert B._apply_graph(Mat(six.rows))._codes is None
+        assert frob._apply_ring(six) == six.map(lambda x: x.frobenius(k))
+
+    check()
+
+
+def _gauss_jordan_inverse(a):
+    """The inverse by row reduction with the scalars' own operators; None
+    for a singular matrix."""
+    n = a.nrows
+    one, zero = one_like(a[0, 0]), zero_like(a[0, 0])
+    rows = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(a.rows)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if rows[i][col]), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        scale = one / rows[col][col]
+        rows[col] = [scale * x for x in rows[col]]
+        for i in range(n):
+            if i != col and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    return Mat([r[n:] for r in rows])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"F{f.q}")
+def test_small_inverse_matches_gauss_jordan(field):
+    sizes_and_sparsity = st.tuples(st.integers(1, 3), st.booleans())
+
+    @SETTINGS
+    @given(sizes_and_sparsity.flatmap(lambda ns: _matrices(field, ns[0], ns[0], ns[1])))
+    def check(a):
+        want = _gauss_jordan_inverse(a)
+        if want is None:
+            with pytest.raises(Singular):
+                a.inverse()
+        else:
+            assert a.inverse() == want and _coded(a.inverse())
+
+    check()
+
+
+def test_coded_matrix_survives_copy_and_pickle():
+    F9 = FIELDS[1]
+    w = F9.elem((0, 1))
+    a = Mat([[w, F9.one], [F9.elem(2), w * w]])
+    a = a * a
+    assert _coded(a)
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert b == a and _coded(b) and b.rows[0][0].field is F9
+        assert b * b == a * a and b.inverse() == a.inverse()
+
+
+def test_coded_factors_over_two_fields_are_refused():
+    F5 = Fq(5)
+    a3 = Mat([[F3.one, F3.one], [F3.zero, F3.one]])
+    a5 = Mat([[F5.one, F5.one], [F5.zero, F5.one]])
+    coded3, coded5 = a3 * a3, a5 * a5  # equal codes, two fields
+    assert coded3._codes == coded5._codes
+    for left, right in ((coded3, coded5), (coded5, coded3),
+                        (coded3, Mat(a5.rows)), (Mat(a5.rows), coded3)):
+        with pytest.raises(MixedFields):
+            left * right
+    assert coded3 != coded5
