@@ -126,10 +126,7 @@ class GroupAut:
         if self.ring is None:
             return mat
         if isinstance(self.ring, int):
-            frob = table = self.ctx.field._frob
-            for _ in range(self.ring - 1):
-                table = [frob[c] for c in table]
-            return mat._mapped(table)
+            return mat._mapped(self.ctx.field._frobs[self.ring])
         return mat.map(self.ring._image)
 
     def outer_apply(self, g: GrpElem) -> GrpElem:

@@ -17,10 +17,10 @@ import sys
 
 import click
 
-from .auts import GroupAut, parse_group_aut, render_group_aut
+from .auts import _GRAPH_FAMILIES, GroupAut, parse_group_aut, render_group_aut
 from .errors import CertificateMismatch, Unsupported
 from .gf import Fq, is_prime
-from .groups import ENUM_CAP, GroupCtx, GroupKind, generators
+from .groups import ENUM_CAP, FAMILIES, GroupCtx, GroupKind, generators
 from .polyring import RatFrac, RingDesc, fixed_element, parse_poly
 from .twist import BURNSIDE_CAP, reidemeister_count, report_to_csv
 from .witness import (
@@ -41,15 +41,7 @@ from .witness import (
 
 WITNESS_HEADER = ["family", "m_or_lambda", "r", "deg_t", "expected_deg_t", "leading_coeff", "verdict"]
 
-_GROUP_FAMILIES = {
-    "SL": GroupKind.sl,
-    "PSL": GroupKind.psl,
-    "Sp": GroupKind.sp,
-    "PSp": GroupKind.psp,
-    "SOodd": GroupKind.so_odd,
-    "SOeven": GroupKind.so_even,
-    "PSOeven": GroupKind.pso_even,
-}
+_GROUP_FAMILIES = {family: functools.partial(GroupKind, family) for family in FAMILIES}
 
 
 def _field_from_flags(p, e, q):
@@ -319,11 +311,7 @@ def aut_compose(group, n, q, seed, samples, out, fmt):
             g = g * rng.choice(gens)
         return g
 
-    graph_choices = [None]
-    if group in ("SL", "PSL"):
-        graph_choices.append("tinv")
-    elif group == "SOeven":
-        graph_choices.append("B")
+    graph_choices = [None] + [graph for graph, fams in _GRAPH_FAMILIES.items() if group in fams]
 
     def rand_aut():
         return GroupAut(

@@ -7,8 +7,10 @@ field construction, which keeps everything exact and fast at the desk
 scale this library targets (q <= 81 by default).  Per-element arithmetic
 (`FqElem`, `polyring.Poly`, and `matrices.Mat` products and elimination
 over one field) indexes nested lists of ints; the stack kernels
-of `groups` and `twist` index numpy arrays (`_mul_np`, `_frob_np`,
-`_digits`, `_mulmat`, `_rank`) with whole code arrays.
+of `groups` index numpy arrays (`_mul_np`, `_digits`, `_mulmat`,
+`_rank`) with whole code arrays.  The Frobenius powers are built once,
+as `_frobs[r]`, the table of x -> x^(p^r) for r = 0..e-1, and every ring
+part indexes that table.
 
 There is one `Fq` object per (p, e): the first call builds the tables and
 every later call returns that object, so field equality is identity
@@ -27,8 +29,9 @@ Niederreiter, Finite Fields, ch. 2), and a reducible m has a monic factor
 of degree at most e/2, itself a zero divisor; so the modulus is the first
 candidate under which no code of that degree times a nonzero code gives 0.
 Then `mul` is one product of the matrices with the digit array; `add`,
-`neg`, `inv`, `frob` (`power` on the code array) and `_rank` are
-whole-array expressions.  Codes are uint8, so q <= 255.
+`neg`, `inv`, the Frobenius x -> x^p (`power` on the code array), its
+powers and `_rank` are whole-array expressions.  Codes are uint8, so
+q <= 255.
 
 Text forms: elements render as `2*w^2+w+1` (w the class of t modulo the
 modulus).  `evaluate` reads the one scalar grammar every text input of the
@@ -216,12 +219,16 @@ class Fq:
         # row 0 of mul holds no 1, so inv[0] = 0
         neg, inv = (add == 0).argmax(axis=1), (mul == 1).argmax(axis=1)
         frob = power(np.arange(q, dtype=np.uint8), p, None, lambda x, y: mul[x, y])
+        frobs = [np.arange(q)]
+        for _ in range(e - 1):
+            frobs.append(frob[frobs[-1]])
         # nested lists serve per-element arithmetic (a list index is several
-        # times cheaper than a numpy scalar lookup); the _np copies serve the
+        # times cheaper than a numpy scalar lookup); _mul_np serves the
         # stack kernels that index with whole arrays
         self._add, self._mul = add.tolist(), mul.tolist()
-        self._neg, self._inv, self._frob = neg.tolist(), inv.tolist(), frob.tolist()
-        self._mul_np, self._frob_np = mul, frob
+        self._neg, self._inv = neg.tolist(), inv.tolist()
+        self._frobs = [table.tolist() for table in frobs]
+        self._mul_np = mul
         self._elem = [FqElem(self, c) for c in range(q)]  # the boxed element of each code
         self._coeffs = [tuple(row) for row in digits.tolist()]
         # matrix products over F_q run through the digits and the
@@ -371,10 +378,7 @@ class FqElem:
         """x -> x^(p^k); k = e gives the identity."""
         if k < 0:
             raise PreconditionFailed("frobenius power must be >= 0")
-        code = self.code
-        for _ in range(k % self.field.e):
-            code = self.field._frob[code]
-        return FqElem(self.field, code)
+        return FqElem(self.field, self.field._frobs[k % self.field.e][self.code])
 
     def __bool__(self):
         return self.code != 0

@@ -55,7 +55,8 @@ from .matrices import Mat, parse_matrix, nullspace
 from .polyring import RingDesc, parse_frac
 
 FAMILIES = ("SL", "PSL", "Sp", "PSp", "SOodd", "SOeven", "PSOeven")
-_PROJECTIVE = {"PSL", "PSp", "PSOeven"}
+# each projective family and the linear family whose cosets it represents
+_PROJECTIVE = {"PSL": "SL", "PSp": "Sp", "PSOeven": "SOeven"}
 _FORMED = {"Sp", "PSp", "SOodd", "SOeven", "PSOeven"}
 _MIN_RANK = {"SL": 2, "PSL": 2, "Sp": 2, "PSp": 2, "SOodd": 2, "SOeven": 3, "PSOeven": 3}
 
@@ -119,13 +120,11 @@ class GroupKind:
 
     def linear(self) -> "GroupKind":
         """The matrix group whose cosets a projective kind represents."""
-        drop = {"PSL": "SL", "PSp": "Sp", "PSOeven": "SOeven"}
-        if self.family in drop:
-            return GroupKind(drop[self.family], self.n)
-        return self
+        return GroupKind(_PROJECTIVE[self.family], self.n) if self.projective else self
 
     def projectivization(self) -> "GroupKind":
-        lift = {"SL": "PSL", "Sp": "PSp", "SOeven": "PSOeven", "SOodd": "SOodd"}
+        # SOodd has a trivial center, so it is its own quotient
+        lift = {lin: proj for proj, lin in _PROJECTIVE.items()} | {"SOodd": "SOodd"}
         if self.family not in lift:
             raise IncompatibleKind(f"{self.family} has no projective quotient here")
         return GroupKind(lift[self.family], self.n)
@@ -625,12 +624,6 @@ class FiniteGroup:
 
     def elements(self):
         return [self.elem(i) for i in range(self.order)]
-
-    def index_of(self, g) -> int:
-        if isinstance(g, GrpElem):
-            g = g.mat
-        arr = mat_to_codes(g) if isinstance(g, Mat) else g
-        return int(self.indices_of_stack(arr[None])[0])
 
     def indices_of_stack(self, stack: np.ndarray) -> np.ndarray:
         if self.ctx.projective:

@@ -16,12 +16,14 @@ the elimination is fraction-free.  Results are boxed once, at the end.
 Entries over two fields or of two scalar types raise MixedFields; any
 other entry raises TypeError.
 A Mat over one field keeps its code rows beside its entries: the code
-product, transpose, the inverses and the code maps (_mapped, _permuted)
-fill them as they box, and the first scan of any other such Mat stores
-what it read, so a chain of products, determinants and inverses unboxes
-nothing.  An inverse over one field of size n <= 3 is the adjugate times
-det^-1, with no pivots; larger ones and fractions go through
-_gauss_jordan.
+product, transpose, the inverses, the scalar product and the code maps
+(_mapped, _permuted) fill them as they box, and the first scan of any
+other such Mat stores what it read, so a chain of products, determinants
+and inverses unboxes nothing.  A Mat over fractions keeps False in the
+same slot, set by the fraction product and inverse or by its first scan,
+so it too is scanned at most once.  An inverse over one field of size
+n <= 3 is the adjugate times det^-1, with no pivots; larger ones and
+fractions go through _gauss_jordan.
 Powers go through gf.power, the library's one binary-power routine:
 M^k makes floor(log2 k) squarings plus popcount(k) - 1 products, and the
 identity is built only for k = 0.
@@ -67,7 +69,8 @@ class Mat:
     @classmethod
     def _of(cls, rows, codes=None):
         """A Mat on rows that are already a rectangular tuple of tuples, and
-        on their code rows when they lie over one field and codes is given."""
+        on their code rows when they lie over one field and codes is given
+        (False when they are fractions over one field)."""
         m = object.__new__(cls)
         m.rows, m._codes = rows, codes
         return m
@@ -91,17 +94,16 @@ class Mat:
             return tuple([tuple([rows[i][j] for j in perm]) for i in perm])
 
         codes = self._codes
-        return Mat._of(permuted(self.rows), None if codes is None else permuted(codes))
+        return Mat._of(permuted(self.rows), permuted(codes) if codes else codes)
 
     def _mode(self):
         """(field, code rows) over one field, (field, None) over one field's
-        fractions; see _scan.  The code rows are kept, so a Mat over one
-        field is scanned at most once."""
+        fractions; see _scan.  The slot keeps the code rows, or False over
+        fractions, so a Mat is scanned at most once."""
         codes = self._codes
-        if codes is not None:
-            return self.rows[0][0].field, codes
-        field, self._codes = _scan(self.rows)
-        return field, self._codes
+        if codes is None:
+            codes = self._codes = _scan(self.rows)[1] or False
+        return self.rows[0][0].field, codes or None
 
     @property
     def nrows(self):
@@ -145,8 +147,10 @@ class Mat:
                 raise MixedFields("factors over two fields or of two scalar types")
             if a is not None:
                 return Mat._coded(field, _code_product(field, a, b))
-            return Mat._of(_frac_product(field, self.rows, other.transpose().rows))
-        # scalar on the right
+            return Mat._of(_frac_product(field, self.rows, other.transpose().rows), False)
+        # scalar on the right; over one field, one row of the product table
+        if self._codes and type(other) is FqElem and other.field is self.rows[0][0].field:
+            return self._mapped(other.field._mul[other.code])
         return Mat._of(tuple(tuple(x * other for x in row) for row in self.rows))
 
     def __rmul__(self, other):
@@ -181,7 +185,7 @@ class Mat:
 
     def transpose(self):
         codes = self._codes
-        return Mat._of(tuple(zip(*self.rows)), None if codes is None else tuple(zip(*codes)))
+        return Mat._of(tuple(zip(*self.rows)), tuple(zip(*codes)) if codes else codes)
 
     def trace(self):
         return _sum(self.rows[i][i] for i in range(self.nrows))
@@ -220,7 +224,7 @@ class Mat:
         if len(_gauss_jordan(a, n, field, codes is not None)[0]) < n:
             raise Singular("matrix is singular")
         inverse = tuple(tuple(row[n:]) for row in a)
-        return Mat._of(inverse) if codes is None else Mat._coded(field, inverse)
+        return Mat._of(inverse, False) if codes is None else Mat._coded(field, inverse)
 
     def __eq__(self, other):
         return isinstance(other, Mat) and self.rows == other.rows

@@ -224,12 +224,6 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def evaluate(self, x: FqElem) -> FqElem:
-        acc = self.field.zero
-        for code in reversed(self._codes):
-            acc = acc * x + self.field.from_code(code)
-        return acc
-
     def __bool__(self):
         return bool(self._codes)
 
@@ -675,9 +669,8 @@ def _image_parts(f: Poly, frob: int, mobius):
     a, b, c, d = mobius
     num_lin = Poly(field, (b.code, a.code))
     den_lin = Poly(field, (d.code, c.code))
-    codes = f._codes
-    for _ in range(frob):
-        codes = [field._frob[x] for x in codes]
+    table = field._frobs[frob]
+    codes = [table[x] for x in f._codes]
     # Horner from the top coefficient; den_pow tracks (c t + d)^(deg - i)
     num, den_pow = Poly(field, codes[-1:]), Poly.one(field)
     for code in reversed(codes[:-1]):

@@ -10,7 +10,7 @@ method: for a finite group, R(sigma) is the number of ordinary conjugacy
 classes that sigma maps to themselves (the twisted Burnside-Frobenius
 theorem, Fel'shtyn-Hill with Brauer's permutation lemma).  The classes
 come from the same propagation under the plain conjugation action, and
-one index map of sigma tests each class representative.
+sigma is applied to each class representative.
 
 The orbit of a single element is searched breadth first on code stacks,
 without enumerating the group: each level applies every generator and
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auts import GroupAut, b_swap
+from .auts import GroupAut
 from .errors import (
     CapExceeded,
     CertificateMismatch,
@@ -98,29 +98,6 @@ class ReidemeisterResult:
     report: TwistedOrbitReport | None = dataclasses.field(default=None, repr=False)
 
 
-def _aut_index_images(G: FiniteGroup, sigma: GroupAut) -> np.ndarray:
-    """Index array of sigma over the enumerated group."""
-    ctx = G.ctx
-    field = ctx.field
-    if sigma.is_identity:
-        return np.arange(G.order, dtype=np.int64)
-    stack = G.codes
-    if sigma.graph == "tinv":
-        stack = stack[G.inverse_indices()].swapaxes(1, 2)
-    elif sigma.graph == "B":
-        perm = b_swap(ctx.kind.n)
-        stack = stack[:, perm][:, :, perm]
-    if sigma.ring is not None:
-        k = sigma.ring  # finite contexts carry a Frobenius power
-        for _ in range(k % field.e):
-            stack = field._frob_np[stack]
-    if sigma.inner is not None:
-        x = mat_to_codes(sigma.inner.mat)
-        xinv = mat_to_codes(sigma.inner.inverse().mat)
-        stack = mul_two_sided(field, x, stack, xinv)
-    return G.indices_of_stack(stack)
-
-
 def _twisted_generator_actions(G: FiniteGroup, sigma: GroupAut):
     """For each root element h with a basis parameter, the index map
     x -> h x sigma(h)^(-1)."""
@@ -173,7 +150,8 @@ def _burnside_count(G: FiniteGroup, sigma: GroupAut) -> int:
     """Number of conjugacy classes of G that sigma maps to themselves."""
     cls = _least_labels(G.order, _twisted_generator_actions(G, GroupAut.identity(G.ctx)))
     reps = np.flatnonzero(cls == np.arange(G.order))
-    return int((cls[_aut_index_images(G, sigma)[reps]] == reps).sum())
+    images = np.stack([mat_to_codes(sigma(G.elem(int(r))).mat) for r in reps])
+    return int((cls[G.indices_of_stack(images)] == reps).sum())
 
 
 def reidemeister_count(

@@ -169,13 +169,9 @@ def witness_so(lam, kind: str, n: int, scalars) -> GrpElem:
     Identity plus the antisymmetric block with entries -lambda at (1, n+2)
     and lambda at (2, n+1) in 1-based coordinates.
     """
-    if kind == "SOodd":
-        ctx = GroupCtx(GroupKind.so_odd(n), scalars)
-    elif kind == "SOeven":
-        ctx = GroupCtx(GroupKind.so_even(n), scalars)
-    else:
+    if kind not in ("SOodd", "SOeven"):
         raise IncompatibleKind(f"witness kind must be SOodd or SOeven, not {kind!r}")
-    return _x_lambda(ctx, lam)
+    return _x_lambda(GroupCtx(GroupKind(kind, n), scalars), lam)
 
 
 def _x_lambda(ctx: GroupCtx, lam) -> GrpElem:

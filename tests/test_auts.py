@@ -178,6 +178,29 @@ def test_inner_application_rescans_no_coded_factor(monkeypatch):
     assert sigma(GrpElem._of(ctx, uncoded)) == want and scans == [g.mat.rows]
 
 
+def test_projective_inner_application_rescans_nothing(monkeypatch):
+    # PSL_3(F_7) has three center scalars: a canonical representative is
+    # scaled through a row of the product table and keeps its codes, so
+    # repeated application scans no factor
+    rng = random.Random(12)
+    ctx = GroupCtx(GroupKind.psl(3), Fq(7))
+    x, g = _random_elem(ctx, rng), _random_elem(ctx, rng)
+    x50 = x ** 50
+    want = x50 * g * x50.inverse()
+    scans = []
+    plain_scan = matrices._scan
+
+    def scan(rows):
+        scans.append(rows)
+        return plain_scan(rows)
+
+    monkeypatch.setattr(matrices, "_scan", scan)
+    sigma = GroupAut(ctx, inner=x)
+    for _ in range(50):
+        g = sigma(g)
+    assert g == want and scans == []
+
+
 def test_conj_by_b_preserves_membership():
     rng = random.Random(7)
     ctx = GroupCtx(GroupKind.so_even(3), F3)

@@ -183,12 +183,12 @@ def test_field_equality_scan_sees_an_equality():
     assert _field_equalities(tree) == [1, 2]
 
 
-NUMPY_TABLES = {"_mul_np", "_frob_np"}
+NUMPY_TABLES = {"_mul_np"}
 
 
 def test_numpy_tables_are_read_only_by_the_stack_kernels():
-    # the numpy copies of the field tables serve array indexing in groups
-    # and twist; a scalar lookup there would box every entry it reads
+    # the numpy copy of the product table serves array indexing in groups;
+    # a scalar lookup elsewhere would box every entry it reads
     found = sorted({
         str(path.relative_to(SRC))
         for path in SRC.rglob("*.py")
@@ -196,7 +196,7 @@ def test_numpy_tables_are_read_only_by_the_stack_kernels():
         if isinstance(node, ast.Attribute) and node.attr in NUMPY_TABLES
         and isinstance(node.ctx, ast.Load)
     })
-    assert found == ["chevtwist/groups.py", "chevtwist/twist.py"], found
+    assert found == ["chevtwist/groups.py"], found
 
 
 def test_scalar_arithmetic_indexes_no_numpy_table():

@@ -437,8 +437,7 @@ def test_index_of_round_trips():
     for ctx in [GroupCtx(GroupKind.sl(2), F9), GroupCtx(GroupKind.psp(2), F3)]:
         G = enumerate_group(ctx)
         for i in random.Random(4).sample(range(G.order), 20):
-            assert G.index_of(G.elem(i)) == i
-            assert G.index_of(G.elem(i).mat) == i
+            assert G.indices_of_stack(mat_to_codes(G.elem(i).mat)[None]).tolist() == [i]
 
 
 def test_index_of_non_member_raises():
@@ -449,7 +448,7 @@ def test_index_of_non_member_raises():
     outside = Mat([[F3.elem(d if i == j else 0) for j in range(5)] for i, d in enumerate([2, 1, 2, 1, 1])])
     assert is_member(ctx, outside)
     with pytest.raises(NotInGroup):
-        G.index_of(outside)
+        G.indices_of_stack(mat_to_codes(outside)[None])
     stack = np.stack([G.codes[7], mat_to_codes(outside)])
     with pytest.raises(NotInGroup):
         G.indices_of_stack(stack)

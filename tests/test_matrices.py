@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from chevtwist.auts import GroupAut, b_swap
 from chevtwist.errors import CertificateMismatch, MixedFields, Singular, SizeMismatch
+from chevtwist import matrices
 from chevtwist.gf import Fq, FqElem
 from chevtwist.groups import GroupCtx, GroupKind, codes_to_mat, enumerate_group, generators
 from chevtwist.matrices import Mat, _exact, nullspace, one_like, zero_like
@@ -556,6 +557,26 @@ def test_one_field_fractions_make_no_scalar_operator_call(monkeypatch):
     assert len(nullspace([list(r) for r in b.transpose().rows])) == 1
 
 
+def test_fraction_matrix_is_scanned_once(monkeypatch):
+    # the first scan keeps the fraction mode in the code slot, and the
+    # fraction product, transpose and inverse carry it: x^8 (three
+    # squarings), its det and its inverse read the entries of x once
+    t = Poly.t(F3)
+    x = Mat([[RatFrac(t, t + 1), RatFrac(t + 2)], [RatFrac(Poly.one(F3), t), RatFrac(t * t)]])
+    scans = []
+    plain_scan = matrices._scan
+
+    def scan(rows):
+        scans.append(rows)
+        return plain_scan(rows)
+
+    monkeypatch.setattr(matrices, "_scan", scan)
+    x8 = x ** 8
+    assert scans == [x.rows]
+    assert x8.det() and x8.inverse() * x8 == x8 * x8.inverse()
+    assert scans == [x.rows]
+
+
 def test_mixed_fraction_fields_raise():
     F5 = FRAC_FIELDS[1]
     x3, x5 = RatFrac.t(F3), RatFrac(Poly.t(F5), Poly.t(F5) + 1)
@@ -620,6 +641,8 @@ def test_kept_codes_are_the_codes_of_the_entries(field):
         sq = data.draw(_matrices(field, n, n, False))
         for m in (product ** data.draw(st.integers(1, 5)), product.transpose(), a.transpose()):
             assert _coded(m)
+        lam = field.from_code(data.draw(st.integers(1, field.q - 1)))
+        assert _coded(product * lam) and product * lam == Mat(product.rows) * lam
         if sq.det():  # the adjugate up to n = 3, Gauss-Jordan from n = 4 on
             assert _coded(sq) and _coded(sq.inverse())
         arr = np.array(_codes_of(sq), dtype=np.uint8)

@@ -15,7 +15,14 @@ from chevtwist.errors import (
     Unsupported,
 )
 from chevtwist.gf import Fq
-from chevtwist.groups import GroupCtx, GroupKind, enumerate_group, expected_order, generators
+from chevtwist.groups import (
+    GroupCtx,
+    GroupKind,
+    enumerate_group,
+    expected_order,
+    generators,
+    mat_to_codes,
+)
 from chevtwist.twist import (
     are_twisted_conjugate,
     descend_aut,
@@ -366,10 +373,11 @@ def test_method_disagreement_raises(monkeypatch):
 
 def _cayley_fixed_point_count(G, sigma):
     """R(sigma) as the averaged fixed-point count: the pairs (g, x) with
-    g x sigma(g)^(-1) = x, read off the Cayley table, divided by |G|."""
+    g x sigma(g)^(-1) = x, read off the Cayley table, divided by |G|.
+    sigma's index map applies sigma to every element."""
     table = G.cayley(cap=2_000)
     inv = G.inverse_indices()
-    sig = twist._aut_index_images(G, sigma)
+    sig = G.indices_of_stack(np.stack([mat_to_codes(sigma(g).mat) for g in G.elements()]))
     idx = np.arange(G.order)
     total = sum(int((table[table[g], inv[sig[g]]] == idx).sum()) for g in range(G.order))
     count, rem = divmod(total, G.order)
@@ -424,6 +432,44 @@ def test_fixed_class_count_equals_cayley_count(kind, pe, aut, count):
     assert _cayley_fixed_point_count(G, sigma) == twist._burnside_count(G, sigma) == count
     res = reidemeister_count(G.ctx, sigma)
     assert (res.count, res.burnside_count, res.method) == (count, count, "orbit-partition+burnside")
+
+
+SMALL_GROUPS = list(dict.fromkeys((kind, pe) for kind, pe, _, _ in SMALL_COUNTS))
+
+
+@pytest.mark.parametrize("kind, pe", SMALL_GROUPS, ids=[f"{k!r}-F{p ** e}" for k, (p, e) in SMALL_GROUPS])
+def test_fixed_class_count_under_inner_parts(kind, pe):
+    # an inner part, alone and with the Frobenius (e > 1) or the transpose
+    # inverse (SL, PSL): both counts apply sigma itself
+    G, _ = _count_case(kind, pe, "id")
+    x = next(g for g in G.elements()[1:] if g * G.elem(1) != G.elem(1) * g)
+    parts = [{}]
+    if pe[1] > 1:
+        parts.append({"ring": 1})
+    if kind.family in ("SL", "PSL"):
+        parts.append({"graph": "tinv"})
+    for part in parts:
+        sigma = GroupAut(G.ctx, inner=x, **part)
+        assert twist._burnside_count(G, sigma) == _cayley_fixed_point_count(G, sigma)
+
+
+def test_burnside_applies_sigma_to_each_class_representative(monkeypatch):
+    # SL_2(F_9) has q + 4 = 13 classes; sigma, inner part included, is
+    # applied once to each class representative
+    G = enumerate_group(SL2_F9)
+    sigma = GroupAut(SL2_F9, inner=G.elem(5), ring=1)
+    applied = []
+    plain_call = GroupAut.__call__
+
+    def call(self, g):
+        if self is sigma:
+            applied.append(g)
+        return plain_call(self, g)
+
+    monkeypatch.setattr(GroupAut, "__call__", call)
+    count = twist._burnside_count(G, sigma)
+    assert len(set(applied)) == len(applied) == 13
+    assert count == twisted_orbits(SL2_F9, sigma).count
 
 
 # orbit-size multisets {size: multiplicity} of the ordinary conjugacy
