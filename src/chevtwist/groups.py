@@ -19,9 +19,13 @@ exact (over F_q each entry is first expanded to its multiplication
 matrix over F_p).  A matrix is
 keyed by its entries read as one base-q integer (int64; byte keys only
 where q^(n^2) does not fit), and an element is found by searching its key
-among the group's keys, sorted once.  The closure dedupes each
-generator's products against the sorted keys seen so far.  This keeps
-10^5..10^6 element groups within reach.
+among the group's keys, sorted once.  Only the root elements with a
+basis parameter are multiplied out: their closure records the index of
+every product against the sorted keys seen so far, which gives each of
+them a right-multiplication map on indices (the Schreier-tree method of
+permutation groups).  The order over every root element, and every later
+action on the group, is then index arithmetic.  This keeps 10^5..10^6
+element groups within reach.
 
 The root elements of SOodd and SOeven generate Omega_{2n+1}(q) and
 Omega^+_2n(q) (order_omega_odd, order_omega_plus), which is what they
@@ -32,6 +36,7 @@ SOeven and PSOeven cannot be enumerated under ENUM_CAP.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -524,14 +529,6 @@ def mul_pairwise(field: Fq, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return mat_mul(field, A, B)
 
 
-def mul_two_sided(field: Fq, left: np.ndarray, stack: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """left x right for each x of a (k,n,n) stack, as one product: read
-    row-major, vec(left x right) = vec(x) (left^T kron right)."""
-    k, n = stack.shape[0], stack.shape[-1]
-    kron = field._mul_np[left.T[:, None, :, None], right[None, :, None, :]]
-    return mat_mul(field, stack.reshape(k, n * n), kron.reshape(n * n, n * n)).reshape(stack.shape)
-
-
 def canonical_stack(ctx: GroupCtx, stack: np.ndarray) -> np.ndarray:
     lams = ctx._center_codes()
     if len(lams) <= 1 or not len(stack):
@@ -586,7 +583,9 @@ def merge_new(keys: np.ndarray, seen: np.ndarray):
     seen.
 
     Returns their ascending indices into keys, and seen with their keys
-    inserted, still sorted.
+    inserted, still sorted.  The orbit search of a single element needs
+    the dedupe: one frontier block meets every step at once, so a new
+    element can appear more than once.
     """
     pos = search_sorted(seen, keys)
     unseen = np.flatnonzero(seen[np.minimum(pos, len(seen) - 1)] != keys)
@@ -601,14 +600,21 @@ PRODUCT_BLOCK = 1 << 15
 
 
 class FiniteGroup:
-    """Fully enumerated finite matrix group, elements as uint8 code arrays.
+    """Fully enumerated finite matrix group, elements as uint8 code arrays
+    in the order enumerate_group finds them.
 
-    Lookup finds an element's key among the keys sorted once.
+    Lookup finds an element's key among the keys sorted once.  Products
+    with the basis root elements b_j = basis_generators(ctx)[j] are index
+    maps: right[j] is the int32 map i -> index of x_i b_j.  The tree of
+    the breadth-first search over the b_j, tree = (parent, step, levels),
+    reaches x_i as x_parent[i] b_step[i]; levels lists the elements depth
+    by depth, identity first.  No map of any other element is kept.
     """
 
-    def __init__(self, ctx: GroupCtx, codes: np.ndarray):
+    def __init__(self, ctx: GroupCtx, codes: np.ndarray, right, tree):
         self.ctx = ctx
         self.codes = codes
+        self.right, self.tree = right, tree
         keys = stack_keys(codes, ctx.field.q)
         self._by_key = np.argsort(keys)
         self._sorted_keys = keys[self._by_key]
@@ -638,6 +644,28 @@ class FiniteGroup:
             )
         return self._by_key[pos]
 
+    def left_maps(self) -> np.ndarray:
+        """The index maps i -> index of b_j x_i, one row per basis root
+        element, down the tree level by level: b_j x_i = (b_j x_parent) b_step."""
+        parent, step, levels = self.tree
+        out = np.empty_like(self.right)
+        out[:, 0] = self.right[:, 0]
+        for kids in levels[1:]:
+            out[:, kids] = self.right[step[kids], out[:, parent[kids]]]
+        return out
+
+    def right_mul(self, idx: np.ndarray, i: int) -> np.ndarray:
+        """The index of x_k x_i for each index k in idx: one basis map per
+        letter of x_i's tree word."""
+        parent, step, _ = self.tree
+        word = []
+        while i:
+            word.append(step[i])
+            i = parent[i]
+        for j in reversed(word):
+            idx = self.right[j][idx]
+        return idx
+
     def inverse_indices(self) -> np.ndarray:
         """Index of each element's inverse x^(|G|-1), by binary powering
         of the whole stack."""
@@ -665,6 +693,118 @@ class FiniteGroup:
         return self._cayley
 
 
+def basis_generators(ctx: GroupCtx):
+    """The root elements with a parameter in the F_p-basis 1, w, ..., w^(e-1)
+    of F_q: they generate the group, root subgroups being additive."""
+    field = ctx.field
+    return generators(ctx, [field.from_code(field.p ** k) for k in range(field.e)])
+
+
+def _basis_search(ctx: GroupCtx, cap: int):
+    """Breadth-first closure of the basis root elements, recording the
+    index of every product, new or seen before.
+
+    Returns the codes, the right-multiplication map of each basis element
+    as an int32 row, the tree (parent, step) and where each depth ends.
+    A level's products are made frontier-major, PRODUCT_BLOCK at a time,
+    and take new indices in the order of their keys.
+    """
+    field, n = ctx.field, ctx.dim
+    gens = np.concatenate([mat_to_codes(g.mat) for g in basis_generators(ctx)], axis=1)
+    b = gens.shape[1] // n
+    frontier = mat_to_codes(ctx.identity().mat)[None]
+    keys, index = stack_keys(frontier, field.q), np.zeros(1, np.int32)  # sorted keys, their indices
+    elems, maps, ends = [frontier], [], []
+    parent, step = [np.zeros(1, np.int32)], [np.zeros(1, np.int32)]
+    rows = max(1, PRODUCT_BLOCK // b)
+    while len(frontier):
+        ends.append(len(keys))
+        base = len(keys) - len(frontier)
+        level = []
+        for start in range(0, len(frontier), rows):
+            block = frontier[start:start + rows]
+            prods = mul_stack(field, block, gens).reshape(len(block), n, b, n)
+            prods = prods.swapaxes(1, 2).reshape(-1, n, n)
+            if ctx.projective:
+                prods = canonical_stack(ctx, prods)
+            prod_keys = stack_keys(prods, field.q)
+            pos = search_sorted(keys, prod_keys)
+            at = np.minimum(pos, len(keys) - 1)
+            new = keys[at] != prod_keys
+            idx = index[at]
+            uniq, first, inverse = np.unique(prod_keys[new], return_index=True, return_inverse=True)
+            idx[new] = len(keys) + inverse
+            first = np.flatnonzero(new)[first]
+            level.append(prods[first])
+            parent.append((base + start + first // b).astype(np.int32))
+            step.append((first % b).astype(np.int32))
+            index = np.insert(index, pos[first], np.arange(len(keys), len(keys) + len(uniq)))
+            keys = np.insert(keys, pos[first], uniq)
+            maps.append(idx)
+            if len(keys) > cap:
+                raise CapExceeded(f"group enumeration exceeded cap {cap}")
+        frontier = np.concatenate(level)
+        elems.append(frontier)
+    right = np.ascontiguousarray(np.concatenate(maps).reshape(-1, b).T)
+    return np.concatenate(elems), right, (np.concatenate(parent), np.concatenate(step)), ends
+
+
+def _digit_steps(field: Fq):
+    """(a, a - b_k, k) for each nonzero parameter a, as codes, in the order
+    of field.elements(): b_k = p^k is the basis element of a's lowest
+    nonzero base-p digit, so a - b_k comes earlier in that order."""
+    steps = []
+    for a in field.elements()[1:]:
+        k = next(k for k in range(field.e) if a.code // field.p ** k % field.p)
+        steps.append((a.code, a.code - field.p ** k, k))
+    return steps
+
+
+def _parameter_maps(field: Fq, right: np.ndarray, frontier: np.ndarray):
+    """The images of the frontier under right multiplication by x_r(a),
+    for each root r and nonzero parameter a in the order of generators():
+    x x_r(a) = (x x_r(a - b_k)) b_k, one gather from an earlier image.  An
+    image is dropped once no later parameter needs it."""
+    steps = _digit_steps(field)
+    uses = collections.Counter(parent for _, parent, _ in steps)
+    for root in range(len(right) // field.e):
+        images, pending = {0: frontier}, dict(uses)
+        for code, parent, k in steps:
+            images[code] = right[root * field.e + k][images[parent]]
+            yield images[code]
+            pending[parent] -= 1
+            if not pending[parent]:
+                del images[parent]
+            if code not in pending:
+                del images[code]
+
+
+def _generator_major_order(field: Fq, right: np.ndarray) -> np.ndarray:
+    """The breadth-first order over every root element x_r(a), on indices:
+    each level takes the generators in turn, and an image joins where it
+    first appears.  Right multiplication is injective, so one generator's
+    images need no dedupe among themselves.  Raises CertificateMismatch
+    unless the search reaches every element once."""
+    order = right.shape[1]
+    seen = np.zeros(order, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int32)
+    levels = [frontier]
+    while len(frontier):
+        level = []
+        for images in _parameter_maps(field, right, frontier):
+            fresh = images[~seen[images]]
+            seen[fresh] = True
+            level.append(fresh)
+        frontier = np.concatenate(level)
+        levels.append(frontier)
+    found = np.concatenate(levels)
+    if len(found) != order or not seen.all():
+        raise CertificateMismatch(
+            f"the index search over every root element found {len(found)} of {order} elements")
+    return found
+
+
 def _cached_per_group(build):
     """build behind an LRU cache keyed on (ctx, cap) however the cap is
     passed; keeps lru_cache's cache_clear, cache_info and __wrapped__."""
@@ -679,13 +819,20 @@ def enumerate_group(ctx: GroupCtx, cap: int = ENUM_CAP) -> FiniteGroup:
     """Breadth-first closure of the root generators; deterministic order.
 
     Refuses with CapExceeded before any product when expected_order
-    exceeds cap, and checks the enumerated order against it where exact.
+    exceeds cap, and during the search once it passes cap; checks the
+    enumerated order against expected_order where exact.
 
-    Each level multiplies the frontier on the right by every generator,
-    generator-major, and a product joins the group where it first appears.
-    The frontier meets a block of generators side by side, [g1 | g2 | ...],
-    in one product of at most PRODUCT_BLOCK matrices; each generator's
-    products are then deduped in turn against the sorted keys seen so far.
+    The order is that of the search over every root element x_r(a),
+    generator-major: each level multiplies the frontier on the right by
+    every generator in turn, and a product joins the group where it first
+    appears.  Only the b basis root elements are multiplied out: their
+    search records each product's index, giving their right maps, and the
+    full search then runs on indices, through x_r(a) = x_r(a - b_k) b_k.
+    Every x_r(a) is certified once: its composed map sends the identity
+    to its own index, which with the basis maps proves additivity for
+    every parameter.  The group keeps the b |G| int32 maps, 17 MB for
+    SL_2(F_81) (531,360 elements, b = 8), and the tree, three int32
+    arrays of length |G|.
     """
     if not ctx.is_finite:
         raise Unsupported("cannot enumerate over an infinite ring")
@@ -694,28 +841,18 @@ def enumerate_group(ctx: GroupCtx, cap: int = ENUM_CAP) -> FiniteGroup:
     if order > cap:
         raise CapExceeded(f"group enumeration exceeded cap {cap}: {ctx.kind!r} over "
                           f"F_{field.q} has order {'' if exact else 'at least '}{order}")
-    gens = np.concatenate([mat_to_codes(g.mat) for g in generators(ctx)], axis=1)
-    n = ctx.dim
-    frontier = mat_to_codes(ctx.identity().mat)[None]
-    levels = [frontier]
-    seen = stack_keys(frontier, field.q)
-    while frontier.shape[0]:
-        level = []
-        step = n * max(1, PRODUCT_BLOCK // len(frontier))
-        for i in range(0, gens.shape[1], step):
-            block = mul_stack(field, frontier, gens[:, i:i + step])
-            for prods in block.reshape(len(frontier), n, -1, n).transpose(2, 0, 1, 3):
-                if ctx.projective:
-                    prods = canonical_stack(ctx, prods)
-                first, seen = merge_new(stack_keys(prods, field.q), seen)
-                level.append(prods[first])
-                if len(seen) > cap:
-                    raise CapExceeded(f"group enumeration exceeded cap {cap}")
-        frontier = np.concatenate(level)
-        levels.append(frontier)
-    G = FiniteGroup(ctx, np.concatenate(levels))
-    if exact and G.order != order:
-        raise CertificateMismatch(f"enumerated {G.order} elements, the order formula gives {order}")
+    codes, right, (parent, step), ends = _basis_search(ctx, cap)
+    if exact and len(codes) != order:
+        raise CertificateMismatch(f"enumerated {len(codes)} elements, the order formula gives {order}")
+    found = _generator_major_order(field, right)
+    rank = np.empty_like(found)
+    rank[found] = np.arange(len(found), dtype=found.dtype)
+    right = rank[right[:, found]]
+    G = FiniteGroup(ctx, codes[found], right, (rank[parent[found]], step[found], np.split(rank, ends[:-1])))
+    gens = np.stack([mat_to_codes(g.mat) for g in generators(ctx)])
+    walked = np.concatenate(list(_parameter_maps(field, right, np.zeros(1, dtype=np.int32))))
+    if not np.array_equal(G.indices_of_stack(gens), walked):
+        raise CertificateMismatch("a root element's parameter walk does not reach its index")
     return G
 
 

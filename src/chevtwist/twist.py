@@ -2,15 +2,19 @@
 
 The action is g . x = g x sigma(g)^(-1).  The root elements with
 parameters in an F_p-basis of F_q generate the group, and each acts on the
-enumerated group as an index permutation, computed with stack products
-and one sorted-key lookup; orbits are the connected components of these
-permutations, found by propagating the least index along them and
-pointer jumping.  Up to a size cap the count is cross-checked by a second
-method: for a finite group, R(sigma) is the number of ordinary conjugacy
-classes that sigma maps to themselves (the twisted Burnside-Frobenius
-theorem, Fel'shtyn-Hill with Brauer's permutation lemma).  The classes
-come from the same propagation under the plain conjugation action, and
-sigma is applied to each class representative.
+enumerated group as an index permutation, built by index arithmetic on
+the maps the enumeration keeps, with no matrix product: the left map of h
+runs down the enumeration's tree, and is then followed by right
+multiplication by sigma(h)^(-1), one basis map per letter of its tree
+word; only the b elements sigma(h)^(-1) are looked up.  Orbits are the
+connected components of these permutations, found by propagating the
+least index along them and pointer jumping.  Up to a size cap the count
+is cross-checked by a second method: for a finite group, R(sigma) is the
+number of ordinary conjugacy classes that sigma maps to themselves (the
+twisted Burnside-Frobenius theorem, Fel'shtyn-Hill with Brauer's
+permutation lemma).  The classes come from the same propagation under the
+plain conjugation action (the twisted partition itself when sigma is the
+identity), and sigma is applied to each class representative.
 
 The orbit of a single element is searched breadth first on code stacks,
 without enumerating the group: each level applies every generator and
@@ -48,6 +52,7 @@ from .groups import (
     GroupCtx,
     GrpElem,
     PRODUCT_BLOCK,
+    basis_generators,
     canonical_stack,
     codes_to_mat,
     enumerate_group,
@@ -56,7 +61,6 @@ from .groups import (
     mat_mul,
     mat_to_codes,
     merge_new,
-    mul_two_sided,
     stack_keys,
 )
 
@@ -72,10 +76,14 @@ def twist_step(g: GrpElem, x: GrpElem, sigma: GroupAut) -> GrpElem:
 
 @dataclass
 class TwistedOrbitReport:
+    """The twisted orbits of a finite group; labels holds each element's
+    orbit as the orbit's least index."""
+
     aut: GroupAut
     orbit_representatives: list
     orbit_sizes: list
     group_order: int
+    labels: np.ndarray = dataclasses.field(repr=False, compare=False)
 
     @property
     def count(self) -> int:
@@ -100,15 +108,11 @@ class ReidemeisterResult:
 
 def _twisted_generator_actions(G: FiniteGroup, sigma: GroupAut):
     """For each root element h with a basis parameter, the index map
-    x -> h x sigma(h)^(-1)."""
-    field = G.ctx.field
-    basis = [field.from_code(field.p ** j) for j in range(field.e)]
-    actions = []
-    for h in generators(G.ctx, basis):
-        right = mat_to_codes(sigma(h).inverse().mat)
-        prods = mul_two_sided(field, mat_to_codes(h.mat), G.codes, right)
-        actions.append(G.indices_of_stack(prods))
-    return actions
+    x -> h x sigma(h)^(-1): G's left map of h, then right multiplication
+    by sigma(h)^(-1) along its tree word.  No matrix product is made."""
+    hs = basis_generators(G.ctx)
+    right = G.indices_of_stack(np.stack([mat_to_codes(sigma(h).inverse().mat) for h in hs]))
+    return [G.right_mul(left, int(y)) for left, y in zip(G.left_maps(), right)]
 
 
 def _least_labels(order: int, actions) -> np.ndarray:
@@ -143,12 +147,16 @@ def twisted_orbits(ctx: GroupCtx, sigma: GroupAut, cap: int = ENUM_CAP) -> Twist
         orbit_representatives=[G.elem(int(r)) for r in roots],
         orbit_sizes=sizes.tolist(),
         group_order=G.order,
+        labels=label,
     )
 
 
-def _burnside_count(G: FiniteGroup, sigma: GroupAut) -> int:
-    """Number of conjugacy classes of G that sigma maps to themselves."""
-    cls = _least_labels(G.order, _twisted_generator_actions(G, GroupAut.identity(G.ctx)))
+def _burnside_count(G: FiniteGroup, sigma: GroupAut, cls=None) -> int:
+    """Number of conjugacy classes of G that sigma maps to themselves;
+    cls, each element's class as its least index, is computed unless
+    given."""
+    if cls is None:
+        cls = _least_labels(G.order, _twisted_generator_actions(G, GroupAut.identity(G.ctx)))
     reps = np.flatnonzero(cls == np.arange(G.order))
     images = np.stack([mat_to_codes(sigma(G.elem(int(r))).mat) for r in reps])
     return int((cls[G.indices_of_stack(images)] == reps).sum())
@@ -166,14 +174,15 @@ def reidemeister_count(
     burnside_cap, also counts the conjugacy classes that sigma fixes, and
     raises CertificateMismatch unless the two methods agree.  For the
     identity automorphism both counts come from the same conjugation
-    partition.  The result carries the orbit report it counted.
+    partition, built once.  The result carries the orbit report it
+    counted.
     """
     report = twisted_orbits(ctx, sigma, cap)
     burnside = None
     method = "orbit-partition"
     if report.group_order <= burnside_cap:
         G = enumerate_group(ctx, cap)
-        burnside = _burnside_count(G, sigma)
+        burnside = _burnside_count(G, sigma, report.labels if sigma.is_identity else None)
         if burnside != report.count:
             raise CertificateMismatch(
                 f"method disagreement: partition {report.count}, burnside {burnside}"

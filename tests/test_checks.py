@@ -3,10 +3,17 @@ assert statement would vanish under python -O), every error type is raised
 somewhere and no builtin ValueError is, no call passes a `check=` switch,
 binary powering and row elimination are each written once, fields are
 compared by identity, scalar field arithmetic stays off the numpy tables,
-and the quadratic Cayley table serves the tests only."""
+and the quadratic Cayley table serves the tests only.  One guard runs the
+library: the twisted orbits of an enumerated group make no matrix product."""
 
 import ast
 import pathlib
+
+import pytest
+
+from chevtwist import groups, twist
+from chevtwist.auts import GroupAut
+from chevtwist.gf import Fq
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -212,3 +219,28 @@ def test_scalar_arithmetic_indexes_no_numpy_table():
             or (isinstance(node, ast.Attribute) and node.attr in NUMPY_TABLES)
         ]
     assert not found, found
+
+
+@pytest.mark.parametrize("kind, q, parts", [
+    (groups.GroupKind.sl(2), (3, 2), {"ring": 1}),
+    (groups.GroupKind.psl(3), (3, 1), {"graph": "tinv"}),
+    (groups.GroupKind.so_odd(2), (3, 1), {}),
+], ids=["SL2_F9", "PSL3_F3", "SOodd5_F3"])
+def test_twisted_orbits_of_a_cached_group_make_no_product(kind, q, parts, monkeypatch):
+    # the actions are index arithmetic on the maps the enumeration keeps
+    ctx = groups.GroupCtx(kind, Fq(*q))
+    G = groups.enumerate_group(ctx)
+    sigma = GroupAut(ctx, inner=G.elem(G.order // 2), **parts)
+    calls = []
+    product = groups.mat_mul
+
+    def counted(*args):
+        calls.append(args)
+        return product(*args)
+
+    for module in (groups, twist):
+        monkeypatch.setattr(module, "mat_mul", counted)
+    twist.twisted_orbits(ctx, sigma)
+    assert calls == []
+    groups.enumerate_group.__wrapped__(ctx)  # the counter sees an enumeration's products
+    assert calls

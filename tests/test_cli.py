@@ -50,6 +50,24 @@ def test_reidemeister_golden_and_counts():
     assert "count=4" in res4.output
 
 
+# outputs whose representatives are least indices, so they pin the
+# enumeration order: a ring twist on a projective group, a graph twist on a
+# rank-2 group, and the identity on a field of degree 2
+ORDER_PINS = [
+    ("reidemeister_psl2_f9_frob.csv", ("PSL", "2", "9", "ring=frob^1")),
+    ("reidemeister_sl3_f3_tinv.csv", ("SL", "3", "3", "graph=tinv")),
+    ("reidemeister_sl2_f25.csv", ("SL", "2", "25", "id")),
+]
+
+
+@pytest.mark.parametrize("name, args", ORDER_PINS, ids=[pin[0] for pin in ORDER_PINS])
+def test_reidemeister_order_pins(name, args):
+    family, n, q, aut = args
+    res = run_cli("reidemeister", "--group", family, "--n", n, "--q", q, "--aut", aut)
+    assert res.exit_code == 0, res.output
+    assert res.output == (GOLDEN / name).read_text()
+
+
 def test_reidemeister_expect_count_gate():
     ok = run_cli("reidemeister", "--group", "SL", "--n", "2", "--q", "3",
                  "--aut", "id", "--expect-count", "7")

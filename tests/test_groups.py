@@ -25,6 +25,7 @@ from chevtwist.groups import (
     GrpElem,
     GroupCtx,
     GroupKind,
+    basis_generators,
     canonical_rep,
     canonical_stack,
     center,
@@ -37,7 +38,6 @@ from chevtwist.groups import (
     mat_mul,
     mat_to_codes,
     merge_new,
-    mul_two_sided,
     order_omega_odd,
     order_omega_plus,
     order_sl,
@@ -399,9 +399,6 @@ def test_mat_mul_matches_mat_products(p, e):
             for prod, (a, b) in zip(got, pairs):
                 want = codes_to_mat(field, a) * codes_to_mat(field, b)
                 assert codes_to_mat(field, prod) == want
-        left, right = codes_to_mat(field, single), codes_to_mat(field, other[0])
-        for prod, x in zip(mul_two_sided(field, single, stack, other[0]), stack):
-            assert codes_to_mat(field, prod) == left * codes_to_mat(field, x) * right
 
 
 @pytest.mark.parametrize("p, n", [(79, 336), (79, 345), (83, 300), (251, 33), (251, 34), (251, 300)])
@@ -506,6 +503,70 @@ def test_enumeration_matches_whole_level_reference(ctx):
     assert codes.tobytes() == _reference_closure(ctx, generators(ctx)).tobytes()
 
 
+def _lookup_closure(G, gens):
+    """Breadth-first closure over gens, one generator at a time, on G's
+    indices: each product made with mat_mul and found with
+    indices_of_stack, and kept where it first appears."""
+    field = G.ctx.field
+    gens = [mat_to_codes(g.mat) for g in gens]
+    frontier = G.indices_of_stack(mat_to_codes(G.ctx.identity().mat)[None])
+    seen = np.zeros(G.order, dtype=bool)
+    seen[frontier] = True
+    levels = [frontier]
+    while len(frontier):
+        level = []
+        for g in gens:
+            found = G.indices_of_stack(mat_mul(field, G.codes[frontier], g))
+            found = found[~seen[found]]
+            found = found[np.sort(np.unique(found, return_index=True)[1])]
+            seen[found] = True
+            level.append(found)
+        frontier = np.concatenate(level)
+        levels.append(frontier)
+    return np.concatenate(levels)
+
+
+LOOKUP_CASES = [
+    GroupCtx(GroupKind.sl(2), F9),
+    GroupCtx(GroupKind.psl(2), F9),
+    GroupCtx(GroupKind.sl(3), F3),
+    GroupCtx(GroupKind.psl(3), F3),
+    GroupCtx(GroupKind.so_odd(2), F3),
+]
+
+
+@pytest.mark.parametrize("ctx", LOOKUP_CASES, ids=repr)
+def test_enumeration_order_is_the_all_parameter_search(ctx):
+    # the codes sit in the order of the search over every root element,
+    # redone here with products and lookups: index i is found i-th
+    G = enumerate_group(ctx)
+    assert (_lookup_closure(G, generators(ctx)) == np.arange(G.order)).all()
+
+
+@pytest.mark.parametrize("ctx", LOOKUP_CASES, ids=repr)
+def test_index_maps_match_products(ctx):
+    G = enumerate_group(ctx)
+    field = ctx.field
+    hs = [mat_to_codes(h.mat) for h in basis_generators(ctx)]
+    assert G.right.shape == (len(hs), G.order) and G.right.dtype == np.int32
+    for h, right, left in zip(hs, G.right, G.left_maps()):
+        assert (right == G.indices_of_stack(mat_mul(field, G.codes, h))).all()
+        assert (left == G.indices_of_stack(mat_mul(field, h, G.codes))).all()
+    # the tree: x_i = x_parent b_step, each parent one level up
+    parent, step, levels = G.tree
+    kids = np.arange(1, G.order)
+    prods = mat_mul(field, G.codes[parent[kids]], np.stack(hs)[step[kids]])
+    assert (G.indices_of_stack(prods) == kids).all()
+    depth = np.empty(G.order, dtype=int)
+    for d, level in enumerate(levels):
+        depth[level] = d
+    assert sorted(np.concatenate(levels).tolist()) == list(range(G.order))
+    assert (depth[parent[kids]] == depth[kids] - 1).all()
+    for i in np.random.default_rng(7).integers(0, G.order, 5):
+        want = G.indices_of_stack(mat_mul(field, G.codes, G.codes[i]))
+        assert (G.right_mul(np.arange(G.order), int(i)) == want).all()
+
+
 def _classical_order(kind, q):
     n = kind.n
     if kind.family == "SL":
@@ -570,7 +631,7 @@ def test_wide_matrices_keep_byte_keys():
     assert len(first) == len(distinct) - 1 and len(seen) == len(distinct)
     assert (np.argsort(seen, kind="stable") == np.arange(len(seen))).all()
     codes = stack[np.sort(np.unique(keys, return_index=True)[1])]
-    G = FiniteGroup(ctx, codes)
+    G = FiniteGroup(ctx, codes, None, None)  # a lookup table only: no index maps
     perm = np.random.default_rng(6).permutation(len(codes))
     assert (G.indices_of_stack(codes[perm]) == perm).all()
 

@@ -12,7 +12,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from chevtwist import cli, polyring, witness
+from chevtwist import cli, groups, polyring, witness
 from chevtwist.groups import GroupCtx, GroupKind
 from chevtwist.matrices import Mat
 from chevtwist.polyring import RingDesc
@@ -74,7 +74,42 @@ def _reflection_is_identity(monkeypatch):
         lambda n, scalars: GroupCtx(GroupKind.so_even(n), scalars).identity_mat())
 
 
+def _swap_basis_maps(monkeypatch):
+    # the maps of x_r(1) and x_r(w) trade places
+    search = groups._basis_search
+
+    def swapped(ctx, cap):
+        codes, right, tree, ends = search(ctx, cap)
+        return codes, right[[1, 0, *range(2, len(right))]], tree, ends
+
+    groups.enumerate_group.cache_clear()
+    monkeypatch.setattr(groups, "_basis_search", swapped)
+
+
+def _digit_walk_off_by_one(monkeypatch):
+    # x_r(a) reached through x_r(a - b_k) times the wrong basis element
+    digit_steps = groups._digit_steps
+
+    def shifted(field):
+        return [(a, parent, (k + 1) % field.e) for a, parent, k in digit_steps(field)]
+
+    groups.enumerate_group.cache_clear()
+    monkeypatch.setattr(groups, "_digit_steps", shifted)
+
+
+def _prime_field_parameters_only(monkeypatch):
+    # the search over x_r(1), x_r(2) alone reaches only SL_2(F_3)'s image
+    digit_steps = groups._digit_steps
+
+    def prime(field):
+        return [step for step in digit_steps(field) if step[0] < field.p]
+
+    groups.enumerate_group.cache_clear()
+    monkeypatch.setattr(groups, "_digit_steps", prime)
+
+
 WITNESS_SO = ("--denoms", "t", "--f", "t+1", "--r-max", "3", "--k-max", "2")
+CENSUS_PSL2_F9 = ("reidemeister", "--group", "PSL", "--n", "2", "--q", "9", "--aut", "ring=frob^1")
 CONJUGATOR = ("witness-check", "--group", "SOodd", "--n", "2", "--denoms", "t", "--f", "t+1",
               "--r-max", "1", "--k-max", "1")
 
@@ -103,6 +138,9 @@ CASES = [
      lambda row: ",conjugator," in row),
     ("d4 reflection", ("d4", "--p", "3", "--f", "t", "--k-max", "1"),
      _reflection_is_identity, lambda row: row.startswith("reflection_det_minus_one,")),
+    ("basis maps", CENSUS_PSL2_F9, _swap_basis_maps, None),
+    ("digit walk", CENSUS_PSL2_F9, _digit_walk_off_by_one, None),
+    ("index search reach", CENSUS_PSL2_F9, _prime_field_parameters_only, None),
 ]
 
 

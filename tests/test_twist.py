@@ -18,9 +18,11 @@ from chevtwist.gf import Fq
 from chevtwist.groups import (
     GroupCtx,
     GroupKind,
+    basis_generators,
     enumerate_group,
     expected_order,
     generators,
+    mat_mul,
     mat_to_codes,
 )
 from chevtwist.twist import (
@@ -550,3 +552,64 @@ def test_one_action_per_root_and_basis_parameter(ctx, sigma, count):
     assert len(actions) == count
     for perm in actions:
         assert sorted(perm.tolist()) == list(range(G.order))
+
+
+def _product_actions(G, sigma):
+    """x -> h x sigma(h)^(-1) for each basis root element h, as two stack
+    products and a lookup."""
+    field = G.ctx.field
+    actions = []
+    for h in basis_generators(G.ctx):
+        left = mat_mul(field, mat_to_codes(h.mat), G.codes)
+        prods = mat_mul(field, left, mat_to_codes(sigma(h).inverse().mat))
+        actions.append(G.indices_of_stack(prods))
+    return actions
+
+
+def _action_case(kind, field, aut):
+    ctx = GroupCtx(kind, field)
+    G = enumerate_group(ctx)
+    inner = G.elem(G.order // 3)  # far from the identity in the search
+    parts = {"inner": inner, "ring": 1, "graph": "tinv"}
+    return G, GroupAut(ctx, **{part: parts[part] for part in aut})
+
+
+@pytest.mark.parametrize("kind, field, aut", [
+    (GroupKind.sl(2), F9, ("ring",)),
+    (GroupKind.sl(2), F9, ("inner", "ring")),
+    (GroupKind.psl(2), F9, ("inner", "ring")),
+    (GroupKind.sl(3), F3, ("graph",)),
+    (GroupKind.sl(3), F3, ("inner", "graph")),
+    (GroupKind.psl(3), F3, ("inner", "graph")),
+    (GroupKind.sl(2), Fq(3, 3), ("ring",)),
+    (GroupKind.sp(2), F3, ("inner",)),
+    (GroupKind.psp(2), F3, ("inner",)),
+    (GroupKind.so_odd(2), F3, ("inner",)),
+    (GroupKind.so_odd(2), F3, ()),
+], ids=lambda v: "+".join(v) or "id" if isinstance(v, tuple) else repr(v))
+def test_index_actions_match_product_actions(kind, field, aut):
+    G, sigma = _action_case(kind, field, aut)
+    got = twist._twisted_generator_actions(G, sigma)
+    want = _product_actions(G, sigma)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a == b).all()
+
+
+def test_identity_count_partitions_once(monkeypatch):
+    # with sigma the identity, the Burnside pass reuses the conjugation
+    # partition: the actions are built once, for the twisted partition
+    calls = []
+    real = twist._twisted_generator_actions
+
+    def counted(G, sigma):
+        calls.append(sigma)
+        return real(G, sigma)
+
+    monkeypatch.setattr(twist, "_twisted_generator_actions", counted)
+    res = reidemeister_count(SL2_F3, GroupAut.identity(SL2_F3))
+    assert (res.count, res.burnside_count, res.method) == (7, 7, "orbit-partition+burnside")
+    assert len(calls) == 1
+    calls.clear()
+    reidemeister_count(SL2_F3, GroupAut(SL2_F3, graph="tinv"))
+    assert [sigma.is_identity for sigma in calls] == [False, True]
