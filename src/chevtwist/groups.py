@@ -18,14 +18,16 @@ every stack product as a matmul over F_p, in float32 wherever that is
 exact (over F_q each entry is first expanded to its multiplication
 matrix over F_p).  A matrix is
 keyed by its entries read as one base-q integer (int64; byte keys only
-where q^(n^2) does not fit), and an element is found by searching its key
-among the group's keys, sorted once.  Only the root elements with a
-basis parameter are multiplied out: their closure records the index of
-every product against the sorted keys seen so far, which gives each of
-them a right-multiplication map on indices (the Schreier-tree method of
-permutation groups).  The order over every root element, and every later
-action on the group, is then index arithmetic.  This keeps 10^5..10^6
-element groups within reach.
+where q^(n^2) does not fit).  One orbit algorithm, closure, does every
+search on code stacks: a breadth-first closure that finds each image by
+its key among the sorted keys seen so far and adds new elements in
+discovery order, along a tree.  Enumeration closes the identity under the
+root elements with a basis parameter and keeps the index of every image,
+a right-multiplication map on indices for each (the Schreier-tree method
+of permutation groups); its sorted keys are the group's lookup table.
+The order over every root element, and every later action on the group,
+is then index arithmetic.  This keeps 10^5..10^6 element groups within
+reach.
 
 The root elements of SOodd and SOeven generate Omega_{2n+1}(q) and
 Omega^+_2n(q) (order_omega_odd, order_omega_plus), which is what they
@@ -578,46 +580,82 @@ def search_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return pos
 
 
-def merge_new(keys: np.ndarray, seen: np.ndarray):
-    """The first occurrence of each key not in the sorted, nonempty array
-    seen.
-
-    Returns their ascending indices into keys, and seen with their keys
-    inserted, still sorted.  The orbit search of a single element needs
-    the dedupe: one frontier block meets every step at once, so a new
-    element can appear more than once.
-    """
-    pos = search_sorted(seen, keys)
-    unseen = np.flatnonzero(seen[np.minimum(pos, len(seen) - 1)] != keys)
-    # dedupe only the unseen keys, usually a small share
-    uniq, first = np.unique(keys[unseen], return_index=True)
-    first = unseen[first]
-    return np.sort(first), np.insert(seen, pos[first], uniq)
-
-
 # matrix products per block of a broadcast product, bounding its temporaries
 PRODUCT_BLOCK = 1 << 15
+
+
+def closure(ctx: GroupCtx, start: np.ndarray, act, width: int, cap: int, refusal: str,
+            maps: bool = False):
+    """Breadth-first closure of the code matrix start under act, which
+    gives the width images of each matrix of a frontier block (PRODUCT_BLOCK
+    images at a time), frontier-major, as one stack.  An image is found by
+    its key among the sorted keys seen so far; a new element joins where it
+    first occurs, as image step[i] of element parent[i].  Raises
+    CapExceeded(refusal) once a block grows the set past cap.
+
+    Returns the codes in discovery order, the tree (parent, step), where
+    each depth ends, and the sorted keys with each key's index; with maps,
+    also the index of every image, element-major, one array per block.
+    """
+    q = ctx.field.q
+    frontier = start[None]
+    keys, index = stack_keys(frontier, q), np.zeros(1, np.int32)
+    elems, ends, images = [frontier], [], []
+    parent, step = [np.zeros(1, np.int32)], [np.zeros(1, np.int32)]
+    rows = max(1, PRODUCT_BLOCK // width)
+    while len(frontier):
+        ends.append(len(keys))
+        base = len(keys) - len(frontier)
+        level = []
+        for at in range(0, len(frontier), rows):
+            prods = act(frontier[at:at + rows])
+            if ctx.projective:
+                prods = canonical_stack(ctx, prods)
+            prod_keys = stack_keys(prods, q)
+            pos = search_sorted(keys, prod_keys)
+            near = np.minimum(pos, len(keys) - 1)
+            unseen = np.flatnonzero(keys[near] != prod_keys)
+            # dedupe only the unseen keys, usually a small share
+            uniq, first, inverse = np.unique(prod_keys[unseen], return_index=True, return_inverse=True)
+            first = unseen[first]
+            new = np.empty(len(uniq), np.int32)  # indices in discovery order
+            new[np.argsort(first)] = np.arange(len(keys), len(keys) + len(uniq))
+            if maps:
+                idx = index[near]
+                idx[unseen] = new[inverse]
+                images.append(idx)
+            keys, index = np.insert(keys, pos[first], uniq), np.insert(index, pos[first], new)
+            first.sort()
+            level.append(prods[first])
+            parent.append((base + at + first // width).astype(np.int32))
+            step.append((first % width).astype(np.int32))
+            if len(uniq) and len(keys) > cap:
+                raise CapExceeded(refusal)
+        frontier = np.concatenate(level)
+        elems.append(frontier)
+    tree = np.concatenate(parent), np.concatenate(step)
+    return np.concatenate(elems), tree, ends, (keys, index), images
 
 
 class FiniteGroup:
     """Fully enumerated finite matrix group, elements as uint8 code arrays
     in the order enumerate_group finds them.
 
-    Lookup finds an element's key among the keys sorted once.  Products
-    with the basis root elements b_j = basis_generators(ctx)[j] are index
-    maps: right[j] is the int32 map i -> index of x_i b_j.  The tree of
-    the breadth-first search over the b_j, tree = (parent, step, levels),
-    reaches x_i as x_parent[i] b_step[i]; levels lists the elements depth
-    by depth, identity first.  No map of any other element is kept.
+    Lookup finds an element's key among the sorted keys, lookup =
+    (sorted keys, index of each), which the enumeration's closure already
+    holds.  Products with the basis root elements b_j, the x_r(p^k) root by
+    root, are index maps: right[j] is the int32 map i -> index of x_i b_j,
+    so b_j is element right[j, 0].  The tree of the breadth-first search
+    over the b_j, tree = (parent, step, levels), reaches x_i as
+    x_parent[i] b_step[i]; levels lists the elements depth by depth,
+    identity first.  No map of any other element is kept.
     """
 
-    def __init__(self, ctx: GroupCtx, codes: np.ndarray, right, tree):
+    def __init__(self, ctx: GroupCtx, codes: np.ndarray, right, tree, lookup):
         self.ctx = ctx
         self.codes = codes
         self.right, self.tree = right, tree
-        keys = stack_keys(codes, ctx.field.q)
-        self._by_key = np.argsort(keys)
-        self._sorted_keys = keys[self._by_key]
+        self._sorted_keys, self._by_key = lookup
         self._inv = None
         self._cayley = None
 
@@ -693,60 +731,24 @@ class FiniteGroup:
         return self._cayley
 
 
-def basis_generators(ctx: GroupCtx):
-    """The root elements with a parameter in the F_p-basis 1, w, ..., w^(e-1)
-    of F_q: they generate the group, root subgroups being additive."""
-    field = ctx.field
-    return generators(ctx, [field.from_code(field.p ** k) for k in range(field.e)])
-
-
-def _basis_search(ctx: GroupCtx, cap: int):
-    """Breadth-first closure of the basis root elements, recording the
-    index of every product, new or seen before.
-
-    Returns the codes, the right-multiplication map of each basis element
-    as an int32 row, the tree (parent, step) and where each depth ends.
-    A level's products are made frontier-major, PRODUCT_BLOCK at a time,
-    and take new indices in the order of their keys.
-    """
+def _basis_search(ctx: GroupCtx, basis: np.ndarray, cap: int):
+    """The closure of the identity under right multiplication by the
+    basis root elements, one mul_stack product per block; returns the
+    closure with each basis element's right map as an int32 row in place
+    of the images."""
     field, n = ctx.field, ctx.dim
-    gens = np.concatenate([mat_to_codes(g.mat) for g in basis_generators(ctx)], axis=1)
-    b = gens.shape[1] // n
-    frontier = mat_to_codes(ctx.identity().mat)[None]
-    keys, index = stack_keys(frontier, field.q), np.zeros(1, np.int32)  # sorted keys, their indices
-    elems, maps, ends = [frontier], [], []
-    parent, step = [np.zeros(1, np.int32)], [np.zeros(1, np.int32)]
-    rows = max(1, PRODUCT_BLOCK // b)
-    while len(frontier):
-        ends.append(len(keys))
-        base = len(keys) - len(frontier)
-        level = []
-        for start in range(0, len(frontier), rows):
-            block = frontier[start:start + rows]
-            prods = mul_stack(field, block, gens).reshape(len(block), n, b, n)
-            prods = prods.swapaxes(1, 2).reshape(-1, n, n)
-            if ctx.projective:
-                prods = canonical_stack(ctx, prods)
-            prod_keys = stack_keys(prods, field.q)
-            pos = search_sorted(keys, prod_keys)
-            at = np.minimum(pos, len(keys) - 1)
-            new = keys[at] != prod_keys
-            idx = index[at]
-            uniq, first, inverse = np.unique(prod_keys[new], return_index=True, return_inverse=True)
-            idx[new] = len(keys) + inverse
-            first = np.flatnonzero(new)[first]
-            level.append(prods[first])
-            parent.append((base + start + first // b).astype(np.int32))
-            step.append((first % b).astype(np.int32))
-            index = np.insert(index, pos[first], np.arange(len(keys), len(keys) + len(uniq)))
-            keys = np.insert(keys, pos[first], uniq)
-            maps.append(idx)
-            if len(keys) > cap:
-                raise CapExceeded(f"group enumeration exceeded cap {cap}")
-        frontier = np.concatenate(level)
-        elems.append(frontier)
-    right = np.ascontiguousarray(np.concatenate(maps).reshape(-1, b).T)
-    return np.concatenate(elems), right, (np.concatenate(parent), np.concatenate(step)), ends
+    b = len(basis)
+    wide = np.concatenate(basis, axis=1)
+
+    def act(block):
+        prods = mul_stack(field, block, wide).reshape(len(block), n, b, n)
+        return prods.swapaxes(1, 2).reshape(-1, n, n)
+
+    codes, tree, ends, lookup, images = closure(
+        ctx, mat_to_codes(ctx.identity().mat), act, b, cap,
+        f"group enumeration exceeded cap {cap}", maps=True)
+    right = np.ascontiguousarray(np.concatenate(images).reshape(-1, b).T)
+    return codes, right, tree, ends, lookup
 
 
 def _digit_steps(field: Fq):
@@ -825,14 +827,16 @@ def enumerate_group(ctx: GroupCtx, cap: int = ENUM_CAP) -> FiniteGroup:
     The order is that of the search over every root element x_r(a),
     generator-major: each level multiplies the frontier on the right by
     every generator in turn, and a product joins the group where it first
-    appears.  Only the b basis root elements are multiplied out: their
-    search records each product's index, giving their right maps, and the
-    full search then runs on indices, through x_r(a) = x_r(a - b_k) b_k.
-    Every x_r(a) is certified once: its composed map sends the identity
-    to its own index, which with the basis maps proves additivity for
-    every parameter.  The group keeps the b |G| int32 maps, 17 MB for
-    SL_2(F_81) (531,360 elements, b = 8), and the tree, three int32
-    arrays of length |G|.
+    appears.  The root elements are built once, by generators(ctx), and
+    only the b basis root elements x_r(p^k) among them are multiplied
+    out: their closure records each product's index, giving their right
+    maps and the sorted keys, and the full search then runs on indices,
+    through x_r(a) = x_r(a - b_k) b_k.  Every x_r(a) is certified once:
+    its composed map sends the identity to its own index, which with the
+    basis maps proves additivity for every parameter.  The group keeps
+    the b |G| int32 maps, 17 MB for SL_2(F_81) (531,360 elements, b = 8),
+    the tree, three int32 arrays of length |G|, and the sorted keys with
+    their int32 indices.
     """
     if not ctx.is_finite:
         raise Unsupported("cannot enumerate over an infinite ring")
@@ -841,15 +845,20 @@ def enumerate_group(ctx: GroupCtx, cap: int = ENUM_CAP) -> FiniteGroup:
     if order > cap:
         raise CapExceeded(f"group enumeration exceeded cap {cap}: {ctx.kind!r} over "
                           f"F_{field.q} has order {'' if exact else 'at least '}{order}")
-    codes, right, (parent, step), ends = _basis_search(ctx, cap)
+    gens = np.stack([mat_to_codes(g.mat) for g in generators(ctx)])
+    # x_r(p^k) sits where p^k does among the nonzero scalars of field.elements()
+    nonzero = [a.code for a in field.elements() if a]
+    at = [nonzero.index(field.p ** k) for k in range(field.e)]
+    basis = gens.reshape((-1, field.q - 1) + gens.shape[1:])[:, at].reshape((-1,) + gens.shape[1:])
+    codes, right, (parent, step), ends, (keys, index) = _basis_search(ctx, basis, cap)
     if exact and len(codes) != order:
         raise CertificateMismatch(f"enumerated {len(codes)} elements, the order formula gives {order}")
     found = _generator_major_order(field, right)
     rank = np.empty_like(found)
     rank[found] = np.arange(len(found), dtype=found.dtype)
     right = rank[right[:, found]]
-    G = FiniteGroup(ctx, codes[found], right, (rank[parent[found]], step[found], np.split(rank, ends[:-1])))
-    gens = np.stack([mat_to_codes(g.mat) for g in generators(ctx)])
+    tree = rank[parent[found]], step[found], np.split(rank, ends[:-1])
+    G = FiniteGroup(ctx, codes[found], right, tree, (keys, rank[index]))
     walked = np.concatenate(list(_parameter_maps(field, right, np.zeros(1, dtype=np.int32))))
     if not np.array_equal(G.indices_of_stack(gens), walked):
         raise CertificateMismatch("a root element's parameter walk does not reach its index")

@@ -16,12 +16,12 @@ permutation lemma).  The classes come from the same propagation under the
 plain conjugation action (the twisted partition itself when sigma is the
 identity), and sigma is applied to each class representative.
 
-The orbit of a single element is searched breadth first on code stacks,
-without enumerating the group: each level applies every generator and
-inverse to the frontier with broadcast products and keeps the first
-occurrence of each new element, found against the sorted keys seen so
-far, with a witness carried alongside.  The decision procedure verifies
-the witness it returns with the per-element action.
+The orbit of a single element is the enumeration's closure
+(groups.closure) under another action, without enumerating the group:
+each block of the frontier meets every generator and inverse in two
+broadcast products.  The witnesses follow the closure's tree, one product
+per depth.  The decision procedure finds y among the closure's sorted
+keys and verifies the witness it returns with the per-element action.
 
 The linear strategy decides plain conjugacy from the intertwiners
 x M = lam M y, for SL, PSL, Sp and PSp only: the orthogonal kinds work in
@@ -51,16 +51,13 @@ from .groups import (
     FiniteGroup,
     GroupCtx,
     GrpElem,
-    PRODUCT_BLOCK,
-    basis_generators,
-    canonical_stack,
+    closure,
     codes_to_mat,
     enumerate_group,
     generators,
     intertwiners,
     mat_mul,
     mat_to_codes,
-    merge_new,
     stack_keys,
 )
 
@@ -107,10 +104,10 @@ class ReidemeisterResult:
 
 
 def _twisted_generator_actions(G: FiniteGroup, sigma: GroupAut):
-    """For each root element h with a basis parameter, the index map
+    """For each basis root element h = b_j, the index map
     x -> h x sigma(h)^(-1): G's left map of h, then right multiplication
     by sigma(h)^(-1) along its tree word.  No matrix product is made."""
-    hs = basis_generators(G.ctx)
+    hs = [G.elem(int(i)) for i in G.right[:, 0]]  # b_j = x_0 b_j, x_0 = 1
     right = G.indices_of_stack(np.stack([mat_to_codes(sigma(h).inverse().mat) for h in hs]))
     return [G.right_mul(left, int(y)) for left, y in zip(G.left_maps(), right)]
 
@@ -240,14 +237,15 @@ def are_twisted_conjugate(
 
 
 def _orbit_stacks(x: GrpElem, sigma: GroupAut, cap: int):
-    """The twisted orbit of x as code stacks in discovery order: the keys
-    of its elements, the elements, and a witness for each.
+    """The twisted orbit of x as code stacks in discovery order: its
+    elements, a witness for each, and the sorted keys with their indices.
 
-    Level by level: the images of a block of the frontier under every step
-    come from one broadcast product, frontier-major, and a product joins
-    the orbit where it first appears.  Its witness is the step times its
-    parent's witness; in projective contexts that is any matrix of the
-    coset, canonicalised only when it becomes a GrpElem.
+    The closure of x under the steps h, the generators and their
+    inverses, each acting by one broadcast product h y sigma(h)^(-1).  The
+    witnesses follow the closure's tree, one product per depth: an
+    element's witness is its step times its parent's witness.  In
+    projective contexts that is any matrix of the coset, canonicalised
+    only when it becomes a GrpElem.
     """
     ctx = x.ctx
     if sigma.ctx != ctx:
@@ -259,33 +257,18 @@ def _orbit_stacks(x: GrpElem, sigma: GroupAut, cap: int):
     left = np.stack([mat_to_codes(h.mat) for h in steps])
     # sigma(h)^(-1) = sigma(h^(-1)): each step's inverse is the opposite step
     right = np.stack([mat_to_codes(sigma(h).mat) for h in inverses + gens])
-    rows = max(1, PRODUCT_BLOCK // len(steps))
-    frontier = mat_to_codes(x.mat)[None]
-    witness = mat_to_codes(ctx.identity().mat)[None]
-    elems, witnesses = [frontier], [witness]
-    seen = stack_keys(frontier, field.q)
-    found_keys = [seen]
-    while len(frontier):
-        level, level_witnesses = [], []
-        for start in range(0, len(frontier), rows):
-            block = frontier[start:start + rows, None]
-            prods = mat_mul(field, mat_mul(field, left[None], block), right[None])
-            prods = prods.reshape((-1,) + prods.shape[2:])
-            if ctx.projective:
-                prods = canonical_stack(ctx, prods)
-            keys = stack_keys(prods, field.q)
-            first, seen = merge_new(keys, seen)
-            if len(first) and len(seen) > cap:
-                raise CapExceeded("twisted orbit exceeded cap")
-            parent, step = np.divmod(first, len(steps))
-            found = mat_mul(field, left[step], witness[start + parent])
-            found_keys.append(keys[first])
-            level.append(prods[first])
-            level_witnesses.append(found)
-        frontier, witness = np.concatenate(level), np.concatenate(level_witnesses)
-        elems.append(frontier)
-        witnesses.append(witness)
-    return np.concatenate(found_keys), np.concatenate(elems), np.concatenate(witnesses)
+
+    def act(block):
+        prods = mat_mul(field, mat_mul(field, left[None], block[:, None]), right[None])
+        return prods.reshape((-1,) + prods.shape[2:])
+
+    elems, (parent, step), ends, lookup, _ = closure(
+        ctx, mat_to_codes(x.mat), act, len(steps), cap, "twisted orbit exceeded cap")
+    witnesses = np.empty_like(elems)
+    witnesses[0] = mat_to_codes(ctx.identity().mat)
+    for lo, hi in zip(ends, ends[1:]):
+        witnesses[lo:hi] = mat_mul(field, left[step[lo:hi]], witnesses[parent[lo:hi]])
+    return elems, witnesses, lookup
 
 
 def twisted_orbit_of(x: GrpElem, sigma: GroupAut, cap: int = ENUM_CAP) -> dict:
@@ -299,7 +282,7 @@ def twisted_orbit_of(x: GrpElem, sigma: GroupAut, cap: int = ENUM_CAP) -> dict:
     """
     ctx = x.ctx
     field = ctx.field
-    _, elems, witnesses = _orbit_stacks(x, sigma, cap)
+    elems, witnesses, _ = _orbit_stacks(x, sigma, cap)
     return {
         GrpElem._of(ctx, codes_to_mat(field, y)): GrpElem._of(ctx, codes_to_mat(field, g))
         for y, g in zip(elems, witnesses)
@@ -307,11 +290,12 @@ def twisted_orbit_of(x: GrpElem, sigma: GroupAut, cap: int = ENUM_CAP) -> dict:
 
 
 def _orbit_search(x: GrpElem, y: GrpElem, sigma: GroupAut, cap: int):
-    keys, _, witnesses = _orbit_stacks(x, sigma, cap)
-    hit = np.flatnonzero(keys == stack_keys(mat_to_codes(y.mat)[None], x.ctx.field.q))
-    if not len(hit):
+    _, witnesses, (keys, index) = _orbit_stacks(x, sigma, cap)
+    key = stack_keys(mat_to_codes(y.mat)[None], x.ctx.field.q)
+    pos = min(int(np.searchsorted(keys, key)[0]), len(keys) - 1)
+    if keys[pos] != key[0]:
         return False, None
-    g = GrpElem._of(x.ctx, codes_to_mat(x.ctx.field, witnesses[hit[0]]))
+    g = GrpElem._of(x.ctx, codes_to_mat(x.ctx.field, witnesses[index[pos]]))
     if twist_step(g, x, sigma) != y:
         raise CertificateMismatch("witness failed verification")
     return True, g

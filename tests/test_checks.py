@@ -1,10 +1,12 @@
 """Scans of the library source: correctness checks are explicit raises (an
 assert statement would vanish under python -O), every error type is raised
 somewhere and no builtin ValueError is, no call passes a `check=` switch,
-binary powering and row elimination are each written once, fields are
-compared by identity, scalar field arithmetic stays off the numpy tables,
-and the quadratic Cayley table serves the tests only.  One guard runs the
-library: the twisted orbits of an enumerated group make no matrix product."""
+binary powering, row elimination and the breadth-first closure on code
+stacks are each written once, fields are compared by identity, scalar
+field arithmetic stays off the numpy tables, and the quadratic Cayley
+table serves the tests only.  One guard runs the library: the twisted
+orbits of an enumerated group make no matrix product and build no
+generator."""
 
 import ast
 import pathlib
@@ -123,6 +125,35 @@ def test_library_has_one_binary_power_loop():
     assert found == [("chevtwist/gf.py", line) for line in _halvings(power)] and len(found) == 1, found
 
 
+def _sorted_inserts(tree):
+    """(function, line) of each np.insert call: inserting into sorted
+    keys marks the dedupe step of a breadth-first closure."""
+    return [
+        (fn.name, node.lineno)
+        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "insert" and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "np"
+    ]
+
+
+def test_library_has_one_closure():
+    # groups.closure is the one orbit algorithm on code stacks: the
+    # enumeration and the single-element twisted orbit both call it
+    found = sorted(
+        {(str(path.relative_to(SRC)), name)
+         for path in SRC.rglob("*.py")
+         for name, _ in _sorted_inserts(ast.parse(path.read_text(), str(path)))}
+    )
+    assert found == [("chevtwist/groups.py", "closure")], found
+
+
+def test_sorted_insert_scan_sees_an_insert():
+    tree = ast.parse("def f(a):\n    return np.insert(a, 0, 1)\ndef g(a):\n    a.insert(0, 1)\n")
+    assert [name for name, _ in _sorted_inserts(tree)] == ["f"]
+
+
 def _row_swaps(tree):
     """(function, line) of each `x[i], x[j] = x[j], x[i]` statement: a row
     swap marks the pivot step of an elimination."""
@@ -227,20 +258,25 @@ def test_scalar_arithmetic_indexes_no_numpy_table():
     (groups.GroupKind.so_odd(2), (3, 1), {}),
 ], ids=["SL2_F9", "PSL3_F3", "SOodd5_F3"])
 def test_twisted_orbits_of_a_cached_group_make_no_product(kind, q, parts, monkeypatch):
-    # the actions are index arithmetic on the maps the enumeration keeps
+    # the actions are index arithmetic on the maps the enumeration keeps,
+    # and the basis root elements are read off the group
     ctx = groups.GroupCtx(kind, Fq(*q))
     G = groups.enumerate_group(ctx)
     sigma = GroupAut(ctx, inner=G.elem(G.order // 2), **parts)
-    calls = []
-    product = groups.mat_mul
+    calls = {"mat_mul": [], "generators": []}
 
-    def counted(*args):
-        calls.append(args)
-        return product(*args)
+    def counted(name):
+        real = getattr(groups, name)
 
-    for module in (groups, twist):
-        monkeypatch.setattr(module, "mat_mul", counted)
+        def call(*args):
+            calls[name].append(args)
+            return real(*args)
+        return call
+
+    for name in calls:
+        for module in (groups, twist):
+            monkeypatch.setattr(module, name, counted(name))
     twist.twisted_orbits(ctx, sigma)
-    assert calls == []
-    groups.enumerate_group.__wrapped__(ctx)  # the counter sees an enumeration's products
-    assert calls
+    assert calls == {"mat_mul": [], "generators": []}
+    groups.enumerate_group.__wrapped__(ctx)  # the counters see an enumeration's work
+    assert calls["mat_mul"] and len(calls["generators"]) == 1

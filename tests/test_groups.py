@@ -25,10 +25,10 @@ from chevtwist.groups import (
     GrpElem,
     GroupCtx,
     GroupKind,
-    basis_generators,
     canonical_rep,
     canonical_stack,
     center,
+    closure,
     codes_to_mat,
     enumerate_group,
     expected_order,
@@ -37,7 +37,6 @@ from chevtwist.groups import (
     is_member,
     mat_mul,
     mat_to_codes,
-    merge_new,
     order_omega_odd,
     order_omega_plus,
     order_sl,
@@ -547,7 +546,8 @@ def test_enumeration_order_is_the_all_parameter_search(ctx):
 def test_index_maps_match_products(ctx):
     G = enumerate_group(ctx)
     field = ctx.field
-    hs = [mat_to_codes(h.mat) for h in basis_generators(ctx)]
+    basis = [field.from_code(field.p ** k) for k in range(field.e)]
+    hs = [mat_to_codes(h.mat) for h in generators(ctx, basis)]
     assert G.right.shape == (len(hs), G.order) and G.right.dtype == np.int32
     for h, right, left in zip(hs, G.right, G.left_maps()):
         assert (right == G.indices_of_stack(mat_mul(field, G.codes, h))).all()
@@ -626,22 +626,81 @@ def test_wide_matrices_keep_byte_keys():
     stack = np.concatenate([gens, mat_mul(F3, gens[:, None], gens[None]).reshape(-1, 7, 7)])
     keys = stack_keys(stack, 3)
     assert keys.dtype.kind == "V"
-    distinct = {m.tobytes() for m in stack}
-    first, seen = merge_new(keys, keys[:1])
-    assert len(first) == len(distinct) - 1 and len(seen) == len(distinct)
-    assert (np.argsort(seen, kind="stable") == np.arange(len(seen))).all()
     codes = stack[np.sort(np.unique(keys, return_index=True)[1])]
-    G = FiniteGroup(ctx, codes, None, None)  # a lookup table only: no index maps
+    code_keys = stack_keys(codes, 3)
+    by_key = np.argsort(code_keys)
+    # a lookup table only: no index maps, no tree
+    G = FiniteGroup(ctx, codes, None, None, (code_keys[by_key], by_key))
     perm = np.random.default_rng(6).permutation(len(codes))
     assert (G.indices_of_stack(codes[perm]) == perm).all()
 
 
-def test_merge_new_keeps_first_occurrences_in_order():
-    seen = np.array([2, 5, 9], dtype=np.int64)
-    keys = np.array([7, 5, 1, 7, 12, 1, 2, 3], dtype=np.int64)
-    first, merged = merge_new(keys, seen)
-    assert first.tolist() == [0, 2, 4, 7]
-    assert merged.tolist() == [1, 2, 3, 5, 7, 9, 12]
+def _frontier_major_closure(ctx, gens):
+    """Breadth-first closure of the identity, one product at a time: each
+    frontier element meets every generator in turn, and a product joins
+    where it first appears, found in a dict of byte keys."""
+    field = ctx.field
+    found = {mat_to_codes(ctx.identity().mat).tobytes(): 0}
+    codes, edges, images = [mat_to_codes(ctx.identity().mat)], [(0, 0)], []
+    frontier = [0]
+    while frontier:
+        level = []
+        for i in frontier:
+            for j, g in enumerate(gens):
+                prod = mat_mul(field, codes[i], g)
+                if ctx.projective:
+                    prod = canonical_stack(ctx, prod[None])[0]
+                key = prod.tobytes()
+                if key not in found:
+                    found[key] = len(codes)
+                    codes.append(prod)
+                    edges.append((i, j))
+                    level.append(found[key])
+                images.append(found[key])
+        frontier = level
+    return np.stack(codes), np.array(edges), np.array(images)
+
+
+@pytest.mark.parametrize("ctx", [GroupCtx(GroupKind.sl(2), F3), GroupCtx(GroupKind.psl(2), F9)],
+                         ids=repr)
+def test_closure_adds_elements_in_discovery_order(ctx, monkeypatch):
+    # small blocks, so a level spans several and new elements repeat
+    # across them
+    monkeypatch.setattr(groups, "PRODUCT_BLOCK", 8)
+    field = ctx.field
+    gens = np.stack([mat_to_codes(g.mat) for g in generators(ctx)])
+
+    def act(block):
+        return mat_mul(field, block[:, None], gens[None]).reshape(-1, 2, 2)
+
+    codes, (parent, step), ends, (keys, index), images = closure(
+        ctx, mat_to_codes(ctx.identity().mat), act, len(gens), ENUM_CAP, "cap", maps=True)
+    want, edges, want_images = _frontier_major_closure(ctx, gens)
+    assert codes.tobytes() == want.tobytes()
+    assert (parent == edges[:, 0]).all() and (step == edges[:, 1]).all()
+    assert (np.concatenate(images) == want_images).all()
+    assert ends[-1] == len(codes) and (np.diff(ends) > 0).all()
+    assert (np.diff(keys) > 0).all() and (keys == stack_keys(codes, field.q)[index]).all()
+    with pytest.raises(CapExceeded, match="^cap$"):
+        closure(ctx, codes[0], act, len(gens), len(codes) - 1, "cap")
+    assert len(closure(ctx, codes[0], act, len(gens), len(codes), "cap")[0]) == len(codes)
+
+
+def test_closure_keeps_byte_keys_and_first_images():
+    # one generator of SL_7(F_3), met twice by each element: the second
+    # image of a new element is a repeat within its block
+    ctx = GroupCtx(GroupKind.sl(7), F3)
+    g = mat_to_codes(generators(ctx)[0].mat)
+    codes, (parent, step), ends, (keys, index), images = closure(
+        ctx, mat_to_codes(ctx.identity().mat),
+        lambda block: mat_mul(F3, block, g).repeat(2, axis=0), 2, ENUM_CAP, "cap", maps=True)
+    assert keys.dtype.kind == "V"
+    assert [m.tobytes() for m in codes] == [mat_to_codes((generators(ctx)[0] ** k).mat).tobytes()
+                                           for k in range(3)]
+    assert parent.tolist() == [0, 0, 1] and step.tolist() == [0, 0, 0] and ends == [1, 2, 3]
+    assert np.concatenate(images).tolist() == [1, 1, 2, 2, 0, 0]
+    assert (np.argsort(keys, kind="stable") == np.arange(3)).all()
+    assert (keys == stack_keys(codes, 3)[index]).all()
 
 
 def test_form_invariant_failures_are_typed():

@@ -4,7 +4,9 @@ A row that prints "ok" is evidence only if a wrong input makes it print
 FAIL.  Each case runs one command twice: as shipped, where every row must
 pass, and with one targeted corruption monkeypatched into the library,
 where the rows of the corrupted kind (and only those) must print FAIL, or
-the command must stop with CertificateMismatch.
+the command must stop with CertificateMismatch.  The twisted decision,
+which no command prints, is corrupted through the library: a witness it
+returns is verified, so a wrong witness tree must stop it.
 """
 
 import sys
@@ -12,7 +14,10 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from chevtwist import cli, groups, polyring, witness
+from chevtwist import cli, groups, polyring, twist, witness
+from chevtwist.auts import GroupAut
+from chevtwist.errors import CertificateMismatch
+from chevtwist.gf import Fq
 from chevtwist.groups import GroupCtx, GroupKind
 from chevtwist.matrices import Mat
 from chevtwist.polyring import RingDesc
@@ -78,9 +83,9 @@ def _swap_basis_maps(monkeypatch):
     # the maps of x_r(1) and x_r(w) trade places
     search = groups._basis_search
 
-    def swapped(ctx, cap):
-        codes, right, tree, ends = search(ctx, cap)
-        return codes, right[[1, 0, *range(2, len(right))]], tree, ends
+    def swapped(ctx, basis, cap):
+        codes, right, tree, ends, lookup = search(ctx, basis, cap)
+        return codes, right[[1, 0, *range(2, len(right))]], tree, ends, lookup
 
     groups.enumerate_group.cache_clear()
     monkeypatch.setattr(groups, "_basis_search", swapped)
@@ -166,3 +171,22 @@ def test_corruption_is_caught(args, corrupt, failing, monkeypatch):
     failed = [row for row in _rows(res.output) if row.endswith(",FAIL")]
     assert failed, res.output
     assert all(failing(row) for row in failed), failed
+
+
+def test_witness_tree_corruption_is_caught(monkeypatch):
+    # each element's step shifted by one: its witness is then built from
+    # the wrong generator
+    ctx = GroupCtx(GroupKind.sl(2), Fq(3, 2))
+    frob = GroupAut(ctx, ring=1)
+    x = ctx.identity()
+    y = list(twist.twisted_orbit_of(x, frob))[-1]
+    assert twist.are_twisted_conjugate(x, y, frob)[0]
+    search = groups.closure
+
+    def shifted(ctx, start, act, width, cap, refusal, maps=False):
+        codes, (parent, step), ends, lookup, images = search(ctx, start, act, width, cap, refusal, maps)
+        return codes, (parent, (step + 1) % width), ends, lookup, images
+
+    monkeypatch.setattr(twist, "closure", shifted)
+    with pytest.raises(CertificateMismatch):
+        twist.are_twisted_conjugate(x, y, frob)

@@ -18,7 +18,6 @@ from chevtwist.gf import Fq
 from chevtwist.groups import (
     GroupCtx,
     GroupKind,
-    basis_generators,
     enumerate_group,
     expected_order,
     generators,
@@ -559,7 +558,7 @@ def _product_actions(G, sigma):
     products and a lookup."""
     field = G.ctx.field
     actions = []
-    for h in basis_generators(G.ctx):
+    for h in generators(G.ctx, [field.from_code(field.p ** k) for k in range(field.e)]):
         left = mat_mul(field, mat_to_codes(h.mat), G.codes)
         prods = mat_mul(field, left, mat_to_codes(sigma(h).inverse().mat))
         actions.append(G.indices_of_stack(prods))
