@@ -173,10 +173,11 @@ class GroupCtx:
             raise Unsupported("characteristic 2 is out of scope")
         self.kind = kind
         self.scalars = scalars
-        self.form = form_matrix(kind, kind.n, scalars) if kind.formed else None
+        self.form = None
+        if kind.formed:
+            form = field_form(kind, field)
+            self.form = form if scalars is field else form_matrix(kind, kind.n, scalars)
         self._center_cache = self._identity = None
-        if self.form is not None:
-            _check_form_invariants(self.form, kind)
 
     @property
     def field(self) -> Fq:
@@ -270,6 +271,17 @@ def _check_form_invariants(form: Mat, kind: GroupKind):
         raise CertificateMismatch("form not invertible")
 
 
+@functools.lru_cache(maxsize=None)
+def field_form(kind: GroupKind, field: Fq) -> Mat:
+    """The form of a formed kind over a field, checked once per (kind,
+    field).  Its entries are the constants 0 and +-1, so its symmetry and
+    determinant over the field are those of the same form over every ring
+    of fractions over that field."""
+    form = form_matrix(kind, kind.n, field)
+    _check_form_invariants(form, kind)
+    return form
+
+
 def is_member(ctx: GroupCtx, mat: Mat) -> bool:
     """det = 1, entries in the scalar ring, and form preservation."""
     if mat.nrows != ctx.dim or mat.ncols != ctx.dim:
@@ -305,8 +317,10 @@ class GrpElem:
 
     Membership is an invariant, verified once: the constructor raises
     NotInGroup unless is_member holds, for matrices from a caller and for
-    witnesses, whose membership is the certificate; _of trusts matrices
-    derived from members or already tested by is_member.
+    constructed witnesses, whose membership is the certificate; _of trusts
+    matrices derived from members, already tested by is_member, or
+    certified for a whole family at once (the orthogonal witnesses
+    x_lambda = I + lambda X, by identities on X).
 
     Projective contexts store the canonical coset representative, so
     equality and hashing are plain matrix comparisons.

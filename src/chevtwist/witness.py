@@ -20,6 +20,7 @@ exactly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .auts import GroupAut, aut_order_on, b_matrix
@@ -27,6 +28,7 @@ from .errors import (
     BadRank,
     CertificateMismatch,
     IncompatibleKind,
+    NotInGroup,
     NotUnit,
     PreconditionFailed,
     TrialityUnsupported,
@@ -34,8 +36,8 @@ from .errors import (
     Unsupported,
     ZeroLambda,
 )
-from .gf import FqElem
-from .groups import GroupCtx, GroupKind, GrpElem, unit_mat
+from .gf import Fq, FqElem
+from .groups import GroupCtx, GroupKind, GrpElem, field_form, unit_mat
 from .matrices import Mat
 from .polyring import RatFrac, RingDesc
 
@@ -174,13 +176,43 @@ def witness_so(lam, kind: str, n: int, scalars) -> GrpElem:
     return _x_lambda(GroupCtx(GroupKind(kind, n), scalars), lam)
 
 
+def _direction_entries(n: int):
+    """The nonzero entries (i, j, c) of the direction X of x_lambda."""
+    return [(0, n + 1, -1), (1, n, 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _direction(kind: GroupKind, field: Fq):
+    """The entries of X, checked once per (kind, field): X^T J + J X = 0
+    and X^2 = 0 over the field, so X^T J X = -J X^2 = 0 too.  The entries
+    of X and of J are constants, so these hold over every ring R of
+    fractions over the field, and then x_lambda = I + lambda X has
+    determinant 1 (X is nilpotent) and preserves the form,
+    (I + lambda X)^T J (I + lambda X) = J + lambda (X^T J + J X) + lambda^2 X^T J X,
+    for every lambda in R at once: the root element exp(lambda X)."""
+    J = field_form(kind, field)
+    zero = Mat([[field.zero] * kind.dim] * kind.dim)
+    rows = [list(r) for r in zero.rows]
+    for i, j, c in _direction_entries(kind.n):
+        rows[i][j] += field.elem(c)
+    X = Mat(rows)
+    if X.transpose() * J + J * X != zero:
+        raise CertificateMismatch("witness direction does not preserve the form")
+    if X * X != zero:
+        raise CertificateMismatch("witness direction does not square to zero")
+    return tuple((i, j, c) for i, row in enumerate(X.rows) for j, c in enumerate(row) if c)
+
+
 def _x_lambda(ctx: GroupCtx, lam) -> GrpElem:
-    """The witness x_lambda of `witness_so` in an orthogonal context."""
+    """The witness x_lambda of `witness_so` in an orthogonal context: a
+    member for every nonzero lambda in the scalars, by `_direction`."""
     lam = ctx.scalar(lam)
     if not lam:
         raise ZeroLambda("witness parameter must be nonzero")
-    n = ctx.kind.n
-    return GrpElem(ctx, unit_mat(ctx, [(0, n + 1, -lam), (1, n, lam)]))
+    if not ctx.is_finite and not ctx.scalars.contains(lam):
+        raise NotInGroup(f"witness parameter {lam} is not in {ctx.scalars}")
+    entries = [(i, j, lam * c) for i, j, c in _direction(ctx.kind, ctx.field)]
+    return GrpElem._of(ctx, unit_mat(ctx, entries))
 
 
 def power_identity_check(lam, r: int, kind: str, n: int, scalars) -> bool:

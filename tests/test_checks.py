@@ -4,18 +4,21 @@ somewhere and no builtin ValueError is, no call passes a `check=` switch,
 binary powering, row elimination and the breadth-first closure on code
 stacks are each written once, fields are compared by identity, scalar
 field arithmetic stays off the numpy tables, and the quadratic Cayley
-table serves the tests only.  One guard runs the library: the twisted
+table serves the tests only.  Two guards run the library: the twisted
 orbits of an enumerated group make no matrix product and build no
-generator."""
+generator, and the orthogonal witnesses over a localization are built
+with no membership test and no determinant."""
 
 import ast
 import pathlib
 
 import pytest
 
-from chevtwist import groups, twist
+from chevtwist import groups, twist, witness
 from chevtwist.auts import GroupAut
 from chevtwist.gf import Fq
+from chevtwist.matrices import Mat
+from chevtwist.polyring import RatFrac, RingDesc
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -280,3 +283,34 @@ def test_twisted_orbits_of_a_cached_group_make_no_product(kind, q, parts, monkey
     assert calls == {"mat_mul": [], "generators": []}
     groups.enumerate_group.__wrapped__(ctx)  # the counters see an enumeration's work
     assert calls["mat_mul"] and len(calls["generators"]) == 1
+
+
+@pytest.mark.parametrize("kind, n", [("SOodd", 2), ("SOeven", 3)])
+def test_orthogonal_witnesses_test_no_membership_and_take_no_determinant(kind, n, monkeypatch):
+    # x_lambda = I + lambda X is a member for every lambda in R by the
+    # identities on X, checked once per kind and field; a call tests only
+    # that lambda lies in R
+    F3 = Fq(3)
+    ring = RingDesc(F3, ["t"])
+    t = RatFrac.t(F3)
+    lam = (t + 1) ** 2 / t
+    g = witness.explicit_conjugator(lam, t, kind, n, ring)  # the first call checks X and J
+    calls = {"is_member": 0, "det": 0}
+    is_member, det = groups.is_member, Mat.det
+
+    def counted_is_member(ctx, mat):
+        calls["is_member"] += 1
+        return is_member(ctx, mat)
+
+    def counted_det(self):
+        calls["det"] += 1
+        return det(self)
+
+    monkeypatch.setattr(groups, "is_member", counted_is_member)
+    monkeypatch.setattr(Mat, "det", counted_det)
+    x = witness.witness_so(lam, kind, n, ring)
+    assert witness.power_identity_check(lam, 3, kind, n, ring)
+    assert witness.block_constraint_check(g, t * t * lam, lam)
+    assert not witness.block_constraint_check(g, lam, lam)
+    assert calls == {"is_member": 0, "det": 0}
+    assert is_member(x.ctx, x.mat)

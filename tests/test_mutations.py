@@ -4,11 +4,13 @@ A row that prints "ok" is evidence only if a wrong input makes it print
 FAIL.  Each case runs one command twice: as shipped, where every row must
 pass, and with one targeted corruption monkeypatched into the library,
 where the rows of the corrupted kind (and only those) must print FAIL, or
-the command must stop with CertificateMismatch.  The twisted decision,
+the command must stop with CertificateMismatch (with a given message,
+where another check could stop it first).  The twisted decision,
 which no command prints, is corrupted through the library: a witness it
 returns is verified, so a wrong witness tree must stop it.
 """
 
+import functools
 import sys
 
 import pytest
@@ -57,6 +59,25 @@ def _power_witness_doubled(monkeypatch):
         return so(lam, kind, n, scalars)
 
     monkeypatch.setattr(witness, "witness_so", doubled)
+
+
+def _corrupt_direction(monkeypatch, corrupted):
+    # x_lambda is built from the entries of X that passed the check, so a
+    # corrupted X must fail it; the fresh cache drops with the patch
+    entries = witness._direction_entries
+    monkeypatch.setattr(witness, "_direction_entries", lambda n: corrupted(n, entries(n)))
+    monkeypatch.setattr(witness, "_direction", functools.lru_cache(witness._direction.__wrapped__))
+
+
+def _direction_off_the_form(monkeypatch):
+    # both entries +1: X^2 = 0 still, but J X is symmetric, not antisymmetric
+    _corrupt_direction(monkeypatch, lambda n, xs: [(i, j, abs(c)) for i, j, c in xs])
+
+
+def _direction_not_square_zero(monkeypatch):
+    # X plus the torus element E_00 - E_nn: J X stays antisymmetric, but
+    # X^2 != 0, and so X^T J X = -J X^2 != 0
+    _corrupt_direction(monkeypatch, lambda n, xs: xs + [(0, 0, 1), (n, n, -1)])
 
 
 def _obstruction_ratio_a_unit(monkeypatch):
@@ -118,7 +139,9 @@ CENSUS_PSL2_F9 = ("reidemeister", "--group", "PSL", "--n", "2", "--q", "9", "--a
 CONJUGATOR = ("witness-check", "--group", "SOodd", "--n", "2", "--denoms", "t", "--f", "t+1",
               "--r-max", "1", "--k-max", "1")
 
-# (id, command, corruption, predicate on the CSV rows that must fail);
+# (id, command, corruption, predicate on the CSV rows that must fail, or
+# the text of the CertificateMismatch that must stop the command, or None
+# for any CertificateMismatch);
 # the conjugator scale c is squared, which the row sees when c^2 != 1: the
 # constant 2 over F_5, w over F_9, and over F_3, whose constant units are
 # +-1, the inverted t
@@ -133,6 +156,14 @@ CASES = [
      _power_witness_doubled, lambda row: row.startswith("B_xlambda,s,")),
     ("SOeven powers", ("witness-check", "--group", "SOeven", "--n", "3", "--p", "3") + WITNESS_SO,
      _power_witness_doubled, lambda row: row.startswith("D_xlambdaB,s,")),
+    ("SOodd direction form", ("witness-check", "--group", "SOodd", "--n", "2", "--p", "3") + WITNESS_SO,
+     _direction_off_the_form, "witness direction does not preserve the form"),
+    ("SOeven direction form", ("witness-check", "--group", "SOeven", "--n", "3", "--p", "3") + WITNESS_SO,
+     _direction_off_the_form, "witness direction does not preserve the form"),
+    ("SOodd direction square", ("witness-check", "--group", "SOodd", "--n", "2", "--p", "3") + WITNESS_SO,
+     _direction_not_square_zero, "witness direction does not square to zero"),
+    ("SOeven direction square", ("witness-check", "--group", "SOeven", "--n", "3", "--p", "3") + WITNESS_SO,
+     _direction_not_square_zero, "witness direction does not square to zero"),
     ("obstructions", ("witness-check", "--group", "SOodd", "--n", "2", "--p", "3") + WITNESS_SO,
      _obstruction_ratio_a_unit, lambda row: " vs " in row),
     ("d4 obstructions", ("d4", "--p", "3", "--denoms", "t", "--f", "t+1", "--k-max", "2"),
@@ -165,8 +196,8 @@ def test_corruption_is_caught(args, corrupt, failing, monkeypatch):
     corrupt(monkeypatch)
     res = _run(args)
     assert res.exit_code == 1, res.output
-    if failing is None:
-        assert "chevtwist.errors.CertificateMismatch" in res.output
+    if failing is None or isinstance(failing, str):
+        assert "chevtwist.errors.CertificateMismatch" + (f": {failing}" if failing else "") in res.output
         return
     failed = [row for row in _rows(res.output) if row.endswith(",FAIL")]
     assert failed, res.output

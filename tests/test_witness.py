@@ -1,18 +1,21 @@
 """Witness families and their separating certificates."""
 
+import itertools
+
 import pytest
 
 from chevtwist.auts import b_matrix
 from chevtwist.errors import (
     BadRank,
     IncompatibleKind,
+    NotInGroup,
     NotUnit,
     TrialityUnsupported,
     UnitInput,
     ZeroLambda,
 )
 from chevtwist.gf import Fq
-from chevtwist.groups import GroupCtx, GroupKind, is_member  # noqa: F401
+from chevtwist.groups import GroupCtx, GroupKind, is_member, unit_mat
 from chevtwist.matrices import Mat
 from chevtwist.polyring import Poly, RatFrac, RingDesc, fixed_element
 from chevtwist.witness import (
@@ -133,20 +136,25 @@ def test_witness_sp_higher_rank():
     assert (y.mat ** 2).trace() == (x.mat ** 2).trace() * 2
 
 
+SO_KINDS = [("SOodd", 2), ("SOodd", 3), ("SOeven", 3), ("SOeven", 4)]
+# the rings of the README commands: fixed-s --p 3 --f t over F_3[t], and
+# witness-check / d4 --p 3 --denoms t --f t+1 over F_3[t] localised at t
+README_RINGS = [(R3, S3), (R3_T, fixed_element(Poly.t(F3) + 1, R3_T))]
+
+
 def test_witness_so_membership_and_shape():
+    # x_lambda, built from its checked direction X, has the two entries
+    # -lambda at (0, n+1) and lambda at (1, n) and is a member by the
+    # reference test, for parameters with and without denominators
     t = RatFrac.t(F3)
-    for kind, n in [("SOodd", 2), ("SOodd", 3), ("SOeven", 3), ("SOeven", 4)]:
-        x = witness_so(t, kind, n, R3)
-        assert is_member(x.ctx, x.mat)
-        nonzero_off_diag = [
-            (i, j)
-            for i in range(x.ctx.dim)
-            for j in range(x.ctx.dim)
-            if i != j and x.mat[i, j] != RatFrac.zero(F3)
-        ]
-        assert nonzero_off_diag == [(0, n + 1), (1, n)]
-        assert x.mat[0, n + 1] == -t
-        assert x.mat[1, n] == t
+    for ring, s in README_RINGS:
+        lams = [t, s, s * s, RatFrac.const(F3, 2)]
+        if ring.denoms:  # t is inverted
+            lams.append(t.inverse())
+        for (kind, n), lam in itertools.product(SO_KINDS, lams):
+            x = witness_so(lam, kind, n, ring)
+            assert x.mat == unit_mat(x.ctx, [(0, n + 1, -lam), (1, n, lam)])
+            assert is_member(x.ctx, x.mat)
 
 
 def test_witness_so_inverse_negates_parameter():
@@ -156,8 +164,23 @@ def test_witness_so_inverse_negates_parameter():
 
 
 def test_witness_so_zero_rejected():
+    scalars = [(R3, RatFrac.zero(F3)), (R3_T, 0), (F3, F3.zero), (Fq(3, 2), 0)]
+    for (kind, n), (ring, zero) in itertools.product(SO_KINDS, scalars):
+        with pytest.raises(ZeroLambda):
+            witness_so(zero, kind, n, ring)
     with pytest.raises(ZeroLambda):
-        witness_so(RatFrac.zero(F3), "SOodd", 2, R3)
+        power_identity_check(RatFrac.zero(F3), 2, "SOeven", 3, R3_T)
+
+
+@pytest.mark.parametrize("kind, n", SO_KINDS)
+def test_witness_so_parameter_outside_the_ring_is_not_a_member(kind, n):
+    t = RatFrac.t(F3)
+    for ring, lam in [(R3, t.inverse()), (R3_T, 1 / (t + 1)), (R3_T, t / (t * t + 1))]:
+        with pytest.raises(NotInGroup):
+            witness_so(lam, kind, n, ring)
+    g = GroupCtx(GroupKind(kind, n), R3).identity()
+    with pytest.raises(NotInGroup):
+        block_constraint_check(g, S3, t.inverse())
 
 
 def test_power_identity_so_odd():
