@@ -12,6 +12,12 @@ scalar center; representative selection minimizes the first nonzero entry
 in a fixed total order on scalars, so equality of cosets is equality of
 matrices.
 
+Every root element x_r(a) = exp(a X_r), the generators and the witness
+factors among them, reads one table of root directions X_r, whose
+identities X^3 = 0 and X^T J + J X = 0 are checked once per kind and
+field (root_table): x_r(a) is then a member for every parameter a in
+every ring over the field, with no membership test per element.
+
 Finite groups enumerate by breadth-first closure of root-subgroup
 generators, on stacks of uint8 code arrays.  One kernel, mat_mul, does
 every stack product as a matmul over F_p, in float32 wherever that is
@@ -317,10 +323,10 @@ class GrpElem:
 
     Membership is an invariant, verified once: the constructor raises
     NotInGroup unless is_member holds, for matrices from a caller and for
-    constructed witnesses, whose membership is the certificate; _of trusts
+    constructed elements whose membership is the certificate; _of trusts
     matrices derived from members, already tested by is_member, or
-    certified for a whole family at once (the orthogonal witnesses
-    x_lambda = I + lambda X, by identities on X).
+    certified for a whole family at once (the root elements
+    x_r(a) = exp(a X_r), by root_table's identities on X_r).
 
     Projective contexts store the canonical coset representative, so
     equality and hashing are plain matrix comparisons.
@@ -392,7 +398,7 @@ def projective_canonicalize(g: GrpElem) -> GrpElem:
 
 
 # ---------------------------------------------------------------------------
-# generators: one root subgroup element per root and parameter
+# root elements x_r(a) = exp(a X_r), from one table of root directions
 
 
 def unit_mat(ctx, entries):
@@ -403,73 +409,80 @@ def unit_mat(ctx, entries):
     return Mat(rows)
 
 
+def root_directions(kind: GroupKind):
+    """The direction X_r of each root r, as its entries (i, j, +-1), in the
+    order of generators(): E_ij (- E_(n+j)(n+i)) for i != j, the roots on
+    the off-diagonal blocks, then Sp's long roots or SOodd's roots through
+    the last coordinate."""
+    fam, n = kind.linear().family, kind.n
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    if fam == "SL":
+        return [((i, j, 1),) for i, j in pairs]
+    sign = 1 if fam == "Sp" else -1
+    out = [((i, j, 1), (n + j, n + i, -1)) for i, j in pairs]
+    for i, j in itertools.combinations(range(n), 2):
+        out += [((i, n + j, 1), (j, n + i, sign)), ((n + j, i, 1), (n + i, j, sign))]
+    for i in range(n):
+        if fam == "Sp":
+            out += [((i, n + i, 1),), ((n + i, i, 1),)]
+        elif fam == "SOodd":
+            out += [((i, 2 * n, 1), (2 * n, n + i, -1)), ((n + i, 2 * n, 1), (2 * n, i, -1))]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def root_table(kind: GroupKind, field: Fq) -> dict:
+    """Each root direction, mapped to the nonzero entries of X and of X^2/2
+    over the field, checked once per (kind, field): X^3 = 0, and for a
+    formed kind X^T J + J X = 0.  The entries of X and J are constants, so
+    both hold over every ring R of fractions over the field, and then
+    x(a) = I + a X + a^2 X^2/2 = exp(a X) is a member for every a in R:
+    it is unipotent, so det 1, and exp(a X)^T J = J exp(-a X), while
+    exp(-a X) exp(a X) = I as X^3 = 0 and p is odd (Steinberg, Lectures
+    on Chevalley Groups, section 3)."""
+    J = field_form(kind, field) if kind.formed else None
+    zero = Mat([[field.zero] * kind.dim] * kind.dim)
+    table = {}
+    for root in root_directions(kind):
+        rows = [list(r) for r in zero.rows]
+        for i, j, c in root:
+            rows[i][j] += field.elem(c)
+        X = Mat(rows)
+        if J is not None and X.transpose() * J + J * X != zero:
+            raise CertificateMismatch("root direction does not preserve the form")
+        square = X * X
+        if square * X != zero:
+            raise CertificateMismatch("root direction does not cube to zero")
+        table[root] = [[(i, j, c) for i, row in enumerate(M.rows) for j, c in enumerate(row) if c]
+                       for M in (X, square * field.elem(2).inverse())]
+    return table
+
+
+def root_element(ctx: GroupCtx, root, a) -> "GrpElem":
+    """x_r(a) = I + a X + a^2 X^2/2 for the root r with these direction
+    entries: a member by root_table's check, for every a in the scalars;
+    the caller vouches that a lies in them."""
+    table = root_table(ctx.kind, ctx.field)
+    if root not in table:
+        raise IncompatibleKind(f"{root} is not a root direction of {ctx.kind!r}")
+    X, half_square = table[root]
+    entries = [(i, j, a * c) for i, j, c in X] + [(i, j, a * a * c) for i, j, c in half_square]
+    return GrpElem._of(ctx, unit_mat(ctx, entries))
+
+
 def generators(ctx: GroupCtx, params=None):
     """Root-subgroup generating set over a finite field, deterministic order.
 
-    One element per root and parameter; the parameters default to every
-    nonzero scalar.  Each root subgroup is additive in its parameter, so
-    parameters spanning F_q over F_p, such as a basis, generate the same
-    group.
+    One element x_r(a) per root r of root_directions and parameter a; the
+    parameters default to every nonzero scalar.  Each root subgroup is
+    additive in its parameter, so parameters spanning F_q over F_p, such
+    as a basis, generate the same group.
     """
     if not ctx.is_finite:
         raise Unsupported("generators need finite scalars")
-    field = ctx.field
     if params is None:
-        params = [a for a in field.elements() if a]
-    fam, n = ctx.kind.family, ctx.kind.n
-    out = []
-
-    def emit(entries):
-        out.append(GrpElem(ctx, unit_mat(ctx, entries)))
-
-    if fam in ("SL", "PSL"):
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    for a in params:
-                        emit([(i, j, a)])
-        return out
-
-    if fam in ("Sp", "PSp"):
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    for a in params:
-                        emit([(i, j, a), (n + j, n + i, -a)])
-        for i in range(n):
-            for j in range(i + 1, n):
-                for a in params:
-                    emit([(i, n + j, a), (j, n + i, a)])
-                for a in params:
-                    emit([(n + j, i, a), (n + i, j, a)])
-        for i in range(n):
-            for a in params:
-                emit([(i, n + i, a)])
-            for a in params:
-                emit([(n + i, i, a)])
-        return out
-
-    # orthogonal kinds
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                for a in params:
-                    emit([(i, j, a), (n + j, n + i, -a)])
-    for i in range(n):
-        for j in range(i + 1, n):
-            for a in params:
-                emit([(i, n + j, a), (j, n + i, -a)])
-            for a in params:
-                emit([(n + j, i, a), (n + i, j, -a)])
-    if fam == "SOodd":
-        last = 2 * n
-        half = field.one / field.elem(2)
-        for i in range(n):
-            for a in params:
-                emit([(i, last, a), (last, n + i, -a), (i, n + i, -(a * a) * half)])
-            for a in params:
-                emit([(n + i, last, a), (last, i, -a), (n + i, i, -(a * a) * half)])
-    return out
+        params = [a for a in ctx.field.elements() if a]
+    return [root_element(ctx, root, a) for root in root_directions(ctx.kind) for a in params]
 
 
 # ---------------------------------------------------------------------------

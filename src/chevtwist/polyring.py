@@ -367,6 +367,13 @@ class RatFrac:
         self.den = den
 
     @classmethod
+    def _of(cls, num: Poly, den: Poly) -> "RatFrac":
+        """num/den known to be reduced with den monic, not normalised again."""
+        frac = object.__new__(cls)
+        frac.num, frac.den = num, den
+        return frac
+
+    @classmethod
     def zero(cls, field: Fq) -> "RatFrac":
         return cls(Poly.zero(field))
 
@@ -421,6 +428,8 @@ class RatFrac:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o.is_zero or self.is_zero:  # adding zero keeps a reduced fraction
+            return o if self.is_zero else self
         if self.den.is_one and o.den.is_one:
             return RatFrac(self.num + o.num)
         return RatFrac(self.num * o.den + o.num * self.den, self.den * o.den)
@@ -428,7 +437,7 @@ class RatFrac:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFrac(-self.num, self.den)
+        return RatFrac._of(-self.num, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -448,6 +457,9 @@ class RatFrac:
             return NotImplemented
         if self.den.is_one and o.den.is_one:
             return RatFrac(self.num * o.num)
+        const, frac = (o, self) if o.is_constant() else (self, o)
+        if const.is_constant() and const:  # a nonzero constant keeps num/den reduced
+            return RatFrac._of(frac.num * const.num, frac.den)
         return RatFrac(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__

@@ -18,10 +18,11 @@ identity), and sigma is applied to each class representative.
 
 The orbit of a single element is the enumeration's closure
 (groups.closure) under another action, without enumerating the group:
-each block of the frontier meets every generator and inverse in two
-broadcast products.  The witnesses follow the closure's tree, one product
-per depth.  The decision procedure finds y among the closure's sorted
-keys and verifies the witness it returns with the per-element action.
+each block of the frontier meets every generator (their inverses are
+generators too) in two broadcast products.  The witnesses follow the
+closure's tree, one product per depth.  The decision procedure finds y
+among the closure's sorted keys and verifies the witness it returns with
+the per-element action.
 
 The linear strategy decides plain conjugacy from the intertwiners
 x M = lam M y, for SL, PSL, Sp and PSp only: the orthogonal kinds work in
@@ -240,30 +241,27 @@ def _orbit_stacks(x: GrpElem, sigma: GroupAut, cap: int):
     """The twisted orbit of x as code stacks in discovery order: its
     elements, a witness for each, and the sorted keys with their indices.
 
-    The closure of x under the steps h, the generators and their
-    inverses, each acting by one broadcast product h y sigma(h)^(-1).  The
-    witnesses follow the closure's tree, one product per depth: an
-    element's witness is its step times its parent's witness.  In
-    projective contexts that is any matrix of the coset, canonicalised
-    only when it becomes a GrpElem.
+    The closure of x under the steps h, the generators, each acting by
+    one broadcast product h y sigma(h)^(-1); their inverses need no step,
+    as x_r(a)^(-1) = x_r(-a) is a generator.  The witnesses follow the
+    closure's tree, one product per depth: an element's witness is its
+    step times its parent's witness.  In projective contexts that is any
+    matrix of the coset, canonicalised only when it becomes a GrpElem.
     """
     ctx = x.ctx
     if sigma.ctx != ctx:
         raise IncompatibleKind("mismatched contexts in twisted action")
     field = ctx.field
     gens = generators(ctx)
-    inverses = [g.inverse() for g in gens]
-    steps = gens + inverses
-    left = np.stack([mat_to_codes(h.mat) for h in steps])
-    # sigma(h)^(-1) = sigma(h^(-1)): each step's inverse is the opposite step
-    right = np.stack([mat_to_codes(sigma(h).mat) for h in inverses + gens])
+    left = np.stack([mat_to_codes(h.mat) for h in gens])
+    right = np.stack([mat_to_codes(sigma(h.inverse()).mat) for h in gens])
 
     def act(block):
         prods = mat_mul(field, mat_mul(field, left[None], block[:, None]), right[None])
         return prods.reshape((-1,) + prods.shape[2:])
 
     elems, (parent, step), ends, lookup, _ = closure(
-        ctx, mat_to_codes(x.mat), act, len(steps), cap, "twisted orbit exceeded cap")
+        ctx, mat_to_codes(x.mat), act, len(gens), cap, "twisted orbit exceeded cap")
     witnesses = np.empty_like(elems)
     witnesses[0] = mat_to_codes(ctx.identity().mat)
     for lo, hi in zip(ends, ends[1:]):
@@ -274,11 +272,10 @@ def _orbit_stacks(x: GrpElem, sigma: GroupAut, cap: int):
 def twisted_orbit_of(x: GrpElem, sigma: GroupAut, cap: int = ENUM_CAP) -> dict:
     """The orbit of x as a map element -> witness g, y = g x sigma(g)^(-1).
 
-    Breadth-first over the generators and their inverses, on code stacks;
-    the map lists the orbit in discovery order.  Raises CapExceeded when
-    the orbit has more than cap elements.  The witnesses are exact
-    products but are not verified here; are_twisted_conjugate verifies the
-    one witness it returns.
+    Breadth-first over the generators, on code stacks; the map lists the
+    orbit in discovery order.  Raises CapExceeded when the orbit has more
+    than cap elements.  The witnesses are exact products, not verified
+    here; are_twisted_conjugate verifies the one witness it returns.
     """
     ctx = x.ctx
     field = ctx.field

@@ -20,7 +20,6 @@ exactly.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .auts import GroupAut, aut_order_on, b_matrix
@@ -36,8 +35,8 @@ from .errors import (
     Unsupported,
     ZeroLambda,
 )
-from .gf import Fq, FqElem
-from .groups import GroupCtx, GroupKind, GrpElem, field_form, unit_mat
+from .gf import FqElem
+from .groups import GroupCtx, GroupKind, GrpElem, root_element, unit_mat
 from .matrices import Mat
 from .polyring import RatFrac, RingDesc
 
@@ -70,15 +69,13 @@ class WitnessConfig:
 
 def witness_sl(m: int, cfg: WitnessConfig, n: int) -> GrpElem:
     """x_m in SL_n: the 2x2 block [[1-u^2, u], [-u, 1]] with u = s^m, a
-    member as the product e12(u) e21(-u) of elementary matrices over R."""
+    member as the product e12(u) e21(-u) of root elements over R."""
     if m < 1:
         raise PreconditionFailed("index must be >= 1")
     ctx = GroupCtx(GroupKind.sl(n), cfg.ring)
     u = cfg.s ** m
     g = GrpElem._of(ctx, unit_mat(ctx, [(0, 0, -u * u), (0, 1, u), (1, 0, -u)]))
-    e12 = GrpElem._of(ctx, unit_mat(ctx, [(0, 1, u)]))
-    e21 = GrpElem._of(ctx, unit_mat(ctx, [(1, 0, -u)]))
-    if g != e12 * e21:
+    if g != root_element(ctx, ((0, 1, 1),), u) * root_element(ctx, ((1, 0, 1),), -u):
         raise CertificateMismatch("witness does not split into elementary factors")
     return g
 
@@ -151,14 +148,18 @@ def trace_certificate(m: int, r: int, cfg: WitnessConfig) -> TraceCertificate:
 
 
 def witness_sp(m: int, cfg: WitnessConfig, n: int) -> GrpElem:
-    """y_m = diag(X, X^-T) in Sp_2n, X the SL_n witness block."""
+    """y_m = diag(X, D) in Sp_2n, X the SL_n witness block, D = X^-T: a
+    member as D lies in SL_n(R) with X, and X^T D = I, checked on the
+    n x n blocks, is diag(X, D)^T J diag(X, D) = J."""
     if n < 2:
         raise BadRank("symplectic rank must be >= 2")
-    X = witness_sl(m, cfg, n).mat
+    sl = witness_sl(m, cfg, n)
+    X = sl.mat
     D = X.inverse().transpose()
+    if X.transpose() * D != sl.ctx.identity_mat():
+        raise CertificateMismatch("the blocks of y_m do not preserve the form")
     ctx = GroupCtx(GroupKind.sp(n), cfg.ring)
-    mat = Mat.block_diag([X, D], ctx.zero)
-    g = GrpElem(ctx, mat)
+    g = GrpElem._of(ctx, Mat.block_diag([X, D], ctx.zero))
     if g.trace() != X.trace() * 2:
         raise CertificateMismatch("trace doubling failed at construction")
     return g
@@ -176,43 +177,17 @@ def witness_so(lam, kind: str, n: int, scalars) -> GrpElem:
     return _x_lambda(GroupCtx(GroupKind(kind, n), scalars), lam)
 
 
-def _direction_entries(n: int):
-    """The nonzero entries (i, j, c) of the direction X of x_lambda."""
-    return [(0, n + 1, -1), (1, n, 1)]
-
-
-@functools.lru_cache(maxsize=None)
-def _direction(kind: GroupKind, field: Fq):
-    """The entries of X, checked once per (kind, field): X^T J + J X = 0
-    and X^2 = 0 over the field, so X^T J X = -J X^2 = 0 too.  The entries
-    of X and of J are constants, so these hold over every ring R of
-    fractions over the field, and then x_lambda = I + lambda X has
-    determinant 1 (X is nilpotent) and preserves the form,
-    (I + lambda X)^T J (I + lambda X) = J + lambda (X^T J + J X) + lambda^2 X^T J X,
-    for every lambda in R at once: the root element exp(lambda X)."""
-    J = field_form(kind, field)
-    zero = Mat([[field.zero] * kind.dim] * kind.dim)
-    rows = [list(r) for r in zero.rows]
-    for i, j, c in _direction_entries(kind.n):
-        rows[i][j] += field.elem(c)
-    X = Mat(rows)
-    if X.transpose() * J + J * X != zero:
-        raise CertificateMismatch("witness direction does not preserve the form")
-    if X * X != zero:
-        raise CertificateMismatch("witness direction does not square to zero")
-    return tuple((i, j, c) for i, row in enumerate(X.rows) for j, c in enumerate(row) if c)
-
-
 def _x_lambda(ctx: GroupCtx, lam) -> GrpElem:
-    """The witness x_lambda of `witness_so` in an orthogonal context: a
-    member for every nonzero lambda in the scalars, by `_direction`."""
+    """The witness x_lambda of `witness_so` in an orthogonal context: the
+    root element x_r(-lambda) of the root E_0(n+1) - E_1n, a member for
+    every nonzero lambda in the scalars."""
     lam = ctx.scalar(lam)
     if not lam:
         raise ZeroLambda("witness parameter must be nonzero")
     if not ctx.is_finite and not ctx.scalars.contains(lam):
         raise NotInGroup(f"witness parameter {lam} is not in {ctx.scalars}")
-    entries = [(i, j, lam * c) for i, j, c in _direction(ctx.kind, ctx.field)]
-    return GrpElem._of(ctx, unit_mat(ctx, entries))
+    n = ctx.kind.n
+    return root_element(ctx, ((0, n + 1, 1), (1, n, -1)), -lam)
 
 
 def power_identity_check(lam, r: int, kind: str, n: int, scalars) -> bool:
@@ -340,8 +315,9 @@ def d4_tau_suite(cfg: WitnessConfig, graph: str = "tau", k_max: int = 3) -> D4Re
     x = _x_lambda(so8, s)
     checks.append(("reflection_fixes_witness", B * x.mat * B == x.mat))
     # the order of the reflection automorphism, measured on an element it
-    # actually moves (a root element touching the swapped coordinate pair)
-    probe = GrpElem(so8, unit_mat(so8, [(0, 2 * n - 1, s), (n - 1, n, -s)]))
+    # actually moves: the root element x_r(s) on the swapped coordinate
+    # pair, a member as s lies in R (_x_lambda tested it)
+    probe = root_element(so8, ((0, 2 * n - 1, 1), (n - 1, n, -1)), s)
     tau = GroupAut(so8, graph="B")
     refl_order = aut_order_on(tau, [probe]) or 0
     checks.append(("reflection_order_two", refl_order == 2))

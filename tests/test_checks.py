@@ -4,10 +4,11 @@ somewhere and no builtin ValueError is, no call passes a `check=` switch,
 binary powering, row elimination and the breadth-first closure on code
 stacks are each written once, fields are compared by identity, scalar
 field arithmetic stays off the numpy tables, and the quadratic Cayley
-table serves the tests only.  Two guards run the library: the twisted
+table serves the tests only.  Three guards run the library: the twisted
 orbits of an enumerated group make no matrix product and build no
-generator, and the orthogonal witnesses over a localization are built
-with no membership test and no determinant."""
+generator, and the generators (once their table of root directions is
+checked for the kind and field) and the orthogonal witnesses over a
+localization are built with no membership test and no determinant."""
 
 import ast
 import pathlib
@@ -314,3 +315,32 @@ def test_orthogonal_witnesses_test_no_membership_and_take_no_determinant(kind, n
     assert not witness.block_constraint_check(g, lam, lam)
     assert calls == {"is_member": 0, "det": 0}
     assert is_member(x.ctx, x.mat)
+
+
+@pytest.mark.parametrize("kind, q", [
+    (groups.GroupKind.sl(3), (3, 2)),
+    (groups.GroupKind.psp(2), (5, 1)),
+    (groups.GroupKind.so_odd(2), (3, 1)),
+    (groups.GroupKind.pso_even(3), (7, 1)),
+], ids=["SL3_F9", "PSp4_F5", "SOodd5_F3", "PSOeven6_F7"])
+def test_generators_test_no_membership_and_take_no_determinant(kind, q, monkeypatch):
+    # each x_r(a) = exp(a X_r) is a member by the table's check on X_r,
+    # made by the first call per kind and field
+    ctx = groups.GroupCtx(kind, Fq(*q))
+    first = groups.generators(ctx)
+    calls = {"is_member": 0, "det": 0}
+    is_member, det = groups.is_member, Mat.det
+
+    def counted_is_member(ctx, mat):
+        calls["is_member"] += 1
+        return is_member(ctx, mat)
+
+    def counted_det(self):
+        calls["det"] += 1
+        return det(self)
+
+    monkeypatch.setattr(groups, "is_member", counted_is_member)
+    monkeypatch.setattr(Mat, "det", counted_det)
+    assert groups.generators(ctx) == first
+    assert calls == {"is_member": 0, "det": 0}
+    assert all(is_member(ctx, g.mat) for g in first)

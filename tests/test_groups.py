@@ -42,11 +42,14 @@ from chevtwist.groups import (
     order_sl,
     order_sp,
     projective_canonicalize,
+    root_directions,
+    root_element,
     stack_keys,
     unit_mat,
 )
 from chevtwist.matrices import Mat
 from chevtwist.polyring import (
+    Poly,
     RatFrac,
     RingDesc,
     fixed_element,
@@ -796,5 +799,39 @@ def test_members_closed_under_moebius_maps_over_localization():
         for i in word[1:]:
             g = g * pool[i]
         _check_closure(g, pool[word[-1]], [auts[k]])
+
+    check()
+
+
+_ROOT_KINDS = [GroupKind(fam, groups._MIN_RANK[fam]) for fam in groups.FAMILIES]
+_R_T = RingDesc(F3, ["t"])
+
+
+def _root_scalars(scalars):
+    """Parameters drawn from the scalars: field elements, or fractions
+    f/t^k in F_3[t] localised at t."""
+    if isinstance(scalars, Fq):
+        return st.sampled_from(scalars.elements())
+    return st.builds(
+        lambda codes, k: RatFrac(Poly(F3, codes)) / RatFrac.t(F3) ** k,
+        st.lists(st.integers(0, 2), max_size=3), st.integers(0, 2))
+
+
+@pytest.mark.parametrize("scalars", [F3, F9, _R_T], ids=["F3", "F9", "F3[t]_(t)"])
+@pytest.mark.parametrize("kind", _ROOT_KINDS, ids=repr)
+def test_root_elements_are_additive_members(kind, scalars):
+    # x_r(a) x_r(b) = x_r(a + b) and x_r(a)^-1 = x_r(-a), root by root; the
+    # membership root_table certifies is tested once here, independently
+    ctx = GroupCtx(kind, scalars)
+
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @given(_root_scalars(scalars), _root_scalars(scalars))
+    def check(a, b):
+        a, b = ctx.scalar(a), ctx.scalar(b)
+        for root in root_directions(kind):
+            x = root_element(ctx, root, a)
+            assert is_member(ctx, x.mat)
+            assert x * root_element(ctx, root, b) == root_element(ctx, root, a + b)
+            assert x.inverse() == root_element(ctx, root, -a)
 
     check()

@@ -61,23 +61,52 @@ def _power_witness_doubled(monkeypatch):
     monkeypatch.setattr(witness, "witness_so", doubled)
 
 
-def _corrupt_direction(monkeypatch, corrupted):
-    # x_lambda is built from the entries of X that passed the check, so a
-    # corrupted X must fail it; the fresh cache drops with the patch
-    entries = witness._direction_entries
-    monkeypatch.setattr(witness, "_direction_entries", lambda n: corrupted(n, entries(n)))
-    monkeypatch.setattr(witness, "_direction", functools.lru_cache(witness._direction.__wrapped__))
+def _corrupt_directions(monkeypatch, corrupted, family=None):
+    # every root element is built from the entries of X that passed the
+    # table's check, so a corrupted X must fail it; the fresh caches drop
+    # with the patch.  Roots of kinds other than family stay as they are.
+    directions = groups.root_directions
+
+    def patched(kind):
+        roots = directions(kind)
+        return [corrupted(kind.n, root) for root in roots] if family in (None, kind.family) else roots
+
+    monkeypatch.setattr(groups, "root_directions", patched)
+    monkeypatch.setattr(groups, "root_table", functools.lru_cache(groups.root_table.__wrapped__))
+    groups.enumerate_group.cache_clear()
 
 
 def _direction_off_the_form(monkeypatch):
-    # both entries +1: X^2 = 0 still, but J X is symmetric, not antisymmetric
-    _corrupt_direction(monkeypatch, lambda n, xs: [(i, j, abs(c)) for i, j, c in xs])
+    # every entry +1: X^3 = 0 still, but J X is symmetric, not
+    # antisymmetric, on the roots with two entries (x_lambda's among them)
+    _corrupt_directions(monkeypatch, lambda n, root: tuple((i, j, abs(c)) for i, j, c in root))
 
 
 def _direction_not_square_zero(monkeypatch):
-    # X plus the torus element E_00 - E_nn: J X stays antisymmetric, but
-    # X^2 != 0, and so X^T J X = -J X^2 != 0
-    _corrupt_direction(monkeypatch, lambda n, xs: xs + [(0, 0, 1), (n, n, -1)])
+    # X plus the torus element E_00 - E_nn: J X stays antisymmetric, but X
+    # is no longer nilpotent, so X^2 != 0 and X^3 != 0
+    _corrupt_directions(monkeypatch, lambda n, root: root + ((0, 0, 1), (n, n, -1)))
+
+
+def _sl_direction_on_the_diagonal(monkeypatch):
+    # E_ij + E_ii: X^2 = X, so X is not nilpotent and x_r(a) = exp(aX) is
+    # not unipotent
+    _corrupt_directions(monkeypatch, lambda n, root: root + ((root[0][0], root[0][0], 1),), "SL")
+
+
+def _sp_direction_off_the_form(monkeypatch):
+    # E_ij + E_(n+j)(n+i): det 1 still, but J X is no longer symmetric
+    _corrupt_directions(monkeypatch, lambda n, root: tuple((i, j, abs(c)) for i, j, c in root), "Sp")
+
+
+def _sp_block_not_transposed(monkeypatch):
+    # D = X^-1: the transpose witness_sp takes of X^-1 is undone
+    inverse = Mat.inverse
+
+    def untransposed(self):
+        return inverse(self).transpose() if _called_from("witness_sp") else inverse(self)
+
+    monkeypatch.setattr(Mat, "inverse", untransposed)
 
 
 def _obstruction_ratio_a_unit(monkeypatch):
@@ -156,14 +185,21 @@ CASES = [
      _power_witness_doubled, lambda row: row.startswith("B_xlambda,s,")),
     ("SOeven powers", ("witness-check", "--group", "SOeven", "--n", "3", "--p", "3") + WITNESS_SO,
      _power_witness_doubled, lambda row: row.startswith("D_xlambdaB,s,")),
+    ("witness-check Sp blocks", ("witness-check", "--group", "Sp", "--n", "2", "--p", "3", "--f", "t",
+                                 "--m-max", "2", "--r-max", "2"),
+     _sp_block_not_transposed, "the blocks of y_m do not preserve the form"),
     ("SOodd direction form", ("witness-check", "--group", "SOodd", "--n", "2", "--p", "3") + WITNESS_SO,
-     _direction_off_the_form, "witness direction does not preserve the form"),
+     _direction_off_the_form, "root direction does not preserve the form"),
     ("SOeven direction form", ("witness-check", "--group", "SOeven", "--n", "3", "--p", "3") + WITNESS_SO,
-     _direction_off_the_form, "witness direction does not preserve the form"),
+     _direction_off_the_form, "root direction does not preserve the form"),
     ("SOodd direction square", ("witness-check", "--group", "SOodd", "--n", "2", "--p", "3") + WITNESS_SO,
-     _direction_not_square_zero, "witness direction does not square to zero"),
+     _direction_not_square_zero, "root direction does not cube to zero"),
     ("SOeven direction square", ("witness-check", "--group", "SOeven", "--n", "3", "--p", "3") + WITNESS_SO,
-     _direction_not_square_zero, "witness direction does not square to zero"),
+     _direction_not_square_zero, "root direction does not cube to zero"),
+    ("SL direction", ("reidemeister", "--group", "SL", "--n", "2", "--q", "3", "--aut", "id"),
+     _sl_direction_on_the_diagonal, "root direction does not cube to zero"),
+    ("Sp direction", ("reidemeister", "--group", "Sp", "--n", "2", "--q", "3", "--aut", "id"),
+     _sp_direction_off_the_form, "root direction does not preserve the form"),
     ("obstructions", ("witness-check", "--group", "SOodd", "--n", "2", "--p", "3") + WITNESS_SO,
      _obstruction_ratio_a_unit, lambda row: " vs " in row),
     ("d4 obstructions", ("d4", "--p", "3", "--denoms", "t", "--f", "t+1", "--k-max", "2"),

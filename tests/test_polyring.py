@@ -619,3 +619,33 @@ def test_divmod_by_sparse_non_monic_divisor():
     q, r = divmod(a, b)
     assert (_elems(q), _elems(r)) == _ref_divmod(F3, _elems(a), _elems(b))
     assert q * b + r == a and r.degree() < 4
+
+
+@st.composite
+def _reduced_fraction(draw):
+    """A fraction over one of the test fields, with numerator of degree
+    below 6 (maybe zero) and a nonzero denominator of degree below 5."""
+    F = draw(st.sampled_from(_POLY_FIELDS))
+    code = st.integers(0, F.q - 1)
+    num = Poly(F, draw(st.lists(code, max_size=6)))
+    den = Poly(F, draw(st.lists(code, max_size=4)) + [draw(st.integers(1, F.q - 1))])
+    return RatFrac(num, den)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_reduced_fraction(), st.integers(0, 80))
+def test_fraction_fast_paths_equal_the_normalised_fraction(x, code):
+    # adding zero, negating and scaling by a constant skip the gcd of
+    # RatFrac(num, den); each must give exactly the fraction it normalises
+    F = x.field
+    c = F.from_code(code % F.q)
+    const, zero = RatFrac.const(F, c), RatFrac.zero(F)
+    cases = [
+        (x + zero, x.num, x.den), (zero + x, x.num, x.den), (x - zero, x.num, x.den),
+        (-x, -x.num, x.den),
+        (x * const, x.num * const.num, x.den), (const * x, x.num * const.num, x.den),
+        (x * c, x.num * const.num, x.den), (c * x, x.num * const.num, x.den),
+    ]
+    for got, num, den in cases:
+        want = RatFrac(num, den)
+        assert (got.num, got.den) == (want.num, want.den)

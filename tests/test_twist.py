@@ -16,8 +16,12 @@ from chevtwist.errors import (
 )
 from chevtwist.gf import Fq
 from chevtwist.groups import (
+    ENUM_CAP,
     GroupCtx,
     GroupKind,
+    GrpElem,
+    closure,
+    codes_to_mat,
     enumerate_group,
     expected_order,
     generators,
@@ -612,3 +616,44 @@ def test_identity_count_partitions_once(monkeypatch):
     calls.clear()
     reidemeister_count(SL2_F3, GroupAut(SL2_F3, graph="tinv"))
     assert [sigma.is_identity for sigma in calls] == [False, True]
+
+
+def _orbit_with_inverse_steps(x, sigma):
+    """The twisted orbit of x as the closure under the generators and
+    their inverses, steps h y sigma(h)^(-1), mapped element -> witness;
+    each witness is its step times its parent's, one GrpElem product."""
+    ctx, field = x.ctx, x.ctx.field
+    gens = generators(ctx)
+    steps = gens + [g.inverse() for g in gens]
+    left = np.stack([mat_to_codes(h.mat) for h in steps])
+    right = np.stack([mat_to_codes(sigma(h).inverse().mat) for h in steps])
+
+    def act(block):
+        prods = mat_mul(field, mat_mul(field, left[None], block[:, None]), right[None])
+        return prods.reshape((-1,) + prods.shape[2:])
+
+    elems, (parent, step), _, _, _ = closure(ctx, mat_to_codes(x.mat), act, len(steps), ENUM_CAP, "cap")
+    witnesses = [ctx.identity()]
+    for i in range(1, len(elems)):
+        witnesses.append(steps[step[i]] * witnesses[parent[i]])
+    return {GrpElem._of(ctx, codes_to_mat(field, y)): g for y, g in zip(elems, witnesses)}
+
+
+@pytest.mark.parametrize("kind, q, parts", [
+    (GroupKind.sl(2), (3, 2), {"ring": 1}),
+    (GroupKind.psl(2), (3, 2), {}),
+    (GroupKind.sl(3), (3, 1), {"graph": "tinv"}),
+    (GroupKind.sp(2), (3, 1), {}),
+    (GroupKind.so_odd(2), (3, 1), {}),
+], ids=["SL2_F9_frob", "PSL2_F9", "SL3_F3_tinv", "Sp4_F3", "Omega5_F3"])
+def test_orbit_without_inverse_steps_matches_the_closure_with_them(kind, q, parts):
+    # x_r(a)^-1 = x_r(-a) is a generator, so the inverse steps only repeat
+    # images of the generator half, which comes first: same elements, same
+    # order, same witnesses
+    ctx = GroupCtx(kind, Fq(*q))
+    sigma = GroupAut(ctx, **parts)
+    gens = generators(ctx)
+    for x in (ctx.identity(), gens[1], gens[-1] * gens[0]):
+        orbit = twisted_orbit_of(x, sigma)
+        assert list(orbit.items()) == list(_orbit_with_inverse_steps(x, sigma).items())
+        assert all(twist_step(g, x, sigma) == y for y, g in orbit.items())
