@@ -321,12 +321,12 @@ def canonical_rep(ctx: GroupCtx, mat: Mat) -> Mat:
 class GrpElem:
     """Group member: a matrix plus its context.
 
-    Membership is an invariant, verified once: the constructor raises
-    NotInGroup unless is_member holds, for matrices from a caller and for
-    constructed elements whose membership is the certificate; _of trusts
-    matrices derived from members, already tested by is_member, or
+    Membership is an invariant, verified once: the constructor, which
+    GroupCtx.elem calls on a caller's matrix, raises NotInGroup unless
+    is_member holds; _of trusts matrices derived from members or
     certified for a whole family at once (the root elements
-    x_r(a) = exp(a X_r), by root_table's identities on X_r).
+    x_r(a) = exp(a X_r), by root_table's identities on X_r, and the torus
+    elements of witness.explicit_conjugator).
 
     Projective contexts store the canonical coset representative, so
     equality and hashing are plain matrix comparisons.
@@ -470,18 +470,12 @@ def root_element(ctx: GroupCtx, root, a) -> "GrpElem":
     return GrpElem._of(ctx, unit_mat(ctx, entries))
 
 
-def generators(ctx: GroupCtx, params=None):
-    """Root-subgroup generating set over a finite field, deterministic order.
-
-    One element x_r(a) per root r of root_directions and parameter a; the
-    parameters default to every nonzero scalar.  Each root subgroup is
-    additive in its parameter, so parameters spanning F_q over F_p, such
-    as a basis, generate the same group.
-    """
+def generators(ctx: GroupCtx):
+    """Root-subgroup generating set over a finite field, deterministic order:
+    one element x_r(a) per root r of root_directions and nonzero scalar a."""
     if not ctx.is_finite:
         raise Unsupported("generators need finite scalars")
-    if params is None:
-        params = [a for a in ctx.field.elements() if a]
+    params = [a for a in ctx.field.elements() if a]
     return [root_element(ctx, root, a) for root in root_directions(ctx.kind) for a in params]
 
 

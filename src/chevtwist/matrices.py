@@ -125,18 +125,6 @@ class Mat:
     def identity(cls, n, one, zero):
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def block_diag(cls, blocks, zero):
-        n = sum(b.nrows for b in blocks)
-        rows = [[zero] * n for _ in range(n)]
-        off = 0
-        for b in blocks:
-            for i in range(b.nrows):
-                for j in range(b.ncols):
-                    rows[off + i][off + j] = b[i, j]
-            off += b.nrows
-        return cls(rows)
-
     def __mul__(self, other):
         if isinstance(other, Mat):
             if self.ncols != other.nrows:

@@ -31,9 +31,7 @@ Omega, which the membership test does not see.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import random
 from dataclasses import dataclass
 
@@ -385,13 +383,3 @@ def quotient_count_comparison(
         raise CertificateMismatch("quotient count exceeded the source count")
     return big.count, down.count
 
-
-def report_to_csv(report: TwistedOrbitReport, method: str = "orbit-partition") -> str:
-    """One row per orbit (representative, size), then a summary row."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["kind", "representative", "size"])
-    for rep, size in zip(report.orbit_representatives, report.orbit_sizes):
-        writer.writerow(["orbit", str(rep), size])
-    writer.writerow(["summary", f"count={report.count} method={method}", report.group_order])
-    return buf.getvalue()

@@ -36,7 +36,7 @@ from .errors import (
     ZeroLambda,
 )
 from .gf import FqElem
-from .groups import GroupCtx, GroupKind, GrpElem, root_element, unit_mat
+from .groups import GroupCtx, GroupKind, GrpElem, root_element
 from .matrices import Mat
 from .polyring import RatFrac, RingDesc
 
@@ -68,16 +68,13 @@ class WitnessConfig:
 
 
 def witness_sl(m: int, cfg: WitnessConfig, n: int) -> GrpElem:
-    """x_m in SL_n: the 2x2 block [[1-u^2, u], [-u, 1]] with u = s^m, a
-    member as the product e12(u) e21(-u) of root elements over R."""
+    """x_m in SL_n: the 2x2 block [[1-u^2, u], [-u, 1]] with u = s^m, the
+    product x_(0,1)(u) x_(1,0)(-u) of root elements, so a member over R."""
     if m < 1:
         raise PreconditionFailed("index must be >= 1")
     ctx = GroupCtx(GroupKind.sl(n), cfg.ring)
     u = cfg.s ** m
-    g = GrpElem._of(ctx, unit_mat(ctx, [(0, 0, -u * u), (0, 1, u), (1, 0, -u)]))
-    if g != root_element(ctx, ((0, 1, 1),), u) * root_element(ctx, ((1, 0, 1),), -u):
-        raise CertificateMismatch("witness does not split into elementary factors")
-    return g
+    return root_element(ctx, ((0, 1, 1),), u) * root_element(ctx, ((1, 0, 1),), -u)
 
 
 @dataclass
@@ -148,19 +145,18 @@ def trace_certificate(m: int, r: int, cfg: WitnessConfig) -> TraceCertificate:
 
 
 def witness_sp(m: int, cfg: WitnessConfig, n: int) -> GrpElem:
-    """y_m = diag(X, D) in Sp_2n, X the SL_n witness block, D = X^-T: a
-    member as D lies in SL_n(R) with X, and X^T D = I, checked on the
-    n x n blocks, is diag(X, D)^T J diag(X, D) = J."""
+    """y_m = diag(X, X^-T) in Sp_2n, X the SL_n witness block: the product
+    x_a(u) x_b(-u) with u = s^m of the roots a = E_01 - E_(n+1)n and
+    b = E_10 - E_n(n+1), each x(v) = diag(e_ij(v), e_ij(v)^-T), so a member
+    over R whose trace doubles that of x_m."""
     if n < 2:
         raise BadRank("symplectic rank must be >= 2")
-    sl = witness_sl(m, cfg, n)
-    X = sl.mat
-    D = X.inverse().transpose()
-    if X.transpose() * D != sl.ctx.identity_mat():
-        raise CertificateMismatch("the blocks of y_m do not preserve the form")
+    x = witness_sl(m, cfg, n)
     ctx = GroupCtx(GroupKind.sp(n), cfg.ring)
-    g = GrpElem._of(ctx, Mat.block_diag([X, D], ctx.zero))
-    if g.trace() != X.trace() * 2:
+    u = cfg.s ** m
+    g = root_element(ctx, ((0, 1, 1), (n + 1, n, -1)), u) * root_element(
+        ctx, ((1, 0, 1), (n, n + 1, -1)), -u)
+    if g.trace() != x.trace() * 2:
         raise CertificateMismatch("trace doubling failed at construction")
     return g
 
@@ -230,8 +226,13 @@ def obstruction_report(lam: RatFrac, lam_prime: RatFrac, R: RingDesc) -> Obstruc
 
 
 def explicit_conjugator(lam, c, kind: str, n: int, scalars) -> GrpElem:
-    """diag(c, c, 1, ..., c^-1, c^-1, 1, ..., [1]); conjugates x_lambda to
-    x_{c^2 lambda}, which is verified exactly before returning."""
+    """diag(c, c, 1, ..., c^-1, c^-1, 1, ..., [1]), the torus element
+    h_a(c) of the root a of x_lambda; conjugates x_lambda to
+    x_{c^2 lambda}, which is verified exactly before returning.
+
+    A member for every unit c of the scalars: it is diag(D, D^-T[, 1])
+    with D = diag(c, c, 1, ...) in GL_n(R), which preserves J and has
+    det 1, and c is tested to be a unit (NotUnit otherwise)."""
     x = witness_so(lam, kind, n, scalars)
     ctx = x.ctx
     c = ctx.scalar(c)
@@ -245,7 +246,7 @@ def explicit_conjugator(lam, c, kind: str, n: int, scalars) -> GrpElem:
     cinv = c.inverse()
     rows[0][0], rows[1][1] = c, c
     rows[n][n], rows[n + 1][n + 1] = cinv, cinv
-    g = GrpElem(ctx, Mat(rows))
+    g = GrpElem._of(ctx, Mat(rows))
     target = _x_lambda(ctx, c * c * lam)
     if g * x * g.inverse() != target:
         raise CertificateMismatch("conjugation identity failed")

@@ -78,7 +78,7 @@ def test_criterion_2_trace_doubling():
     for p in (3, 5):
         cfg = _config(p, family=FAMILY_SP)
         for m in range(1, 5):
-            y = witness_sp(m, cfg, 2)  # membership asserted at construction
+            y = witness_sp(m, cfg, 2)  # a product of root elements, so a member
             x = witness_sl(m, cfg, 2)
             for r in range(1, 7):
                 assert (y.mat ** r).trace() == (x.mat ** r).trace() * 2

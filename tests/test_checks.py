@@ -4,11 +4,13 @@ somewhere and no builtin ValueError is, no call passes a `check=` switch,
 binary powering, row elimination and the breadth-first closure on code
 stacks are each written once, fields are compared by identity, scalar
 field arithmetic stays off the numpy tables, and the quadratic Cayley
-table serves the tests only.  Three guards run the library: the twisted
-orbits of an enumerated group make no matrix product and build no
-generator, and the generators (once their table of root directions is
-checked for the kind and field) and the orthogonal witnesses over a
-localization are built with no membership test and no determinant."""
+table serves the tests only, and only a caller's matrix runs the
+membership test.  Guards that run the library: the twisted orbits of an
+enumerated group make no matrix product and build no generator, the
+generators (once their table of root directions is checked for the kind
+and field) and the orthogonal witnesses over a localization are built
+with no membership test and no determinant, and the SL and Sp witnesses
+and the conjugator with no membership test and no matrix inverse."""
 
 import ast
 import pathlib
@@ -256,6 +258,66 @@ def test_scalar_arithmetic_indexes_no_numpy_table():
     assert not found, found
 
 
+def _callers(tree, callee):
+    """Qualified name (Class.method) of the function around each call of
+    the bare name `callee`."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == callee:
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_only_a_callers_matrix_runs_the_membership_test():
+    # GroupCtx.elem is the one door for a matrix from a caller; every
+    # element the library builds itself is certified by its structure (root
+    # elements, the conjugator's torus element) or derived from members;
+    # intertwiners tests the candidates of its solution space
+    found = {
+        callee: sorted(
+            (str(path.relative_to(SRC)), scope)
+            for path in SRC.rglob("*.py")
+            for scope in _callers(ast.parse(path.read_text(), str(path)), callee)
+        )
+        for callee in ("GrpElem", "is_member")
+    }
+    assert found == {
+        "GrpElem": [("chevtwist/groups.py", "GroupCtx.elem")],
+        "is_member": [("chevtwist/groups.py", "GrpElem.__init__"), ("chevtwist/groups.py", "intertwiners")],
+    }, found
+
+
+def test_caller_scan_sees_calls_by_scope():
+    tree = ast.parse(
+        "f(1)\nclass A:\n    def m(self):\n        return g(f(2))\n"
+        "def h():\n    x.f(3)\n    return 'f(4)'\n"
+    )
+    assert _callers(tree, "f") == ["", "A.m"]
+
+
+def _count_calls(monkeypatch, targets):
+    """Patch each (owner, name) in targets to count its calls; returns the
+    counts by name."""
+    calls = dict.fromkeys((name for _, name in targets), 0)
+    for owner, name in targets:
+        real = getattr(owner, name)
+
+        def call(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, call)
+    return calls
+
+
 @pytest.mark.parametrize("kind, q, parts", [
     (groups.GroupKind.sl(2), (3, 2), {"ring": 1}),
     (groups.GroupKind.psl(3), (3, 1), {"graph": "tinv"}),
@@ -296,19 +358,8 @@ def test_orthogonal_witnesses_test_no_membership_and_take_no_determinant(kind, n
     t = RatFrac.t(F3)
     lam = (t + 1) ** 2 / t
     g = witness.explicit_conjugator(lam, t, kind, n, ring)  # the first call checks X and J
-    calls = {"is_member": 0, "det": 0}
-    is_member, det = groups.is_member, Mat.det
-
-    def counted_is_member(ctx, mat):
-        calls["is_member"] += 1
-        return is_member(ctx, mat)
-
-    def counted_det(self):
-        calls["det"] += 1
-        return det(self)
-
-    monkeypatch.setattr(groups, "is_member", counted_is_member)
-    monkeypatch.setattr(Mat, "det", counted_det)
+    is_member = groups.is_member
+    calls = _count_calls(monkeypatch, [(groups, "is_member"), (Mat, "det")])
     x = witness.witness_so(lam, kind, n, ring)
     assert witness.power_identity_check(lam, 3, kind, n, ring)
     assert witness.block_constraint_check(g, t * t * lam, lam)
@@ -328,19 +379,37 @@ def test_generators_test_no_membership_and_take_no_determinant(kind, q, monkeypa
     # made by the first call per kind and field
     ctx = groups.GroupCtx(kind, Fq(*q))
     first = groups.generators(ctx)
-    calls = {"is_member": 0, "det": 0}
-    is_member, det = groups.is_member, Mat.det
-
-    def counted_is_member(ctx, mat):
-        calls["is_member"] += 1
-        return is_member(ctx, mat)
-
-    def counted_det(self):
-        calls["det"] += 1
-        return det(self)
-
-    monkeypatch.setattr(groups, "is_member", counted_is_member)
-    monkeypatch.setattr(Mat, "det", counted_det)
+    is_member = groups.is_member
+    calls = _count_calls(monkeypatch, [(groups, "is_member"), (Mat, "det")])
     assert groups.generators(ctx) == first
     assert calls == {"is_member": 0, "det": 0}
     assert all(is_member(ctx, g.mat) for g in first)
+
+
+@pytest.mark.parametrize("kind, n", [("SOodd", 2), ("SOeven", 3)])
+def test_conjugator_tests_no_membership(kind, n, monkeypatch):
+    # diag(c, c, 1, ..., 1/c, 1/c, 1, ...) is diag(D, D^-T[, 1]) with D
+    # invertible over R, so it preserves J with det 1 once c is a unit,
+    # which the call tests
+    F5 = Fq(5)
+    ring = RingDesc(F5, ["t"])
+    t = RatFrac.t(F5)
+    is_member = groups.is_member
+    calls = _count_calls(monkeypatch, [(groups, "is_member"), (Mat, "inverse")])
+    g = witness.explicit_conjugator((t + 1) ** 2 / t, 2 * t, kind, n, ring)
+    assert calls == {"is_member": 0, "inverse": 0}
+    assert is_member(g.ctx, g.mat)
+
+
+def test_sl_and_sp_witnesses_test_no_membership_and_invert_no_matrix(monkeypatch):
+    # x_m and y_m are products of two root elements each
+    F5 = Fq(5)
+    ring = RingDesc(F5, ["t"])
+    t = RatFrac.t(F5)
+    cfg = witness.WitnessConfig(ring=ring, s=(t + 2) ** 2 / t, family=witness.FAMILY_SP, n=3)
+    is_member = groups.is_member
+    calls = _count_calls(monkeypatch, [(groups, "is_member"), (Mat, "inverse")])
+    x = witness.witness_sl(2, cfg, 3)
+    y = witness.witness_sp(2, cfg, 3)
+    assert calls == {"is_member": 0, "inverse": 0}
+    assert is_member(x.ctx, x.mat) and is_member(y.ctx, y.mat)

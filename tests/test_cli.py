@@ -106,6 +106,28 @@ def test_aut_compose_passes():
     assert "FAIL" not in res.output
 
 
+@pytest.mark.parametrize("group, n, rows", [
+    ("SL", "3", ["compose_pointwise", "inner_shift", "graph_ring_commute"]),
+    ("SOeven", "3", ["compose_pointwise", "inner_shift", "graph_ring_commute"]),
+    ("Sp", "2", ["compose_pointwise", "inner_shift"]),
+    ("SOodd", "2", ["compose_pointwise", "inner_shift"]),
+])
+def test_aut_compose_rows(group, n, rows):
+    # a kind with no graph part has no graph-ring relation to check
+    res = run_cli("aut-compose", "--group", group, "--n", n, "--q", "9", "--seed", "1", "--samples", "5")
+    assert res.exit_code == 0, res.output
+    assert res.output.splitlines()[2:] == [f"{row},5,ok" for row in rows]
+
+
+def test_reidemeister_csv_shape():
+    res = run_cli("reidemeister", "--group", "SL", "--n", "2", "--q", "3", "--aut", "id")
+    lines = res.output.splitlines()
+    assert lines[0].startswith("# run: reidemeister ")
+    assert lines[1] == "kind,representative,size"
+    assert [line.split(",")[0] for line in lines[2:]] == ["orbit"] * 7 + ["summary"]
+    assert lines[-1] == "summary,count=7 method=orbit-partition+burnside,24"
+
+
 def test_witness_check_so_families():
     res = run_cli("witness-check", "--group", "SOodd", "--n", "2", "--p", "3",
                   "--denoms", "t", "--f", "t+1", "--r-max", "4", "--k-max", "3")
@@ -269,6 +291,8 @@ def test_characteristic_two_is_refused_by_every_command(args):
     ("witness-check", "--group", "Sp", "--n", "2", "--p", "3", "--f", "t", "--m-max", "0"),
     ("witness-check", "--group", "Sp", "--n", "2", "--p", "3", "--f", "t", "--r-max", "0"),
     ("witness-check", "--group", "SOodd", "--n", "2", "--p", "3", "--f", "t", "--r-max", "0"),
+    ("aut-compose", "--seed", "0", "--samples", "0"),
+    ("aut-compose", "--seed", "0", "--samples", "-5"),
 ])
 def test_empty_sweeps_are_refused(args):
     # a run with no certificate rows would print a header and pass

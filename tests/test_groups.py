@@ -545,12 +545,19 @@ def test_enumeration_order_is_the_all_parameter_search(ctx):
     assert (_lookup_closure(G, generators(ctx)) == np.arange(G.order)).all()
 
 
+def _basis_generators(ctx):
+    """x_r(p^k) for each root r and k < e: the root elements at the basis
+    parameters 1, w, ..., w^(e-1), in the order of generators()."""
+    field = ctx.field
+    basis = [field.from_code(field.p ** k) for k in range(field.e)]
+    return [root_element(ctx, root, a) for root in root_directions(ctx.kind) for a in basis]
+
+
 @pytest.mark.parametrize("ctx", LOOKUP_CASES, ids=repr)
 def test_index_maps_match_products(ctx):
     G = enumerate_group(ctx)
     field = ctx.field
-    basis = [field.from_code(field.p ** k) for k in range(field.e)]
-    hs = [mat_to_codes(h.mat) for h in generators(ctx, basis)]
+    hs = [mat_to_codes(h.mat) for h in _basis_generators(ctx)]
     assert G.right.shape == (len(hs), G.order) and G.right.dtype == np.int32
     for h, right, left in zip(hs, G.right, G.left_maps()):
         assert (right == G.indices_of_stack(mat_mul(field, G.codes, h))).all()
@@ -594,8 +601,7 @@ CENSUS_GROUPS = [(GroupKind.sl(2), Fq(p, e)) for p, e in
 @pytest.mark.parametrize("kind, field", CENSUS_GROUPS, ids=lambda v: repr(v))
 def test_basis_parameters_generate_the_group(kind, field):
     ctx = GroupCtx(kind, field)
-    basis = [field.from_code(field.p ** j) for j in range(field.e)]
-    gens = generators(ctx, basis)
+    gens = _basis_generators(ctx)
     assert len(gens) * (field.q - 1) == len(generators(ctx)) * field.e
     assert len(_reference_closure(ctx, gens)) == _classical_order(kind, field.q)
 

@@ -99,14 +99,17 @@ def _sp_direction_off_the_form(monkeypatch):
     _corrupt_directions(monkeypatch, lambda n, root: tuple((i, j, abs(c)) for i, j, c in root), "Sp")
 
 
-def _sp_block_not_transposed(monkeypatch):
-    # D = X^-1: the transpose witness_sp takes of X^-1 is undone
-    inverse = Mat.inverse
+def _transpose_inverse_scaled(monkeypatch):
+    # g -> w g^-T over F_9 is still an involution, but the Frobenius sends
+    # w to w^3, so this graph part no longer commutes with the ring part;
+    # the normal-form composition rests on that relation too
+    apply_graph = GroupAut._apply_graph
 
-    def untransposed(self):
-        return inverse(self).transpose() if _called_from("witness_sp") else inverse(self)
+    def scaled(self, mat):
+        out = apply_graph(self, mat)
+        return out * self.ctx.field.from_code(3) if self.graph == "tinv" else out
 
-    monkeypatch.setattr(Mat, "inverse", untransposed)
+    monkeypatch.setattr(GroupAut, "_apply_graph", scaled)
 
 
 def _obstruction_ratio_a_unit(monkeypatch):
@@ -169,8 +172,9 @@ CONJUGATOR = ("witness-check", "--group", "SOodd", "--n", "2", "--denoms", "t", 
               "--r-max", "1", "--k-max", "1")
 
 # (id, command, corruption, predicate on the CSV rows that must fail, or
-# the text of the CertificateMismatch that must stop the command, or None
-# for any CertificateMismatch);
+# the names of exactly the rows that must fail, or the text of the
+# CertificateMismatch that must stop the command, or None for any
+# CertificateMismatch);
 # the conjugator scale c is squared, which the row sees when c^2 != 1: the
 # constant 2 over F_5, w over F_9, and over F_3, whose constant units are
 # +-1, the inverted t
@@ -185,9 +189,9 @@ CASES = [
      _power_witness_doubled, lambda row: row.startswith("B_xlambda,s,")),
     ("SOeven powers", ("witness-check", "--group", "SOeven", "--n", "3", "--p", "3") + WITNESS_SO,
      _power_witness_doubled, lambda row: row.startswith("D_xlambdaB,s,")),
-    ("witness-check Sp blocks", ("witness-check", "--group", "Sp", "--n", "2", "--p", "3", "--f", "t",
-                                 "--m-max", "2", "--r-max", "2"),
-     _sp_block_not_transposed, "the blocks of y_m do not preserve the form"),
+    ("witness-check Sp direction", ("witness-check", "--group", "Sp", "--n", "2", "--p", "3", "--f", "t",
+                                    "--m-max", "2", "--r-max", "2"),
+     _sp_direction_off_the_form, "root direction does not preserve the form"),
     ("SOodd direction form", ("witness-check", "--group", "SOodd", "--n", "2", "--p", "3") + WITNESS_SO,
      _direction_off_the_form, "root direction does not preserve the form"),
     ("SOeven direction form", ("witness-check", "--group", "SOeven", "--n", "3", "--p", "3") + WITNESS_SO,
@@ -210,6 +214,9 @@ CASES = [
      lambda row: ",conjugator," in row),
     ("d4 reflection", ("d4", "--p", "3", "--f", "t", "--k-max", "1"),
      _reflection_is_identity, lambda row: row.startswith("reflection_det_minus_one,")),
+    ("aut-compose graph ring", ("aut-compose", "--group", "SL", "--n", "3", "--q", "9", "--seed", "0",
+                                "--samples", "10"),
+     _transpose_inverse_scaled, ("compose_pointwise", "graph_ring_commute")),
     ("basis maps", CENSUS_PSL2_F9, _swap_basis_maps, None),
     ("digit walk", CENSUS_PSL2_F9, _digit_walk_off_by_one, None),
     ("index search reach", CENSUS_PSL2_F9, _prime_field_parameters_only, None),
@@ -237,6 +244,9 @@ def test_corruption_is_caught(args, corrupt, failing, monkeypatch):
         return
     failed = [row for row in _rows(res.output) if row.endswith(",FAIL")]
     assert failed, res.output
+    if isinstance(failing, tuple):
+        assert tuple(row.split(",")[0] for row in failed) == failing, failed
+        return
     assert all(failing(row) for row in failed), failed
 
 

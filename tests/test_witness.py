@@ -1,5 +1,6 @@
 """Witness families and their separating certificates."""
 
+import functools
 import itertools
 
 import pytest
@@ -15,7 +16,7 @@ from chevtwist.errors import (
     ZeroLambda,
 )
 from chevtwist.gf import Fq
-from chevtwist.groups import GroupCtx, GroupKind, is_member, unit_mat
+from chevtwist.groups import GroupCtx, GroupKind, is_member, root_element, unit_mat
 from chevtwist.matrices import Mat
 from chevtwist.polyring import Poly, RatFrac, RingDesc, fixed_element
 from chevtwist.witness import (
@@ -140,6 +141,39 @@ SO_KINDS = [("SOodd", 2), ("SOodd", 3), ("SOeven", 3), ("SOeven", 4)]
 # the rings of the README commands: fixed-s --p 3 --f t over F_3[t], and
 # witness-check / d4 --p 3 --denoms t --f t+1 over F_3[t] localised at t
 README_RINGS = [(R3, S3), (R3_T, fixed_element(Poly.t(F3) + 1, R3_T))]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sl_and_sp_witnesses_are_the_closed_forms(n):
+    # the root-element products are x_m = [[1-u^2, u], [-u, 1]] plus the
+    # identity and y_m = diag(X, X^-T), X the n x n block of x_m
+    for ring, s in README_RINGS:
+        cfg = WitnessConfig(ring=ring, s=s, family=FAMILY_SP, n=n)
+        for m in (1, 2):
+            u = s ** m
+            X = unit_mat(GroupCtx(GroupKind.sl(n), ring), [(0, 0, -u * u), (0, 1, u), (1, 0, -u)])
+            assert witness_sl(m, cfg, n).mat == X
+            D = X.inverse().transpose()
+            rows = [[X[i, j] if i < n and j < n else D[i - n, j - n] if i >= n and j >= n else ring.zero
+                     for j in range(2 * n)] for i in range(2 * n)]
+            assert witness_sp(m, cfg, n).mat == Mat(rows)
+
+
+@pytest.mark.parametrize("field", [Fq(3), Fq(5), Fq(3, 2)], ids=["F3", "F5", "F9"])
+@pytest.mark.parametrize("kind, n", [("SOodd", 2), ("SOeven", 3)])
+def test_conjugator_is_the_torus_element_of_the_witness_root(field, kind, n):
+    # h_a(c) = x_a(c) x_-a(-1/c) x_a(c-1) x_-a(1) x_a(-1) (Steinberg,
+    # Lectures on Chevalley Groups, section 3) for the root a of x_lambda,
+    # E_0(n+1) - E_1n, and its opposite; a reference only, the library
+    # builds the diagonal matrix directly
+    ring = RingDesc(field, ["t"])
+    ctx = GroupCtx(GroupKind(kind, n), ring)
+    x = functools.partial(root_element, ctx)
+    a, opposite = ((0, n + 1, 1), (1, n, -1)), ((n + 1, 0, 1), (n, 1, -1))
+    t, one = RatFrac.t(field), ring.one
+    for c in (RatFrac.const(field, 2), t, 2 * t * t):
+        h = x(a, c) * x(opposite, -c.inverse()) * x(a, c - one) * x(opposite, one) * x(a, -one)
+        assert explicit_conjugator(t + 1, c, kind, n, ring) == h
 
 
 def test_witness_so_membership_and_shape():
