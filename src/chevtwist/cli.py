@@ -201,7 +201,7 @@ def traces(p, e, denoms, f_text, m_max, r_max, n, out, fmt):
 @click.option("--f", "f_text", default="t", show_default=True)
 @click.option("--m-max", type=click.IntRange(min=1), default=3, show_default=True)
 @click.option("--r-max", type=click.IntRange(min=1), default=6, show_default=True)
-@click.option("--k-max", type=int, default=3, show_default=True)
+@click.option("--k-max", type=click.IntRange(min=1), default=3, show_default=True)
 @_add_options(out_opts)
 @_surfaced
 def witness_check(p, e, denoms, group, n, f_text, m_max, r_max, k_max, out, fmt):
@@ -368,7 +368,7 @@ def fixed_s(p, e, denoms, f_text, expect, out, fmt):
 @main.command()
 @_add_options(ring_opts)
 @click.option("--f", "f_text", default="t", show_default=True)
-@click.option("--k-max", type=int, default=3, show_default=True)
+@click.option("--k-max", type=click.IntRange(min=1), default=3, show_default=True)
 @click.option("--graph", default="tau", show_default=True, help="tau (reflection); rotations are rejected")
 @_add_options(out_opts)
 @_surfaced

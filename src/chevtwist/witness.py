@@ -13,10 +13,10 @@ Four families, one per classical type:
                 for even r: the power identity is the B_xlambda one, and
                 the rank-4 suite checks B itself.
 
-Trace certificates are computed twice, once by the characteristic
-polynomial recurrence and once by direct matrix powers, and must agree
-exactly.
-"""
+x_m and y_m are the root pair x_a(u) x_-a(-u), u = s^m, on the kind's
+first root a (Steinberg, Lectures on Chevalley Groups, section 3).  The
+trace certificates compare its direct powers on SL_2 with the
+characteristic polynomial recurrence, exactly."""
 
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from .errors import (
     ZeroLambda,
 )
 from .gf import FqElem
-from .groups import GroupCtx, GroupKind, GrpElem, root_element
+from .groups import GroupCtx, GroupKind, GrpElem, root_directions, root_element
 from .matrices import Mat
 from .polyring import RatFrac, RingDesc
 
@@ -67,14 +67,21 @@ class WitnessConfig:
             raise ZeroLambda("the distinguished element must not be zero")
 
 
-def witness_sl(m: int, cfg: WitnessConfig, n: int) -> GrpElem:
-    """x_m in SL_n: the 2x2 block [[1-u^2, u], [-u, 1]] with u = s^m, the
-    product x_(0,1)(u) x_(1,0)(-u) of root elements, so a member over R."""
+def _root_pair(ctx: GroupCtx, m: int, s) -> GrpElem:
+    """x_a(u) x_-a(-u), u = s^m, for the kind's first root a and its
+    opposite -a (a's entries transposed): it lies in the root SL_2 of a, so
+    is a member over R, and its trace is dim - len(a) u^2."""
     if m < 1:
         raise PreconditionFailed("index must be >= 1")
-    ctx = GroupCtx(GroupKind.sl(n), cfg.ring)
-    u = cfg.s ** m
-    return root_element(ctx, ((0, 1, 1),), u) * root_element(ctx, ((1, 0, 1),), -u)
+    root = root_directions(ctx.kind)[0]
+    u = s ** m
+    return root_element(ctx, root, u) * root_element(ctx, tuple((j, i, c) for i, j, c in root), -u)
+
+
+def witness_sl(m: int, cfg: WitnessConfig, n: int) -> GrpElem:
+    """x_m in SL_n: the root pair on E_01, the 2x2 block
+    [[1-u^2, u], [-u, 1]] with u = s^m."""
+    return _root_pair(GroupCtx(GroupKind.sl(n), cfg.ring), m, cfg.s)
 
 
 @dataclass
@@ -100,7 +107,8 @@ def trace_certificate(m: int, r: int, cfg: WitnessConfig) -> TraceCertificate:
 
     The trace is computed both through the characteristic polynomial
     recurrence T_k = (2 - u^2) T_{k-1} - T_{k-2} (with u = s^m) and by a
-    direct matrix power; any disagreement raises CertificateMismatch.
+    direct power of the root pair x_m on SL_2, the constructor of the
+    witnesses; any disagreement raises CertificateMismatch.
     """
     if m < 1 or r < 1:
         raise PreconditionFailed("indices must be >= 1")
@@ -115,9 +123,8 @@ def trace_certificate(m: int, r: int, cfg: WitnessConfig) -> TraceCertificate:
         prev2, prev = prev, coef * prev - prev2
     recurrence = prev
 
-    one, zero = RatFrac.one(field), RatFrac.zero(field)
-    x = Mat([[one - u * u, u], [-u, one]])
-    direct = (x ** r).trace()
+    x = _root_pair(GroupCtx(GroupKind.sl(2), cfg.ring), m, cfg.s)
+    direct = (x.mat ** r).trace()
     if direct != recurrence:
         raise CertificateMismatch(
             f"trace mismatch at m={m}, r={r}: recurrence {recurrence}, direct {direct}"
@@ -145,20 +152,9 @@ def trace_certificate(m: int, r: int, cfg: WitnessConfig) -> TraceCertificate:
 
 
 def witness_sp(m: int, cfg: WitnessConfig, n: int) -> GrpElem:
-    """y_m = diag(X, X^-T) in Sp_2n, X the SL_n witness block: the product
-    x_a(u) x_b(-u) with u = s^m of the roots a = E_01 - E_(n+1)n and
-    b = E_10 - E_n(n+1), each x(v) = diag(e_ij(v), e_ij(v)^-T), so a member
-    over R whose trace doubles that of x_m."""
-    if n < 2:
-        raise BadRank("symplectic rank must be >= 2")
-    x = witness_sl(m, cfg, n)
-    ctx = GroupCtx(GroupKind.sp(n), cfg.ring)
-    u = cfg.s ** m
-    g = root_element(ctx, ((0, 1, 1), (n + 1, n, -1)), u) * root_element(
-        ctx, ((1, 0, 1), (n, n + 1, -1)), -u)
-    if g.trace() != x.trace() * 2:
-        raise CertificateMismatch("trace doubling failed at construction")
-    return g
+    """y_m = diag(X, X^-T) in Sp_2n, X the SL_n block of x_m: the root pair
+    on E_01 - E_(n+1)n, whose trace doubles that of x_m."""
+    return _root_pair(GroupCtx(GroupKind.sp(n), cfg.ring), m, cfg.s)
 
 
 def witness_so(lam, kind: str, n: int, scalars) -> GrpElem:

@@ -1,16 +1,17 @@
 """Scans of the library source: correctness checks are explicit raises (an
 assert statement would vanish under python -O), every error type is raised
 somewhere and no builtin ValueError is, no call passes a `check=` switch,
-binary powering, row elimination and the breadth-first closure on code
-stacks are each written once, fields are compared by identity, scalar
-field arithmetic stays off the numpy tables, and the quadratic Cayley
-table serves the tests only, and only a caller's matrix runs the
-membership test.  Guards that run the library: the twisted orbits of an
-enumerated group make no matrix product and build no generator, the
-generators (once their table of root directions is checked for the kind
-and field) and the orthogonal witnesses over a localization are built
-with no membership test and no determinant, and the SL and Sp witnesses
-and the conjugator with no membership test and no matrix inverse."""
+binary powering, row elimination, the breadth-first closure on code
+stacks and the root pair x_a(u) x_-a(-u) are each written once, fields
+are compared by identity, scalar field arithmetic stays off the numpy
+tables, and the quadratic Cayley table serves the tests only, and only
+a caller's matrix runs the membership test.  Guards that run the
+library: the twisted orbits of an enumerated group make no matrix
+product and build no generator, the generators (once their table of
+root directions is checked for the kind and field) and the orthogonal
+witnesses over a localization are built with no membership test and no
+determinant, and the SL and Sp witnesses and the conjugator with no
+membership test and no matrix inverse."""
 
 import ast
 import pathlib
@@ -158,6 +159,39 @@ def test_library_has_one_closure():
 def test_sorted_insert_scan_sees_an_insert():
     tree = ast.parse("def f(a):\n    return np.insert(a, 0, 1)\ndef g(a):\n    a.insert(0, 1)\n")
     assert [name for name, _ in _sorted_inserts(tree)] == ["f"]
+
+
+def _root_element_products(tree):
+    """(function, line) of each `root_element(...) * root_element(...)`: a
+    product of two root elements marks a root-pair witness."""
+    def is_root_element(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "root_element")
+
+    return [
+        (fn.name, node.lineno)
+        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+        and is_root_element(node.left) and is_root_element(node.right)
+    ]
+
+
+def test_library_has_one_root_pair():
+    # witness._root_pair is the one x_a(u) x_-a(-u): x_m, y_m and the
+    # direct side of the trace certificate all call it
+    found = sorted(
+        (str(path.relative_to(SRC)), name)
+        for path in SRC.rglob("*.py")
+        for name, _ in _root_element_products(ast.parse(path.read_text(), str(path)))
+    )
+    assert found == [("chevtwist/witness.py", "_root_pair")], found
+
+
+def test_root_element_product_scan_sees_a_product():
+    tree = ast.parse("def f(c, r, u):\n    return root_element(c, r, u) * root_element(c, r, -u)\n"
+                     "def g(c, r, u):\n    return root_element(c, r, u) * u\n")
+    assert [name for name, _ in _root_element_products(tree)] == ["f"]
 
 
 def _row_swaps(tree):

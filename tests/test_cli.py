@@ -293,6 +293,10 @@ def test_characteristic_two_is_refused_by_every_command(args):
     ("witness-check", "--group", "SOodd", "--n", "2", "--p", "3", "--f", "t", "--r-max", "0"),
     ("aut-compose", "--seed", "0", "--samples", "0"),
     ("aut-compose", "--seed", "0", "--samples", "-5"),
+    ("witness-check", "--group", "SOodd", "--n", "2", "--p", "3", "--k-max", "-2"),
+    ("witness-check", "--group", "SOeven", "--n", "3", "--p", "3", "--k-max", "0"),
+    ("d4", "--p", "3", "--k-max", "0"),
+    ("d4", "--p", "3", "--k-max", "-1"),
 ])
 def test_empty_sweeps_are_refused(args):
     # a run with no certificate rows would print a header and pass

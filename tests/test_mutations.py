@@ -50,6 +50,18 @@ def _sp_witness_off_by_one(monkeypatch):
     monkeypatch.setattr(cli, "witness_sp", lambda m, cfg, n: sp(m + 1, cfg, n))
 
 
+def _root_pair_mispaired(monkeypatch):
+    # the root a paired with itself, not with -a: x_a(u) x_a(-u) = I
+    element = witness.root_element
+
+    def mispaired(ctx, root, a):
+        if _called_from("_root_pair"):
+            root = groups.root_directions(ctx.kind)[0]
+        return element(ctx, root, a)
+
+    monkeypatch.setattr(witness, "root_element", mispaired)
+
+
 def _power_witness_doubled(monkeypatch):
     so = witness.witness_so
 
@@ -181,6 +193,8 @@ CONJUGATOR = ("witness-check", "--group", "SOodd", "--n", "2", "--denoms", "t", 
 CASES = [
     ("traces", ("traces", "--p", "3", "--f", "t", "--m-max", "2", "--r-max", "2"),
      _trace_off_by_one, lambda row: row.startswith("A_xm,")),
+    ("root pair mispaired", ("traces", "--p", "3", "--f", "t", "--m-max", "2", "--r-max", "2"),
+     _root_pair_mispaired, lambda row: row.startswith("A_xm,")),
     ("fixed-s", ("fixed-s", "--p", "3", "--f", "t"), _drop_last_automorphism, None),
     ("witness-check Sp", ("witness-check", "--group", "Sp", "--n", "2", "--p", "3", "--f", "t",
                           "--m-max", "2", "--r-max", "2"),

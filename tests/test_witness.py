@@ -5,18 +5,20 @@ import itertools
 
 import pytest
 
+from chevtwist import witness
 from chevtwist.auts import b_matrix
 from chevtwist.errors import (
     BadRank,
     IncompatibleKind,
     NotInGroup,
     NotUnit,
+    PreconditionFailed,
     TrialityUnsupported,
     UnitInput,
     ZeroLambda,
 )
 from chevtwist.gf import Fq
-from chevtwist.groups import GroupCtx, GroupKind, is_member, root_element, unit_mat
+from chevtwist.groups import GroupCtx, GroupKind, is_member, root_directions, root_element, unit_mat
 from chevtwist.matrices import Mat
 from chevtwist.polyring import Poly, RatFrac, RingDesc, fixed_element
 from chevtwist.witness import (
@@ -24,6 +26,7 @@ from chevtwist.witness import (
     FAMILY_SO_EVEN,
     FAMILY_SP,
     WitnessConfig,
+    _root_pair,
     block_constraint_check,
     d4_tau_suite,
     explicit_conjugator,
@@ -157,6 +160,45 @@ def test_sl_and_sp_witnesses_are_the_closed_forms(n):
             rows = [[X[i, j] if i < n and j < n else D[i - n, j - n] if i >= n and j >= n else ring.zero
                      for j in range(2 * n)] for i in range(2 * n)]
             assert witness_sp(m, cfg, n).mat == Mat(rows)
+
+
+F5 = Fq(5, 1)
+R5_T = RingDesc(F5, ["t"])
+ROOT_PAIR_GROUPS = [
+    (GroupKind.sl(3), R3, S3),
+    (GroupKind.sp(2), R3, S3),
+    (GroupKind.so_odd(2), R3, S3),
+    (GroupKind.so_even(3), R3, S3),
+    (GroupKind.so_even(4), R3_T, fixed_element(Poly.t(F3) + 1, R3_T)),
+    (GroupKind.so_odd(3), R5_T, fixed_element(Poly.t(F5) + 1, R5_T)),
+]
+
+
+@pytest.mark.parametrize("kind, ring, s", ROOT_PAIR_GROUPS,
+                         ids=["SL3", "Sp4", "SO5", "SO6", "SO8-local", "SO7-F5-local"])
+def test_root_pair_trace_law(kind, ring, s):
+    # x_a(u) x_-a(-u) lies in the root SL_2 of a: tr w = d - c u^2, with c
+    # the number of entries of a (1 for SL, 2 for the formed kinds)
+    ctx = GroupCtx(kind, ring)
+    c = len(root_directions(kind)[0])
+    assert c == (1 if kind.family == "SL" else 2)
+    for m in (1, 2):
+        w = _root_pair(ctx, m, s)
+        assert is_member(ctx, w.mat)
+        assert w.trace() == ctx.scalar(kind.dim) - c * s ** (2 * m)
+    with pytest.raises(PreconditionFailed):
+        _root_pair(ctx, 0, s)
+
+
+def test_witness_sp_builds_no_sl_witness(monkeypatch):
+    cfg = WitnessConfig(ring=R3, s=S3, family=FAMILY_SP, n=3)
+    y = witness_sp(2, cfg, 3)
+
+    def refused(*args):
+        raise AssertionError("witness_sp built x_m")
+
+    monkeypatch.setattr(witness, "witness_sl", refused)
+    assert witness_sp(2, cfg, 3).mat == y.mat
 
 
 @pytest.mark.parametrize("field", [Fq(3), Fq(5), Fq(3, 2)], ids=["F3", "F5", "F9"])
