@@ -1,5 +1,6 @@
 """Group contexts, forms, membership, generators, enumeration, centers."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -596,6 +597,44 @@ CENSUS_GROUPS = [(GroupKind.sl(2), Fq(p, e)) for p, e in
     (GroupKind.psl(3), F3), (GroupKind.so_odd(2), F3), (GroupKind.psp(2), F3),
     (GroupKind.sp(2), F3),
 ]
+
+
+# sha256 prefixes of each census group's codes, right maps and tree
+# (parent, step and the levels), with dtype and shape: the enumeration's
+# output, pinned byte for byte
+CENSUS_DIGESTS = {
+    "SL(2) F3": ("3e0970a1efbf2223", "cd7f385c2bb35a3e", "91194166b7e2909d"),
+    "SL(2) F5": ("1a778ecb1c233244", "cc8ff36a42b4bf20", "807ba64c11329b8d"),
+    "SL(2) F7": ("3adddb21c1c3bb6f", "a582df173e02b313", "6f05c53bad1c128a"),
+    "SL(2) F9": ("eb1e08bf768a866f", "e6a43b230f519aaf", "d576e30315aea276"),
+    "SL(2) F11": ("48e1d3e554b6594f", "132fde9b175283d8", "8b6f0eef7398de0e"),
+    "SL(2) F13": ("c5b8f09e5581661a", "94422fcb9f982b5b", "692005279b951592"),
+    "SL(2) F25": ("3bad1c3b71e36b3a", "c4e9128a32fe1594", "9cdce916b29ca2de"),
+    "SL(2) F27": ("bcbc1cc2da8b98bb", "1cca2063f21dcbde", "be4ccf8ad052f5a0"),
+    "PSL(2) F3": ("ef8481e8ba2a5875", "fd028e9fa521072b", "5f5901baec24086c"),
+    "PSL(2) F9": ("78bc4039f1bc24c1", "faf22c87a646f601", "bced5b2086b21f5b"),
+    "SL(3) F3": ("06536d8b6a50ae6a", "6bd50989f25956cd", "5273cb1ce8349a50"),
+    "PSL(3) F3": ("06536d8b6a50ae6a", "6bd50989f25956cd", "5273cb1ce8349a50"),
+    "SOodd(2) F3": ("65512a73496b7b37", "4673a8ea21577914", "4d64e64059a47efd"),
+    "PSp(2) F3": ("db1b11675549d182", "5a1ffaa3eb5b21b9", "eb238c64cf93faf9"),
+    "Sp(2) F3": ("8ea288f792aba75e", "9dfa29068e8a70bd", "9ee94b3d889430af"),
+}
+
+
+def _sha(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("kind, field", CENSUS_GROUPS, ids=lambda v: repr(v))
+def test_enumeration_output_is_pinned(kind, field):
+    G = enumerate_group(GroupCtx(kind, field))
+    parent, step, levels = G.tree
+    got = _sha(G.codes), _sha(G.right), _sha(parent, step, *levels)
+    assert got == CENSUS_DIGESTS[f"{kind!r} F{field.q}"]
 
 
 @pytest.mark.parametrize("kind, field", CENSUS_GROUPS, ids=lambda v: repr(v))
