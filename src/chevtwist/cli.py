@@ -254,8 +254,8 @@ def witness_check(p, e, denoms, group, n, f_text, m_max, r_max, k_max, out, fmt)
 @click.option("--p", type=int, default=None)
 @click.option("--e", type=int, default=1, show_default=True)
 @click.option("--aut", "aut_text", default="id", show_default=True, help="automorphism grammar or 'id'")
-@click.option("--cap", type=int, default=ENUM_CAP, show_default=True)
-@click.option("--burnside-cap", type=int, default=BURNSIDE_CAP, show_default=True,
+@click.option("--cap", type=click.IntRange(min=1), default=ENUM_CAP, show_default=True)
+@click.option("--burnside-cap", type=click.IntRange(min=0), default=BURNSIDE_CAP, show_default=True,
               help="largest group order that also gets the fixed-class count")
 @click.option("--expect-count", type=int, default=None, help="fail unless the count matches")
 @_add_options(out_opts)

@@ -19,21 +19,24 @@ field (root_table): x_r(a) is then a member for every parameter a in
 every ring over the field, with no membership test per element.
 
 Finite groups enumerate by breadth-first closure of root-subgroup
-generators, on stacks of uint8 code arrays.  One kernel, mat_mul, does
-every stack product as a matmul over F_p, in float32 wherever that is
-exact (over F_q each entry is first expanded to its multiplication
-matrix over F_p).  A matrix is
-keyed by its entries read as one base-q integer (int64; byte keys only
-where q^(n^2) does not fit).  One orbit algorithm, closure, does every
-search on code stacks: a breadth-first closure that finds each image by
-its key among the sorted keys seen so far and adds new elements in
+generators.  Elements are uint8 code matrices; one kernel, mat_mul, does
+every product of code matrices as a matmul over F_p, in float32 wherever
+that is exact (over F_q each entry is first expanded to its
+multiplication matrix over F_p).  One orbit algorithm, closure, does every
+search, on row codes: each matrix as its n rows, row i's entries read as
+one base-q integer.  A matrix is keyed by its row codes read in base q^n,
+the int64 its entries give in base q (byte keys only where q^(n^2) does
+not fit).  The closure finds each block's images by their keys, sorted
+once, among the sorted keys seen so far, and adds new elements in
 discovery order, along a tree.  Enumeration closes the identity under the
-root elements with a basis parameter and keeps the index of every image,
-a right-multiplication map on indices for each (the Schreier-tree method
-of permutation groups); its sorted keys are the group's lookup table.
-The order over every root element, and every later action on the group,
-is then index arithmetic.  This keeps 10^5..10^6 element groups within
-reach.
+root elements with a basis parameter: one mat_mul product gives the row
+code of every row times every basis element (row_table), so each block's
+products are a gather from that table.  It keeps the index of every
+image, a right-multiplication map on indices for each (the Schreier-tree
+method of permutation groups); its sorted keys are the group's lookup
+table.  The order over every root element, and every later action on the
+group, is then index arithmetic.  This keeps 10^5..10^6 element groups
+within reach.
 
 The root elements of SOodd and SOeven generate Omega_{2n+1}(q) and
 Omega^+_2n(q) (order_omega_odd, order_omega_plus), which is what they
@@ -538,7 +541,8 @@ def mat_mul(field: Fq, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def mul_stack(field: Fq, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(k,n,n) stack times a single (n,m) matrix, exact over F_q."""
+    """A stack of rows (k,n) or matrices (k,n,n) times a single (n,m)
+    matrix, exact over F_q."""
     return mat_mul(field, A, B)
 
 
@@ -552,43 +556,92 @@ def mul_pairwise(field: Fq, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return mat_mul(field, A, B)
 
 
-def canonical_stack(ctx: GroupCtx, stack: np.ndarray) -> np.ndarray:
-    lams = ctx._center_codes()
-    if len(lams) <= 1 or not len(stack):
-        return stack
-    field = ctx.field
-    k = stack.shape[0]
-    flat = stack.reshape(k, -1)
-    rows = np.arange(k)
-    pos = (flat != 0).argmax(axis=1)
-    best = stack
-    best_rank = field._rank[flat[rows, pos]]
-    for lam in lams:
-        if lam == 1:
-            continue
-        cand = field._mul_np[lam, stack]
-        r = field._rank[cand.reshape(k, -1)[rows, pos]]
-        mask = r < best_rank
-        if mask.any():
-            best = np.where(mask[:, None, None], cand, best)
-            best_rank = np.where(mask, r, best_rank)
+def row_codes(stack: np.ndarray, q: int) -> np.ndarray:
+    """Each matrix of a uint8 code stack as its n row codes, int64 of
+    shape (..., n): row i's entries read in base q, column 0 most
+    significant.  A row code is below q^n; Unsupported where q^n does not
+    fit in 63 bits."""
+    n = stack.shape[-1]
+    if q ** n >= 1 << 63:
+        raise Unsupported(f"a row of {n} entries over F_{q} does not fit an int64 row code")
+    rows = stack[..., 0].astype(np.int64)
+    for col in range(1, n):
+        rows *= q
+        rows += stack[..., col]
+    return rows
+
+
+def row_entries(rows: np.ndarray, q: int, n: int | None = None) -> np.ndarray:
+    """The n uint8 entries of each row code, a trailing axis.  n defaults
+    to the length of the last axis, so the row codes (..., n) of matrices
+    decode to their code matrices (..., n, n), inverting row_codes."""
+    n = rows.shape[-1] if n is None else n
+    place = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return (rows[..., None] // place % q).astype(np.uint8)
+
+
+def row_keys(rows: np.ndarray, q: int) -> np.ndarray:
+    """Each matrix of row codes (k, n) as one sortable key: its row codes
+    read in base q^n, the int64 its entries give read row-major in base q
+    (most significant first, so keys sort like the entry sequences).
+    Where q^(n^2) does not fit in 63 bits, the raw bytes of its entries as
+    a fixed-width void key instead."""
+    n = rows.shape[-1]
+    if q ** (n * n) >= 1 << 63:
+        flat = row_entries(rows, q).reshape(len(rows), n * n)
+        return flat.view(np.dtype((np.void, n * n))).ravel()
+    keys = rows[:, 0].astype(np.int64)
+    for col in range(1, n):
+        keys *= q ** n
+        keys += rows[:, col]
+    return keys
+
+
+@functools.lru_cache(maxsize=None)
+def _center_choice(field: Fq, center: tuple) -> np.ndarray:
+    """For each scalar a, the center scalar lam (a code) that makes lam*a
+    least in the scalar order; 1 for a = 0."""
+    lams = np.array(center)
+    best = lams[field._rank[field._mul_np[lams[:, None], np.arange(field.q)]].argmin(axis=0)]
+    best[0] = 1
     return best
 
 
-def stack_keys(stack: np.ndarray, q: int) -> np.ndarray:
-    """Each matrix of a uint8 code stack as one sortable key: its entries,
-    row-major, read as a base-q int64 (most significant first, so keys
-    sort like the entry sequences).  Where q^(n^2) does not fit in 63
-    bits, the raw bytes as a fixed-width void key instead."""
-    width = stack.shape[-2] * stack.shape[-1]
-    flat = np.ascontiguousarray(stack).reshape(stack.shape[0], width)
-    if q ** width >= 1 << 63:
-        return flat.view(np.dtype((np.void, width))).ravel()
-    keys = flat[:, 0].astype(np.int64)
-    for col in range(1, width):
-        keys *= q
-        keys += flat[:, col]
-    return keys
+def canonical_entries(ctx: GroupCtx, stack: np.ndarray) -> np.ndarray:
+    """Canonical coset representatives of a uint8 code stack (..., n, n):
+    the first nonzero entry picks the center scalar, which scales the
+    matrix (canonical_rep on code arrays)."""
+    center = tuple(ctx._center_codes())
+    if len(center) <= 1:
+        return stack
+    n = stack.shape[-1]
+    flat = stack.reshape(stack.shape[:-2] + (n * n,))
+    lead = np.take_along_axis(flat, (flat != 0).argmax(axis=-1)[..., None], axis=-1)
+    return ctx.field._mul_np[_center_choice(ctx.field, center)[lead][..., None], stack]
+
+
+@functools.lru_cache(maxsize=None)
+def _row_scalings(field: Fq, n: int, center: tuple):
+    """The lead entry of every row code below q^n, and the (q, q^n) int32
+    table whose [a, c] is the row code of lam*(row c), lam the center
+    scalar _center_choice picks for the lead entry a."""
+    rows = row_entries(np.arange(field.q ** n), field.q, n)
+    lead = np.take_along_axis(rows, (rows != 0).argmax(axis=1)[:, None], axis=1).ravel()
+    scaled = field._mul_np[_center_choice(field, center)[:, None, None], rows]
+    return lead, row_codes(scaled, field.q).astype(np.int32)
+
+
+def canonical_stack(ctx: GroupCtx, rows: np.ndarray) -> np.ndarray:
+    """Canonical coset representatives of matrices given by row codes
+    (k, n): the lead entry of the first nonzero row picks the center
+    scalar, and one gather from a (q, q^n) table scales every row.  For
+    enumerated groups, where q^n is at most |G| + 1."""
+    center = tuple(ctx._center_codes())
+    if len(center) <= 1 or not len(rows):
+        return rows
+    lead, scaled = _row_scalings(ctx.field, ctx.dim, center)
+    first = np.take_along_axis(rows, (rows != 0).argmax(axis=1)[:, None], axis=1)
+    return scaled[lead[first], rows]
 
 
 def search_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -607,20 +660,23 @@ PRODUCT_BLOCK = 1 << 15
 
 def closure(ctx: GroupCtx, start: np.ndarray, act, width: int, cap: int, refusal: str,
             maps: bool = False):
-    """Breadth-first closure of the code matrix start under act, which
-    gives the width images of each matrix of a frontier block (PRODUCT_BLOCK
-    images at a time), frontier-major, as one stack.  An image is found by
-    its key among the sorted keys seen so far; a new element joins where it
-    first occurs, as image step[i] of element parent[i].  Raises
-    CapExceeded(refusal) once a block grows the set past cap.
+    """Breadth-first closure of the matrix with row codes start (n,) under
+    act, which gives the width images of each matrix of a frontier block
+    (row codes (k, n), PRODUCT_BLOCK images at a time) as row codes
+    (k*width, n), frontier-major; in projective contexts act returns them
+    canonical.  A block's image keys are sorted once and found among the
+    sorted keys seen so far; a new element joins where it first occurs,
+    as image step[i] of element parent[i].  Raises CapExceeded(refusal)
+    once a block grows the set past cap.
 
-    Returns the codes in discovery order, the tree (parent, step), where
-    each depth ends, and the sorted keys with each key's index; with maps,
-    also the index of every image, element-major, one array per block.
+    Returns the row codes in discovery order, the tree (parent, step),
+    where each depth ends, and the sorted keys with each key's index; with
+    maps, also the index of every image, element-major, one array per
+    block.
     """
     q = ctx.field.q
     frontier = start[None]
-    keys, index = stack_keys(frontier, q), np.zeros(1, np.int32)
+    keys, index = row_keys(frontier, q), np.zeros(1, np.int32)
     elems, ends, images = [frontier], [], []
     parent, step = [np.zeros(1, np.int32)], [np.zeros(1, np.int32)]
     rows = max(1, PRODUCT_BLOCK // width)
@@ -630,27 +686,35 @@ def closure(ctx: GroupCtx, start: np.ndarray, act, width: int, cap: int, refusal
         level = []
         for at in range(0, len(frontier), rows):
             prods = act(frontier[at:at + rows])
-            if ctx.projective:
-                prods = canonical_stack(ctx, prods)
-            prod_keys = stack_keys(prods, q)
-            pos = search_sorted(keys, prod_keys)
+            prod_keys = row_keys(prods, q)
+            order = np.argsort(prod_keys)
+            sorted_keys = prod_keys[order]
+            pos = np.searchsorted(keys, sorted_keys)
             near = np.minimum(pos, len(keys) - 1)
-            unseen = np.flatnonzero(keys[near] != prod_keys)
-            # dedupe only the unseen keys, usually a small share
-            uniq, first, inverse = np.unique(prod_keys[unseen], return_index=True, return_inverse=True)
-            first = unseen[first]
-            new = np.empty(len(uniq), np.int32)  # indices in discovery order
-            new[np.argsort(first)] = np.arange(len(keys), len(keys) + len(uniq))
+            unseen = np.flatnonzero(keys[near] != sorted_keys)
+            fresh = sorted_keys[unseen]
+            # runs of equal unseen keys: each run is one new element, which
+            # joins at its least image position
+            starts = np.ones(len(fresh), dtype=bool)
+            starts[1:] = fresh[1:] != fresh[:-1]
+            runs = np.flatnonzero(starts)
+            first = np.minimum.reduceat(order[unseen], runs)
+            # a new element's index is its rank among the first positions
+            joins = np.zeros(len(prods), dtype=bool)
+            joins[first] = True
+            new = len(keys) - 1 + np.cumsum(joins, dtype=np.int32)[first]
             if maps:
-                idx = index[near]
-                idx[unseen] = new[inverse]
+                idx = np.empty(len(prods), np.int32)
+                idx[order] = index[near]
+                idx[order[unseen]] = new[np.cumsum(starts) - 1]
                 images.append(idx)
-            keys, index = np.insert(keys, pos[first], uniq), np.insert(index, pos[first], new)
-            first.sort()
+            keys = np.insert(keys, pos[unseen[runs]], fresh[runs])
+            index = np.insert(index, pos[unseen[runs]], new)
+            first = np.flatnonzero(joins)
             level.append(prods[first])
             parent.append((base + at + first // width).astype(np.int32))
             step.append((first % width).astype(np.int32))
-            if len(uniq) and len(keys) > cap:
+            if len(runs) and len(keys) > cap:
                 raise CapExceeded(refusal)
         frontier = np.concatenate(level)
         elems.append(frontier)
@@ -691,9 +755,11 @@ class FiniteGroup:
         return [self.elem(i) for i in range(self.order)]
 
     def indices_of_stack(self, stack: np.ndarray) -> np.ndarray:
+        q = self.ctx.field.q
+        rows = row_codes(stack, q)
         if self.ctx.projective:
-            stack = canonical_stack(self.ctx, stack)
-        keys = stack_keys(stack, self.ctx.field.q)
+            rows = canonical_stack(self.ctx, rows)
+        keys = row_keys(rows, q)
         pos = np.minimum(search_sorted(self._sorted_keys, keys), self.order - 1)
         missing = self._sorted_keys[pos] != keys
         if missing.any():
@@ -752,24 +818,42 @@ class FiniteGroup:
         return self._cayley
 
 
+def row_table(field: Fq, basis: np.ndarray) -> np.ndarray:
+    """The int32 table (q^n, b) whose [c, g] is the row code of
+    (row c) basis[g], for every row code c below q^n: one mul_stack
+    product of all q^n rows with the b matrices side by side."""
+    b, n = basis.shape[:2]
+    every_row = row_entries(np.arange(field.q ** n), field.q, n)
+    prods = mul_stack(field, every_row, np.concatenate(basis, axis=1))
+    return row_codes(prods.reshape(len(every_row), b, n), field.q).astype(np.int32)
+
+
 def _basis_search(ctx: GroupCtx, basis: np.ndarray, cap: int):
     """The closure of the identity under right multiplication by the
-    basis root elements, one mul_stack product per block; returns the
-    closure with each basis element's right map as an int32 row in place
-    of the images."""
-    field, n = ctx.field, ctx.dim
-    b = len(basis)
-    wide = np.concatenate(basis, axis=1)
+    basis root elements b_g, on row codes; returns the closure with each
+    basis element's right map as an int32 row in place of the images.
+
+    One mul_stack product makes row_table's T[c, g], the row code of
+    (row c) b_g (q^n is at most |G| + 1 for every enumerable group, so T
+    is no larger than a right map).  A block's images are then one
+    gather, T[block], and in projective contexts one more from
+    canonical_stack's table."""
+    q, n = ctx.field.q, ctx.dim
+    table = row_table(ctx.field, basis)
+    every_row = row_entries(np.arange(q ** n), q, n)
 
     def act(block):
-        prods = mul_stack(field, block, wide).reshape(len(block), n, b, n)
-        return prods.swapaxes(1, 2).reshape(-1, n, n)
+        # images frontier-major, each row of them contiguous
+        prods = table[block.T].reshape(n, -1).T
+        return canonical_stack(ctx, prods) if ctx.projective else prods
 
-    codes, tree, ends, lookup, images = closure(
-        ctx, mat_to_codes(ctx.identity().mat), act, b, cap,
+    rows, tree, ends, lookup, images = closure(
+        ctx, row_codes(mat_to_codes(ctx.identity().mat), q), act, len(basis), cap,
         f"group enumeration exceeded cap {cap}", maps=True)
-    right = np.ascontiguousarray(np.concatenate(images).reshape(-1, b).T)
-    return codes, right, tree, ends, lookup
+    right = np.ascontiguousarray(np.concatenate(images).reshape(-1, len(basis)).T)
+    # decode once: each row's n entries gathered as one n-byte item
+    entries = every_row.view(np.dtype((np.void, n))).ravel()[rows]
+    return entries.view(np.uint8).reshape(rows.shape + (n,)), right, tree, ends, lookup
 
 
 def _digit_steps(field: Fq):

@@ -18,8 +18,8 @@ identity), and sigma is applied to each class representative.
 
 The orbit of a single element is the enumeration's closure
 (groups.closure) under another action, without enumerating the group:
-each block of the frontier meets every generator (their inverses are
-generators too) in two broadcast products.  The witnesses follow the
+each block of the frontier, decoded from its row codes, meets every
+generator (their inverses are generators too) in two broadcast products.  The witnesses follow the
 closure's tree, one product per depth.  The decision procedure finds y
 among the closure's sorted keys and verifies the witness it returns with
 the per-element action.
@@ -50,6 +50,7 @@ from .groups import (
     FiniteGroup,
     GroupCtx,
     GrpElem,
+    canonical_entries,
     closure,
     codes_to_mat,
     enumerate_group,
@@ -57,7 +58,9 @@ from .groups import (
     intertwiners,
     mat_mul,
     mat_to_codes,
-    stack_keys,
+    row_codes,
+    row_entries,
+    row_keys,
 )
 
 BURNSIDE_CAP = 2_000
@@ -241,7 +244,11 @@ def _orbit_stacks(x: GrpElem, sigma: GroupAut, cap: int):
 
     The closure of x under the steps h, the generators, each acting by
     one broadcast product h y sigma(h)^(-1); their inverses need no step,
-    as x_r(a)^(-1) = x_r(-a) is a generator.  The witnesses follow the
+    as x_r(a)^(-1) = x_r(-a) is a generator.  The closure runs on row
+    codes, which act converts to code matrices and back arithmetically:
+    a table of all q^n rows, as enumeration uses, would be too large here
+    (SL_4(F_81) has 43M row codes), so projective images are
+    canonicalised on their entries.  The witnesses follow the
     closure's tree, one product per depth: an element's witness is its
     step times its parent's witness.  In projective contexts that is any
     matrix of the coset, canonicalised only when it becomes a GrpElem.
@@ -249,17 +256,21 @@ def _orbit_stacks(x: GrpElem, sigma: GroupAut, cap: int):
     ctx = x.ctx
     if sigma.ctx != ctx:
         raise IncompatibleKind("mismatched contexts in twisted action")
-    field = ctx.field
+    field, q = ctx.field, ctx.field.q
     gens = generators(ctx)
     left = np.stack([mat_to_codes(h.mat) for h in gens])
     right = np.stack([mat_to_codes(sigma(h.inverse()).mat) for h in gens])
 
     def act(block):
-        prods = mat_mul(field, mat_mul(field, left[None], block[:, None]), right[None])
-        return prods.reshape((-1,) + prods.shape[2:])
+        stack = row_entries(block, q)
+        prods = mat_mul(field, mat_mul(field, left[None], stack[:, None]), right[None])
+        if ctx.projective:
+            prods = canonical_entries(ctx, prods)
+        return row_codes(prods, q).reshape(-1, ctx.dim)
 
-    elems, (parent, step), ends, lookup, _ = closure(
-        ctx, mat_to_codes(x.mat), act, len(gens), cap, "twisted orbit exceeded cap")
+    rows, (parent, step), ends, lookup, _ = closure(
+        ctx, row_codes(mat_to_codes(x.mat), q), act, len(gens), cap, "twisted orbit exceeded cap")
+    elems = row_entries(rows, q)
     witnesses = np.empty_like(elems)
     witnesses[0] = mat_to_codes(ctx.identity().mat)
     for lo, hi in zip(ends, ends[1:]):
@@ -286,7 +297,8 @@ def twisted_orbit_of(x: GrpElem, sigma: GroupAut, cap: int = ENUM_CAP) -> dict:
 
 def _orbit_search(x: GrpElem, y: GrpElem, sigma: GroupAut, cap: int):
     _, witnesses, (keys, index) = _orbit_stacks(x, sigma, cap)
-    key = stack_keys(mat_to_codes(y.mat)[None], x.ctx.field.q)
+    q = x.ctx.field.q
+    key = row_keys(row_codes(mat_to_codes(y.mat)[None], q), q)
     pos = min(int(np.searchsorted(keys, key)[0]), len(keys) - 1)
     if keys[pos] != key[0]:
         return False, None

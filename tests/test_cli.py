@@ -305,6 +305,25 @@ def test_empty_sweeps_are_refused(args):
     assert "x>=1" in res.output
 
 
+@pytest.mark.parametrize("flag, value, bound", [
+    ("--cap", "0", "x>=1"),
+    ("--cap", "-1", "x>=1"),
+    ("--burnside-cap", "-1", "x>=0"),
+])
+def test_reidemeister_refuses_caps_out_of_range(flag, value, bound):
+    # a cap below the trivial group's order is a usage error, not a
+    # CapExceeded naming it
+    res = run_cli("reidemeister", "--group", "SL", "--n", "2", "--q", "3", flag, value)
+    assert res.exit_code == 2
+    assert bound in res.output and "CapExceeded" not in res.output
+
+
+def test_reidemeister_burnside_cap_zero_skips_the_second_count():
+    res = run_cli("reidemeister", "--group", "SL", "--n", "2", "--q", "3", "--burnside-cap", "0")
+    assert res.exit_code == 0
+    assert "count=7 method=orbit-partition," in res.output
+
+
 def test_witness_check_has_no_sl_group():
     # witness_sl's membership is certified when it is built, so a det row
     # could never fail;

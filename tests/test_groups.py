@@ -26,6 +26,7 @@ from chevtwist.groups import (
     GrpElem,
     GroupCtx,
     GroupKind,
+    canonical_entries,
     canonical_rep,
     canonical_stack,
     center,
@@ -45,7 +46,10 @@ from chevtwist.groups import (
     projective_canonicalize,
     root_directions,
     root_element,
-    stack_keys,
+    row_codes,
+    row_entries,
+    row_keys,
+    row_table,
     unit_mat,
 )
 from chevtwist.matrices import Mat
@@ -457,8 +461,112 @@ def test_index_of_non_member_raises():
 def test_empty_stacks():
     empty = np.empty((0, 2, 2), np.uint8)
     for ctx in [GroupCtx(GroupKind.psl(2), F3), GroupCtx(GroupKind.sl(2), F9)]:
-        assert canonical_stack(ctx, empty).shape == (0, 2, 2)
+        assert canonical_stack(ctx, row_codes(empty, ctx.field.q)).shape == (0, 2)
+        assert canonical_entries(ctx, empty).shape == (0, 2, 2)
         assert enumerate_group(ctx).indices_of_stack(empty).shape == (0,)
+
+
+def _reference_canonical(ctx, stack):
+    """Canonical coset representatives of a uint8 code stack, one pass per
+    center scalar over whole matrices: the least first nonzero entry in
+    the scalar order wins.  Shares no table with the library's
+    canonicalisers."""
+    lams = ctx._center_codes()
+    if len(lams) <= 1 or not len(stack):
+        return stack
+    field = ctx.field
+    k = stack.shape[0]
+    flat = stack.reshape(k, -1)
+    rows = np.arange(k)
+    pos = (flat != 0).argmax(axis=1)
+    best = stack
+    best_rank = field._rank[flat[rows, pos]]
+    for lam in lams:
+        if lam == 1:
+            continue
+        cand = field._mul_np[lam, stack]
+        r = field._rank[cand.reshape(k, -1)[rows, pos]]
+        mask = r < best_rank
+        if mask.any():
+            best = np.where(mask[:, None, None], cand, best)
+            best_rank = np.where(mask, r, best_rank)
+    return best
+
+
+def _random_stack(rng, field, n, k):
+    """k random code matrices, a quarter of their rows zeroed (whole
+    matrices among them), so leading zero rows occur."""
+    stack = rng.integers(0, field.q, (k, n, n), dtype=np.uint8)
+    stack[rng.random((k, n)) < 0.25] = 0
+    stack[:3] = 0
+    return stack
+
+
+# the table has q^n rows: F_25 and F_27 at n >= 4 would hold 390,625 and
+# more, so those pairs are left out
+ROW_CASES = [(field, n) for field in [F3, Fq(5, 1), F9, Fq(5, 2), Fq(3, 3)] for n in range(2, 6)
+             if field.q ** n <= 60_000]
+
+
+@pytest.mark.parametrize("field, n", ROW_CASES, ids=lambda v: f"F{v.q}" if isinstance(v, Fq) else str(v))
+def test_row_table_products_match_mat_mul(field, n):
+    rng = np.random.default_rng(field.q * 10 + n)
+    A, B = _random_stack(rng, field, n, 200), _random_stack(rng, field, n, 3)
+    rows = row_codes(A, field.q)
+    assert (row_entries(rows, field.q) == A).all()
+    table = row_table(field, B)
+    assert table.shape == (field.q ** n, 3) and table.dtype == np.int32
+    want = row_codes(mat_mul(field, A[:, None], B[None]), field.q)  # (k, b, n)
+    assert (table[rows] == want.swapaxes(1, 2)).all()
+
+
+def test_row_table_is_no_larger_than_a_right_map():
+    # every (kind, odd q < 256) pair whose order passes ENUM_CAP has
+    # q^dim <= |G| + 1, so enumeration's q^dim-row table needs no cap
+    primes = [p for p in range(3, 256, 2) if all(p % d for d in range(3, p, 2))]
+    fields = sorted({p ** e for p in primes for e in range(1, 6) if p ** e < 256})
+    pairs = []
+    for family in groups.FAMILIES:
+        for q in fields:
+            n = groups._MIN_RANK[family]
+            while expected_order(GroupKind(family, n), q)[0] <= ENUM_CAP:
+                pairs.append((GroupKind(family, n), q))
+                n += 1
+    assert len(pairs) == 72
+    assert all(q ** kind.dim <= expected_order(kind, q)[0] + 1 for kind, q in pairs)
+
+
+@pytest.mark.parametrize("ctx", [GroupCtx(GroupKind.psl(2), F9), GroupCtx(GroupKind.psl(2), Fq(5, 2)),
+                                 GroupCtx(GroupKind.psp(2), F3)], ids=repr)
+def test_row_canonicalisation_matches_the_stack_canonicaliser(ctx):
+    field, n = ctx.field, ctx.dim
+    rng = np.random.default_rng(n * field.q)
+    G = enumerate_group(ctx)
+    members = G.codes[rng.integers(0, G.order, 300)]
+    # a member's coset: the member times each center scalar
+    lams = np.array(ctx._center_codes())
+    coset = field._mul_np[lams[rng.integers(0, len(lams), 300)][:, None, None], members]
+    for stack in (_random_stack(rng, field, n, 500), coset):
+        want = _reference_canonical(ctx, stack)
+        assert (canonical_entries(ctx, stack) == want).all()
+        assert (canonical_stack(ctx, row_codes(stack, field.q)) == row_codes(want, field.q)).all()
+    assert (canonical_entries(ctx, coset) == members).all()
+
+
+def test_one_enumeration_makes_one_stack_product(monkeypatch):
+    calls = []
+    real = groups.mul_stack
+
+    def counted(field, A, B):
+        calls.append(len(A))
+        return real(field, A, B)
+
+    monkeypatch.setattr(groups, "mul_stack", counted)
+    for kind, field in [(GroupKind.sl(2), F3), (GroupKind.psl(2), F9), (GroupKind.sl(2), Fq(3, 3)),
+                        (GroupKind.sp(2), F3)]:
+        calls.clear()
+        G = enumerate_group.__wrapped__(GroupCtx(kind, field))
+        assert calls == [field.q ** kind.dim], (kind, G.order)
 
 
 def _byte_keys(stack):
@@ -477,7 +585,7 @@ def _reference_closure(ctx, gens):
     while len(frontier):
         prods = np.concatenate([mat_mul(field, frontier, g) for g in gens])
         if ctx.projective:
-            prods = canonical_stack(ctx, prods)
+            prods = _reference_canonical(ctx, prods)
         keys = _byte_keys(prods)
         _, first = np.unique(keys, return_index=True)
         first.sort()
@@ -660,7 +768,7 @@ def test_enumeration_cap_below_the_order_per_generator(ctx):
 def test_integer_keys_sort_like_entries():
     rng = np.random.default_rng(5)
     stack = rng.integers(0, 9, (500, 3, 3), dtype=np.uint8)
-    keys = stack_keys(stack, 9)
+    keys = row_keys(row_codes(stack, 9), 9)
     assert keys.dtype == np.int64
     order = np.argsort(keys, kind="stable")
     assert (order == np.argsort(_byte_keys(stack), kind="stable")).all()
@@ -672,10 +780,10 @@ def test_wide_matrices_keep_byte_keys():
     ctx = GroupCtx(GroupKind.sl(7), F3)
     gens = np.stack([mat_to_codes(g.mat) for g in generators(ctx)])
     stack = np.concatenate([gens, mat_mul(F3, gens[:, None], gens[None]).reshape(-1, 7, 7)])
-    keys = stack_keys(stack, 3)
-    assert keys.dtype.kind == "V"
+    keys = row_keys(row_codes(stack, 3), 3)
+    assert keys.dtype.kind == "V" and (keys == _byte_keys(stack)).all()
     codes = stack[np.sort(np.unique(keys, return_index=True)[1])]
-    code_keys = stack_keys(codes, 3)
+    code_keys = row_keys(row_codes(codes, 3), 3)
     by_key = np.argsort(code_keys)
     # a lookup table only: no index maps, no tree
     G = FiniteGroup(ctx, codes, None, None, (code_keys[by_key], by_key))
@@ -697,7 +805,7 @@ def _frontier_major_closure(ctx, gens):
             for j, g in enumerate(gens):
                 prod = mat_mul(field, codes[i], g)
                 if ctx.projective:
-                    prod = canonical_stack(ctx, prod[None])[0]
+                    prod = _reference_canonical(ctx, prod[None])[0]
                 key = prod.tobytes()
                 if key not in found:
                     found[key] = len(codes)
@@ -715,23 +823,27 @@ def test_closure_adds_elements_in_discovery_order(ctx, monkeypatch):
     # small blocks, so a level spans several and new elements repeat
     # across them
     monkeypatch.setattr(groups, "PRODUCT_BLOCK", 8)
-    field = ctx.field
+    field, q = ctx.field, ctx.field.q
     gens = np.stack([mat_to_codes(g.mat) for g in generators(ctx)])
 
     def act(block):
-        return mat_mul(field, block[:, None], gens[None]).reshape(-1, 2, 2)
+        prods = mat_mul(field, row_entries(block, q)[:, None], gens[None])
+        rows = row_codes(prods, q).reshape(-1, 2)
+        return canonical_stack(ctx, rows) if ctx.projective else rows
 
-    codes, (parent, step), ends, (keys, index), images = closure(
-        ctx, mat_to_codes(ctx.identity().mat), act, len(gens), ENUM_CAP, "cap", maps=True)
+    start = row_codes(mat_to_codes(ctx.identity().mat), q)
+    rows, (parent, step), ends, (keys, index), images = closure(
+        ctx, start, act, len(gens), ENUM_CAP, "cap", maps=True)
+    codes = row_entries(rows, q)
     want, edges, want_images = _frontier_major_closure(ctx, gens)
     assert codes.tobytes() == want.tobytes()
     assert (parent == edges[:, 0]).all() and (step == edges[:, 1]).all()
     assert (np.concatenate(images) == want_images).all()
     assert ends[-1] == len(codes) and (np.diff(ends) > 0).all()
-    assert (np.diff(keys) > 0).all() and (keys == stack_keys(codes, field.q)[index]).all()
+    assert (np.diff(keys) > 0).all() and (keys == row_keys(row_codes(codes, q), q)[index]).all()
     with pytest.raises(CapExceeded, match="^cap$"):
-        closure(ctx, codes[0], act, len(gens), len(codes) - 1, "cap")
-    assert len(closure(ctx, codes[0], act, len(gens), len(codes), "cap")[0]) == len(codes)
+        closure(ctx, start, act, len(gens), len(codes) - 1, "cap")
+    assert len(closure(ctx, start, act, len(gens), len(codes), "cap")[0]) == len(codes)
 
 
 def test_closure_keeps_byte_keys_and_first_images():
@@ -739,16 +851,21 @@ def test_closure_keeps_byte_keys_and_first_images():
     # image of a new element is a repeat within its block
     ctx = GroupCtx(GroupKind.sl(7), F3)
     g = mat_to_codes(generators(ctx)[0].mat)
-    codes, (parent, step), ends, (keys, index), images = closure(
-        ctx, mat_to_codes(ctx.identity().mat),
-        lambda block: mat_mul(F3, block, g).repeat(2, axis=0), 2, ENUM_CAP, "cap", maps=True)
+
+    def act(block):
+        return row_codes(mat_mul(F3, row_entries(block, 3), g), 3).repeat(2, axis=0)
+
+    rows, (parent, step), ends, (keys, index), images = closure(
+        ctx, row_codes(mat_to_codes(ctx.identity().mat), 3), act, 2, ENUM_CAP, "cap", maps=True)
+    codes = row_entries(rows, 3)
     assert keys.dtype.kind == "V"
     assert [m.tobytes() for m in codes] == [mat_to_codes((generators(ctx)[0] ** k).mat).tobytes()
                                            for k in range(3)]
     assert parent.tolist() == [0, 0, 1] and step.tolist() == [0, 0, 0] and ends == [1, 2, 3]
     assert np.concatenate(images).tolist() == [1, 1, 2, 2, 0, 0]
     assert (np.argsort(keys, kind="stable") == np.arange(3)).all()
-    assert (keys == stack_keys(codes, 3)[index]).all()
+    assert (keys == row_keys(row_codes(codes, 3), 3)[index]).all()
+    assert (keys == _byte_keys(codes)[index]).all()
 
 
 def test_form_invariant_failures_are_typed():

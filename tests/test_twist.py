@@ -20,6 +20,7 @@ from chevtwist.groups import (
     GroupCtx,
     GroupKind,
     GrpElem,
+    canonical_stack,
     closure,
     codes_to_mat,
     enumerate_group,
@@ -29,6 +30,8 @@ from chevtwist.groups import (
     mat_to_codes,
     root_directions,
     root_element,
+    row_codes,
+    row_entries,
 )
 from chevtwist.twist import (
     are_twisted_conjugate,
@@ -614,17 +617,20 @@ def _orbit_with_inverse_steps(x, sigma):
     """The twisted orbit of x as the closure under the generators and
     their inverses, steps h y sigma(h)^(-1), mapped element -> witness;
     each witness is its step times its parent's, one GrpElem product."""
-    ctx, field = x.ctx, x.ctx.field
+    ctx, field, q = x.ctx, x.ctx.field, x.ctx.field.q
     gens = generators(ctx)
     steps = gens + [g.inverse() for g in gens]
     left = np.stack([mat_to_codes(h.mat) for h in steps])
     right = np.stack([mat_to_codes(sigma(h).inverse().mat) for h in steps])
 
     def act(block):
-        prods = mat_mul(field, mat_mul(field, left[None], block[:, None]), right[None])
-        return prods.reshape((-1,) + prods.shape[2:])
+        prods = mat_mul(field, mat_mul(field, left[None], row_entries(block, q)[:, None]), right[None])
+        rows = row_codes(prods, q).reshape(-1, ctx.dim)
+        return canonical_stack(ctx, rows) if ctx.projective else rows
 
-    elems, (parent, step), _, _, _ = closure(ctx, mat_to_codes(x.mat), act, len(steps), ENUM_CAP, "cap")
+    start = row_codes(mat_to_codes(x.mat), q)
+    rows, (parent, step), _, _, _ = closure(ctx, start, act, len(steps), ENUM_CAP, "cap")
+    elems = row_entries(rows, q)
     witnesses = [ctx.identity()]
     for i in range(1, len(elems)):
         witnesses.append(steps[step[i]] * witnesses[parent[i]])
