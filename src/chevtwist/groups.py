@@ -556,6 +556,16 @@ def mul_pairwise(field: Fq, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return mat_mul(field, A, B)
 
 
+def _read_in_base(digits: np.ndarray, base: int) -> np.ndarray:
+    """The last axis of digits read as one int64 in this base, its first
+    entry most significant."""
+    out = digits[..., 0].astype(np.int64)
+    for col in range(1, digits.shape[-1]):
+        out *= base
+        out += digits[..., col]
+    return out
+
+
 def row_codes(stack: np.ndarray, q: int) -> np.ndarray:
     """Each matrix of a uint8 code stack as its n row codes, int64 of
     shape (..., n): row i's entries read in base q, column 0 most
@@ -564,11 +574,7 @@ def row_codes(stack: np.ndarray, q: int) -> np.ndarray:
     n = stack.shape[-1]
     if q ** n >= 1 << 63:
         raise Unsupported(f"a row of {n} entries over F_{q} does not fit an int64 row code")
-    rows = stack[..., 0].astype(np.int64)
-    for col in range(1, n):
-        rows *= q
-        rows += stack[..., col]
-    return rows
+    return _read_in_base(stack, q)
 
 
 def row_entries(rows: np.ndarray, q: int, n: int | None = None) -> np.ndarray:
@@ -590,11 +596,7 @@ def row_keys(rows: np.ndarray, q: int) -> np.ndarray:
     if q ** (n * n) >= 1 << 63:
         flat = row_entries(rows, q).reshape(len(rows), n * n)
         return flat.view(np.dtype((np.void, n * n))).ravel()
-    keys = rows[:, 0].astype(np.int64)
-    for col in range(1, n):
-        keys *= q ** n
-        keys += rows[:, col]
-    return keys
+    return _read_in_base(rows, q ** n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -654,7 +656,8 @@ def search_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return pos
 
 
-# matrix products per block of a broadcast product, bounding its temporaries
+# products per block of a broadcast product or a closure step, bounding its
+# temporaries
 PRODUCT_BLOCK = 1 << 15
 
 

@@ -281,7 +281,7 @@ def _orbit_stacks(x: GrpElem, sigma: GroupAut, cap: int):
 def twisted_orbit_of(x: GrpElem, sigma: GroupAut, cap: int = ENUM_CAP) -> dict:
     """The orbit of x as a map element -> witness g, y = g x sigma(g)^(-1).
 
-    Breadth-first over the generators, on code stacks; the map lists the
+    Breadth-first over the generators, on row codes; the map lists the
     orbit in discovery order.  Raises CapExceeded when the orbit has more
     than cap elements.  The witnesses are exact products, not verified
     here; are_twisted_conjugate verifies the one witness it returns.

@@ -520,6 +520,13 @@ def test_row_table_products_match_mat_mul(field, n):
     assert (table[rows] == want.swapaxes(1, 2)).all()
 
 
+def test_row_codes_refuse_rows_past_63_bits():
+    # 3^39 < 2^63 <= 3^40
+    assert row_codes(np.ones((1, 39, 39), np.uint8), 3).tolist() == [[(3 ** 39 - 1) // 2] * 39]
+    with pytest.raises(Unsupported):
+        row_codes(np.zeros((1, 40, 40), np.uint8), 3)
+
+
 def test_row_table_is_no_larger_than_a_right_map():
     # every (kind, odd q < 256) pair whose order passes ENUM_CAP has
     # q^dim <= |G| + 1, so enumeration's q^dim-row table needs no cap
