@@ -45,6 +45,8 @@ _GROUP_FAMILIES = {family: functools.partial(GroupKind, family) for family in FA
 
 
 def _field_from_flags(p, e, q):
+    if q is not None and p is not None:
+        raise click.UsageError("give either --q or --p (with optional --e), not both")
     if q is not None:
         if q < 3:
             raise click.UsageError(f"--q {q} is not an odd prime power")

@@ -1,6 +1,7 @@
 """Error types shared across the library.
 
-Division by zero raises the builtin ZeroDivisionError everywhere.
+Division by zero in arithmetic raises the builtin ZeroDivisionError.
+Parsing does not: a zero denominator in text is a ParseError.
 """
 
 

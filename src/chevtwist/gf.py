@@ -5,8 +5,8 @@ over F_p, stored as integer codes 0..q-1 (base-p digits = coefficients,
 constant term first).  All operations go through tables precomputed at
 field construction, which keeps everything exact and fast at the desk
 scale this library targets (q <= 81 by default).  Per-element arithmetic
-(`FqElem`, `polyring.Poly`, and `matrices.Mat` products and elimination
-over one field) indexes nested lists of ints; the stack kernels
+(`FqElem`, `polyring.Poly`, and `matrices.Mat` products and small
+inverses over one field) indexes nested lists of ints; the stack kernels
 of `groups` index numpy arrays (`_mul_np`, `_digits`, `_mulmat`,
 `_rank`) with whole code arrays.  The Frobenius powers are built once,
 as `_frobs[r]`, the table of x -> x^(p^r) for r = 0..e-1, and every ring

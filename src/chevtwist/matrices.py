@@ -2,37 +2,35 @@
 
 Everything is immutable and hashable; a matrix has at least one row and
 one column.  One Gauss-Jordan reduction, _gauss_jordan, drives det,
-inverse and nullspace; entries are field elements, so no pivoting strategy
-beyond "first nonzero" is needed.  Products and elimination skip the terms
-with a zero factor: the group witnesses are the identity plus a few
-entries, and zero is the additive identity of normalised scalars, so every
-value is the same as with the full sums.
-Both have two arithmetic modes, which Mat._mode reads off the entries
-(see _scan).  Over one field (every entry an FqElem of that field) they
-run on the integer codes through the field's table rows; over one field's
-fractions (every entry a RatFrac), on polynomial numerators, each row (and
-column of a right factor) cleared over the lcm of its denominators, and
-the elimination is fraction-free.  Results are boxed once, at the end.
+inverse and nullspace with the scalars' own operators; entries are field
+elements, so no pivoting strategy beyond "first nonzero" is needed.
+Products and elimination skip the terms with a zero factor: the group
+witnesses are the identity plus a few entries, and zero is the additive
+identity of normalised scalars, so every value is the same as with the
+full sums.
+Mat._mode reads the entries' field and scalar type off them (see _scan).
+Products over one field (every entry an FqElem of that field) run on the
+integer codes through the field's table rows; over one field's fractions
+(every entry a RatFrac), on polynomial numerators, each row of the left
+factor and column of the right one cleared over the lcm of its
+denominators.  Results are boxed once, at the end.
 Entries over two fields or of two scalar types raise MixedFields; any
 other entry raises TypeError.
 A Mat over one field keeps its code rows beside its entries: the code
-product, transpose, the inverses, the scalar product and the code maps
-(_mapped, _permuted) fill them as they box, and the first scan of any
-other such Mat stores what it read, so a chain of products, determinants
-and inverses unboxes nothing.  A Mat over fractions keeps False in the
-same slot, set by the fraction product and inverse or by its first scan,
-so it too is scanned at most once.  An inverse over one field of size
-n <= 3 is the adjugate times det^-1, with no pivots; larger ones and
-fractions go through _gauss_jordan.
+product, transpose, the small inverse, the scalar product and the code
+maps (_mapped, _permuted) fill them as they box, and the first scan of
+any other such Mat stores what it read, so a chain of products and small
+inverses unboxes nothing.  A Mat over fractions keeps False in the same
+slot, set by the fraction product and inverse or by its first scan, so it
+too is scanned at most once.  An inverse over one field of size n <= 3 is
+the adjugate times det^-1, with no pivots; larger ones and fractions go
+through _gauss_jordan.
 Powers go through gf.power, the library's one binary-power routine:
 M^k makes floor(log2 k) squarings plus popcount(k) - 1 products, and the
 identity is built only for k = 0.
 """
 
 from __future__ import annotations
-
-import functools
-import operator
 
 from .errors import CertificateMismatch, MixedFields, SizeMismatch, Singular
 from .gf import FqElem, power
@@ -186,13 +184,10 @@ class Mat:
         if not self.is_square:
             raise SizeMismatch("determinant of a non-square matrix")
         n = self.nrows
-        field, codes = self._mode()
-        a = list(codes or self.rows)
-        pivots, product, swaps = _gauss_jordan(a, n, field, codes is not None)
+        self._mode()  # refuses mixed and unsupported entries
+        pivots, product, swaps = _gauss_jordan(list(self.rows), n)
         if len(pivots) < n:
             return zero_like(self.rows[0][0])
-        if codes is not None:
-            product = field._elem[product]
         return -product if swaps % 2 else product
 
     def inverse(self):
@@ -202,17 +197,13 @@ class Mat:
             raise SizeMismatch("inverse of a non-square matrix")
         n = self.nrows
         field, codes = self._mode()
-        if codes is None:
-            rows, one, zero = self.rows, RatFrac.one(field), RatFrac.zero(field)
-        elif n <= 3:
+        if codes is not None and n <= 3:
             return Mat._coded(field, _small_inverse(field, codes))
-        else:
-            rows, one, zero = codes, 1, 0
-        a = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(rows)]
-        if len(_gauss_jordan(a, n, field, codes is not None)[0]) < n:
+        one, zero = one_like(self.rows[0][0]), zero_like(self.rows[0][0])
+        a = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(self.rows)]
+        if len(_gauss_jordan(a, n)[0]) < n:
             raise Singular("matrix is singular")
-        inverse = tuple(tuple(row[n:]) for row in a)
-        return Mat._of(inverse, False) if codes is None else Mat._coded(field, inverse)
+        return Mat._of(tuple(tuple(row[n:]) for row in a), None if codes else False)
 
     def __eq__(self, other):
         return isinstance(other, Mat) and self.rows == other.rows
@@ -356,38 +347,18 @@ def parse_matrix(text: str, entry_parser) -> Mat:
     return Mat(rows)
 
 
-def _gauss_jordan(a, ncols, field, coded):
-    """Reduce the rows a (a list, changed in place) to reduced row echelon
-    form on their first ncols columns: code rows over field when coded,
-    else rows of RatFrac over field.
+def _gauss_jordan(a, ncols):
+    """Reduce the rows a (a list of rows of field scalars, changed in place)
+    to reduced row echelon form on their first ncols columns, with the
+    scalars' own operators.
 
     Column by column: the first row at or below the next pivot row with a
-    nonzero entry is swapped up and cleared from every other row with a
-    nonzero entry in its column.  Returns the pivot columns, the product of
-    the pivots' values before scaling when every row holds a pivot (else
-    None), and the number of swaps.
-
-    The integer-code mode scales the pivot row to a leading 1 and leaves
-    the rows and the product as codes; over one field's fractions the rows
-    are polynomials, see _fraction_free, and come back as RatFrac.
+    nonzero entry is swapped up, scaled to a leading one and cleared from
+    every other row with a nonzero entry in its column.  Returns the pivot
+    columns, the product of the pivots' values before scaling when every
+    row holds a pivot (else None), and the number of swaps.
     """
     m = len(a)
-    if coded:
-        add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
-
-        def times(x, y):
-            return mul[x][y]
-
-        def scaled(row, lead):
-            by = mul[inv[lead]]
-            return [by[x] for x in row]
-
-        def reduced(row, factor, prow):
-            by = mul[neg[factor]]
-            return [add[x][by[y]] for x, y in zip(row, prow)]
-    else:
-        times, scaled, reduced, finish = _fraction_free(a, field)
-
     pivots, product, swaps = [], None, 0
     for col in range(ncols):
         r = len(pivots)
@@ -400,77 +371,15 @@ def _gauss_jordan(a, ncols, field, coded):
             a[r], a[piv] = a[piv], a[r]
             swaps += 1
         lead = a[r][col]
-        product = lead if product is None else times(product, lead)
-        a[r] = scaled(a[r], lead)
+        product = lead if product is None else product * lead
+        by = lead.inverse()
+        a[r] = prow = [x * by if x else x for x in a[r]]
         for i in range(m):
-            if i != r and a[i][col]:
-                a[i] = reduced(a[i], a[i][col], a[r])
+            factor = a[i][col]
+            if i != r and factor:
+                a[i] = [x - factor * y if y else x for x, y in zip(a[i], prow)]
         pivots.append(col)
-    if len(pivots) < m:
-        product = None
-    if not coded:
-        product = finish(product)
-    return pivots, product, swaps
-
-
-def _fraction_free(a, field):
-    """The fraction-free mode of _gauss_jordan (Bareiss, Math. Comp. 22,
-    1968; Gauss-Jordan form by Nakos-Turner-Williams, SIGSAM Bull. 31(3),
-    1997): clears the rows a in place, returns (times, scaled, reduced,
-    finish).
-
-    Row i is cleared to polynomials over the lcm L_i of its denominators.
-    With p_0 = 1 and p_k the k-th pivot, step k turns every row x other
-    than the pivot row y into (p_k x - x[col] y) / p_{k-1}, an exact
-    division.  A row with a zero in the pivot column is only multiplied by
-    p_k / p_{k-1}, and these factors telescope, so such a row is left as it
-    is: each row carries, as its last entry, the pivot p_j it is exact
-    against, and stands for itself times p_{k-1} / p_j.  Step k then makes
-    (p_k x - x[col] y) / p_j of it, and a new pivot row is first brought up
-    to p_{k-1}.  Each pivot row ends on its own pivot, so dividing by it
-    gives the reduced row; the product of the pivots' values is the last
-    pivot over the product of the L_i.
-    """
-    one = Poly.one(field)
-    dens = []
-    for i, row in enumerate(a):
-        lcm, nums = _cleared(row, one)
-        dens.append(lcm)
-        nums.append(one)
-        a[i] = nums
-    held = [one]  # the last pivot
-
-    def times(x, y):
-        return y  # finish reads the product off the last pivot
-
-    def scaled(row, lead):
-        prev, stamp = held[0], row[-1]
-        if stamp is not prev:
-            row = [_exact(x * prev, stamp) if x else x for x in row]
-            lead = _exact(lead * prev, stamp)
-        row[-1] = held[0] = lead
-        return row
-
-    def reduced(row, factor, prow):
-        lead, stamp = held[0], row[-1]
-        out = []
-        for x, y in zip(row[:-1], prow):
-            v = lead * x if x else x
-            if y:
-                v = v - factor * y
-            out.append(v if not v or stamp.is_one else _exact(v, stamp))
-        out.append(lead)
-        return out
-
-    def finish(product):
-        zero, unit = RatFrac.zero(field), RatFrac.one(field)
-        a[:] = [
-            [zero if not x else unit if x == row[-1] else RatFrac(x, row[-1]) for x in row[:-1]]
-            for row in a
-        ]
-        return None if product is None else RatFrac(held[0], functools.reduce(operator.mul, dens))
-
-    return times, scaled, reduced, finish
+    return pivots, product if len(pivots) == m else None, swaps
 
 
 def nullspace(rows):
@@ -484,11 +393,9 @@ def nullspace(rows):
     n = len(rows[0])
     one = one_like(rows[0][0])
     zero = zero_like(rows[0][0])
-    field, codes = _scan(rows)
-    a = list(codes or rows)
-    pivots = _gauss_jordan(a, n, field, codes is not None)[0]
-    if codes is not None:
-        a = [[field._elem[x] for x in row] for row in a]
+    _scan(rows)  # refuses mixed and unsupported entries
+    a = list(rows)
+    pivots = _gauss_jordan(a, n)[0]
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:

@@ -481,7 +481,12 @@ class RatFrac:
     def inverse(self) -> "RatFrac":
         if self.is_zero:
             raise ZeroDivisionError("zero fraction has no inverse")
-        return RatFrac(self.den, self.num)
+        # den/num is reduced since num/den is; only the lead coefficient moves
+        lc = self.num.leading_coeff()
+        if lc == self.field.one:
+            return RatFrac._of(self.den, self.num)
+        inv = lc.inverse()
+        return RatFrac._of(self.den * inv, self.num * inv)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -519,7 +524,10 @@ def parse_frac(field: Fq, text: str) -> RatFrac:
     parts = text.split("/")
     if len(parts) > 2:
         raise ParseError(f"more than one '/' in {text[:60]!r}")
-    return RatFrac(*(parse_poly(field, part) for part in parts))
+    polys = [parse_poly(field, part) for part in parts]
+    if polys[-1].is_zero and len(polys) == 2:
+        raise ParseError(f"zero denominator in {text[:60]!r}")
+    return RatFrac(*polys)
 
 
 class RingDesc:

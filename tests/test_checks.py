@@ -14,11 +14,12 @@ determinant, and the SL and Sp witnesses and the conjugator with no
 membership test and no matrix inverse."""
 
 import ast
+import inspect
 import pathlib
 
 import pytest
 
-from chevtwist import groups, twist, witness
+from chevtwist import groups, matrices, twist, witness
 from chevtwist.auts import GroupAut
 from chevtwist.gf import Fq
 from chevtwist.matrices import Mat
@@ -212,14 +213,15 @@ def _row_swaps(tree):
 
 def test_library_has_one_elimination():
     # matrices._gauss_jordan is the one pivot loop: det, inverse and
-    # nullspace call it, and both arithmetic modes (integer codes,
-    # fraction-free polynomials) plug into it
+    # nullspace call it, and it runs on the scalars' own operators, with
+    # no arithmetic mode to choose
     found = sorted(
         (str(path.relative_to(SRC)), name)
         for path in SRC.rglob("*.py")
         for name, _ in _row_swaps(ast.parse(path.read_text(), str(path)))
     )
     assert found == [("chevtwist/matrices.py", "_gauss_jordan")], found
+    assert list(inspect.signature(matrices._gauss_jordan).parameters) == ["a", "ncols"]
 
 
 def test_row_swap_scan_sees_a_swap():

@@ -309,10 +309,12 @@ def test_empty_sweeps_are_refused(args):
     ("--cap", "0", "x>=1"),
     ("--cap", "-1", "x>=1"),
     ("--burnside-cap", "-1", "x>=0"),
+    ("--p", "5", "not both"),
 ])
 def test_reidemeister_refuses_caps_out_of_range(flag, value, bound):
     # a cap below the trivial group's order is a usage error, not a
-    # CapExceeded naming it
+    # CapExceeded naming it; so is a field named by both --q and --p,
+    # which would otherwise run over the --q field and ignore --p
     res = run_cli("reidemeister", "--group", "SL", "--n", "2", "--q", "3", flag, value)
     assert res.exit_code == 2
     assert bound in res.output and "CapExceeded" not in res.output

@@ -120,9 +120,18 @@ def test_aut_parts_in_any_order_and_bare_frob():
     assert parse_group_aut("inner=1,w;0,1;ring=frob^3;graph=none", SL2_F9) == expected
 
 
-def test_zero_denominator_keeps_the_builtin_error():
+def test_zero_denominator_is_a_parse_error():
+    # text with a zero denominator is refused as text; arithmetic that
+    # divides by zero keeps the builtin error
+    for text in ("1 / t-t", "1/0", "0/0"):
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_frac(F3, text)
+    with pytest.raises(ParseError, match="zero denominator"):
+        SL2_R3.parse_elem("1/0,0;0,1")
     with pytest.raises(ZeroDivisionError):
-        parse_frac(F3, "1 / t-t")
+        RatFrac(Poly.one(F3), Poly.zero(F3))
+    with pytest.raises(ZeroDivisionError):
+        RatFrac.one(F3) / RatFrac.zero(F3)
 
 
 # -- round trips of every rendered form ------------------------------------

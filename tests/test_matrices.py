@@ -1,11 +1,12 @@
 """The one product routine and the one Gauss-Jordan elimination behind det,
 inverse and nullspace, over F_3, F_9, F_25, F_81 and fractions over F_3(t),
-F_5(t) and F_9(t).  Over one field both run on the integer codes, and over
-one field's fractions on polynomial numerators (fraction-free
-elimination); each mode is pinned here to dense references that do the
-arithmetic with the scalars' own operators (the operator path), a guard
-checks that neither mode calls a scalar operator, and any other entries
-are refused."""
+F_5(t) and F_9(t).  The elimination runs on the scalars' own operators.
+Products over one field run on the integer codes, as does the adjugate
+inverse up to size 3, and products over one field's fractions on
+polynomial numerators; each is pinned here to dense references that do
+the arithmetic with the scalars' own operators (the operator path), a
+guard checks that these code and polynomial routines call no scalar
+operator, and any other entries are refused."""
 
 import copy
 import itertools
@@ -297,7 +298,8 @@ def test_sparse_inverse_matches_adjugate(scalars):
     check()
 
 
-# -- the code path: matrices over one Fq object run on the integer codes
+# -- the code path: products and small inverses over one Fq object run on
+# the integer codes
 
 def _matrices(field, m, n, sparse):
     """m x n matrices over field; a sparse one draws zero for about half of
@@ -376,15 +378,14 @@ def test_one_field_matrices_make_no_scalar_operator_call(monkeypatch):
     w = F9.elem((0, 1))
     a = Mat([[w, F9.one, F9.zero], [F9.elem(2), w + 1, w], [F9.zero, F9.one, w * w]])
     b = Mat([[F9.one, w], [w + 2, F9.zero], [F9.elem(2), w]])
-    expected = (_dense_mul(a, b), _dense_det(a), _dense_inverse(a))
+    expected = (_dense_mul(a, b), _dense_inverse(a))
 
     def refuse(*args):
         raise AssertionError("an FqElem operator was called")
 
     for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__truediv__"):
         monkeypatch.setattr(FqElem, name, refuse)
-    assert (a * b, a.det(), a.inverse()) == expected
-    assert nullspace([list(r) for r in b.transpose().rows])
+    assert (a * b, a.inverse()) == expected
 
 
 def _refused_everywhere(rows, error):
@@ -443,7 +444,7 @@ def test_enumerated_elements_meet_a_second_context_on_the_codes(monkeypatch):
             assert gh.inverse() * gh == identity == g.inverse() * g
 
 
-# -- the fraction-free path: matrices over one field's fractions run on
+# -- the fraction path: products over one field's fractions run on
 # polynomial numerators, each row cleared over its lcm denominator
 
 FRAC_FIELDS = [F3, Fq(5), FIELDS[1]]
@@ -451,8 +452,8 @@ FRAC_DENOMS = ["1", "t", "t+1", "t^2", "t^2+1"]
 
 
 def _fracs(field, sparse=False):
-    """n / d with n of degree 2 or 3 (so that the earlier pivots the
-    elimination divides by are not units) and d in FRAC_DENOMS; a sparse
+    """n / d with n of degree 2 or 3 (so that the pivots the elimination
+    divides by are not units) and d in FRAC_DENOMS; a sparse
     draw is zero for about half of its entries."""
     codes = st.integers(0, field.q - 1)
     nums = st.builds(
@@ -488,7 +489,7 @@ def test_fraction_path_matches_dense_references(field):
         one_by_one = Mat([[x]])
         assert one_by_one.det() == x
         assert one_by_one.inverse() == Mat([[RatFrac.one(field) / x]])
-        k = data.draw(st.integers(2, 3))  # the adjugate needs a minor
+        k = data.draw(st.integers(2, 4))  # the adjugate needs a minor
         sq = data.draw(_frac_matrices(field, k, k, sparse))
         assert sq.det() == _dense_det(sq)
         if sq.det():
@@ -514,7 +515,7 @@ def test_fraction_path_matches_operator_path(field):
     @SETTINGS
     @given(st.data())
     def check(data):
-        m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+        m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
         sparse = data.draw(st.booleans())
         a = data.draw(_frac_matrices(field, m, n, sparse))
         b = data.draw(_frac_matrices(field, n, m, sparse))
@@ -546,15 +547,14 @@ def test_one_field_fractions_make_no_scalar_operator_call(monkeypatch):
     ])
     b = Mat([[RatFrac(t * t), RatFrac(w)], [RatFrac(t + w, t * t + 1), zero],
              [RatFrac(t * t + 2), RatFrac(t, t + 1)]])
-    expected = (_dense_mul(a, b), _dense_det(a), _dense_inverse(a))
+    expected = _dense_mul(a, b)
 
     def refuse(*args):
         raise AssertionError("a RatFrac operator was called")
 
     for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__truediv__"):
         monkeypatch.setattr(RatFrac, name, refuse)
-    assert (a * b, a.det(), a.inverse()) == expected
-    assert len(nullspace([list(r) for r in b.transpose().rows])) == 1
+    assert a * b == expected
 
 
 def test_fraction_matrix_is_scanned_once(monkeypatch):
@@ -643,8 +643,10 @@ def test_kept_codes_are_the_codes_of_the_entries(field):
             assert _coded(m)
         lam = field.from_code(data.draw(st.integers(1, field.q - 1)))
         assert _coded(product * lam) and product * lam == Mat(product.rows) * lam
-        if sq.det():  # the adjugate up to n = 3, Gauss-Jordan from n = 4 on
-            assert _coded(sq) and _coded(sq.inverse())
+        if sq.det():  # the first scan stored the codes
+            assert _coded(sq)
+            if n <= 3:  # the adjugate boxes with codes; Gauss-Jordan does not
+                assert _coded(sq.inverse())
         arr = np.array(_codes_of(sq), dtype=np.uint8)
         assert _coded(codes_to_mat(field, arr)) and codes_to_mat(field, arr) == sq
         six = data.draw(_matrices(field, 6, 6, False))

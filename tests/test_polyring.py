@@ -635,8 +635,9 @@ def _reduced_fraction(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_reduced_fraction(), st.integers(0, 80))
 def test_fraction_fast_paths_equal_the_normalised_fraction(x, code):
-    # adding zero, negating and scaling by a constant skip the gcd of
-    # RatFrac(num, den); each must give exactly the fraction it normalises
+    # adding zero, negating, scaling by a constant and inverting skip the
+    # gcd of RatFrac(num, den); each must give exactly the fraction it
+    # normalises
     F = x.field
     c = F.from_code(code % F.q)
     const, zero = RatFrac.const(F, c), RatFrac.zero(F)
@@ -646,6 +647,9 @@ def test_fraction_fast_paths_equal_the_normalised_fraction(x, code):
         (x * const, x.num * const.num, x.den), (const * x, x.num * const.num, x.den),
         (x * c, x.num * const.num, x.den), (c * x, x.num * const.num, x.den),
     ]
+    if x:
+        cases.append((x.inverse(), x.den, x.num))
+        assert (x * x.inverse()).is_one
     for got, num, den in cases:
         want = RatFrac(num, den)
         assert (got.num, got.den) == (want.num, want.den)
