@@ -45,7 +45,7 @@ _GROUP_FAMILIES = {family: functools.partial(GroupKind, family) for family in FA
 
 
 def _field_from_flags(p, e, q):
-    if q is not None and p is not None:
+    if q is not None and (p is not None or e is not None):
         raise click.UsageError("give either --q or --p (with optional --e), not both")
     if q is not None:
         if q < 3:
@@ -63,7 +63,7 @@ def _field_from_flags(p, e, q):
         return Fq(base, ee)
     if p is None:
         raise click.UsageError("give either --q or --p (with optional --e)")
-    return Fq(p, e)
+    return Fq(p, 1 if e is None else e)
 
 
 def _fixed_from_flags(p, e, denoms, f_text):
@@ -140,7 +140,7 @@ def _surfaced(command):
 
 ring_opts = [
     click.option("--p", type=int, default=None, help="field characteristic"),
-    click.option("--e", type=int, default=1, show_default=True, help="field extension degree"),
+    click.option("--e", type=int, default=None, help="field extension degree (default 1)"),
     click.option("--denoms", default="", help="comma-separated inverted irreducibles"),
 ]
 out_opts = [
@@ -254,7 +254,7 @@ def witness_check(p, e, denoms, group, n, f_text, m_max, r_max, k_max, out, fmt)
 @click.option("--n", type=int, required=True)
 @click.option("--q", type=int, default=None, help="field size (prime power)")
 @click.option("--p", type=int, default=None)
-@click.option("--e", type=int, default=1, show_default=True)
+@click.option("--e", type=int, default=None, help="field extension degree with --p (default 1)")
 @click.option("--aut", "aut_text", default="id", show_default=True, help="automorphism grammar or 'id'")
 @click.option("--cap", type=click.IntRange(min=1), default=ENUM_CAP, show_default=True)
 @click.option("--burnside-cap", type=click.IntRange(min=0), default=BURNSIDE_CAP, show_default=True,
@@ -305,7 +305,7 @@ def reidemeister(group, n, q, p, e, aut_text, cap, burnside_cap, expect_count, o
 @_surfaced
 def aut_compose(group, n, q, seed, samples, out, fmt):
     """Self-test: normal-form composition against pointwise application."""
-    field = _field_from_flags(None, 1, q)
+    field = _field_from_flags(None, None, q)
     ctx = GroupCtx(_GROUP_FAMILIES[group](n), field)
     rng = random.Random(seed)
     gens = generators(ctx)

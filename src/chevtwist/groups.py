@@ -51,6 +51,7 @@ import collections
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -357,16 +358,22 @@ class GrpElem:
         return GrpElem._of(self.ctx, self.mat * other.mat)
 
     def inverse(self) -> "GrpElem":
-        """g^-1.  A formed kind needs no elimination: g^T J g = J gives
-        g^-1 = J^-1 g^T J, with J^-1 = -J for Sp/PSp and J for SO.  A
-        canonical coset representative lam*g preserves J too (lam^2 = 1)."""
-        form = self.ctx.form
-        if form is None:
-            return GrpElem._of(self.ctx, self.mat.inverse())
-        inv = form * (self.mat.transpose() * form)
-        if self.ctx.kind.family in ("Sp", "PSp"):
-            inv = -inv
-        return GrpElem._of(self.ctx, inv)
+        """g^-1.  A formed kind needs no elimination and no product: g^T J g
+        = J gives g^-1 = J^-1 g^T J, a signed permutation of g^T whose
+        entry (i, j) is e_i e_j g[pi(j)][pi(i)], where pi swaps i and n + i
+        (and fixes 2n for SOodd) and e_k = -1 for k < n on Sp/PSp, else 1.
+        A canonical coset representative lam*g preserves J too
+        (lam^2 = 1)."""
+        ctx = self.ctx
+        if ctx.form is None:
+            return GrpElem._of(ctx, self.mat.inverse())
+        n, signed = ctx.kind.n, ctx.kind.family in ("Sp", "PSp")
+        field, codes = self.mat._mode()
+        if codes is not None:
+            inv = Mat._coded(field, _form_inverse(codes, n, signed, field._neg.__getitem__))
+        else:
+            inv = Mat._of(_form_inverse(self.mat.rows, n, signed, operator.neg), False)
+        return GrpElem._of(ctx, inv)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -391,6 +398,19 @@ class GrpElem:
 
     def __repr__(self):
         return f"GrpElem({self.ctx.kind!r}, {self.mat})"
+
+
+def _form_inverse(rows, n, signed, neg):
+    """The rows of J^-1 g^T J for the rows of g (see GrpElem.inverse): the
+    columns of g, each reordered by pi, in the order pi gives, with neg
+    applied to the entries whose e_i e_j is -1 when signed."""
+    cols = list(zip(*rows))
+    if not signed:
+        return tuple([c[n:2 * n] + c[:n] + c[2 * n:] for c in cols[n:2 * n] + cols[:n] + cols[2 * n:]])
+    return tuple(
+        [c[n:] + tuple(map(neg, c[:n])) for c in cols[n:]]
+        + [tuple(map(neg, c[n:])) + c[:n] for c in cols[:n]]
+    )
 
 
 def projective_canonicalize(g: GrpElem) -> GrpElem:

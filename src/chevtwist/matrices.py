@@ -4,10 +4,12 @@ Everything is immutable and hashable; a matrix has at least one row and
 one column.  One Gauss-Jordan reduction, _gauss_jordan, drives det,
 inverse and nullspace with the scalars' own operators; entries are field
 elements, so no pivoting strategy beyond "first nonzero" is needed.
-Products and elimination skip the terms with a zero factor: the group
-witnesses are the identity plus a few entries, and zero is the additive
-identity of normalised scalars, so every value is the same as with the
-full sums.
+Products over one field with an inner dimension of 2 or 3 read every
+term, in column form; the row loop of the other code products,
+_frac_product and elimination skip the terms with a zero factor (the
+group witnesses are the identity plus a few entries).  Zero is the
+additive identity of normalised scalars, so every value is the same
+either way.
 Mat._mode reads the entries' field and scalar type off them (see _scan).
 Products over one field (every entry an FqElem of that field) run on the
 integer codes through the field's table rows; over one field's fractions
@@ -125,6 +127,13 @@ class Mat:
 
     def __mul__(self, other):
         if isinstance(other, Mat):
+            # kept code rows on both sides: the kernel, with no scan; any
+            # other case is checked (and refused) below
+            a, b = self._codes, other._codes
+            if a and b:
+                field = self.rows[0][0].field
+                if len(a[0]) == len(b) and other.rows[0][0].field is field:
+                    return Mat._coded(field, _code_product(field, a, b))
             if self.ncols != other.nrows:
                 raise SizeMismatch("inner dimensions differ")
             field, a = self._mode()
@@ -240,16 +249,29 @@ def _scan(rows):
 
 
 def _code_product(field, a, b):
-    """Code rows of a b: row i sums b's rows times a's nonzero codes."""
+    """Code rows of a b.  For an inner dimension of 2 or 3, each row of a
+    hoists the table rows of its codes and reads every term of each
+    column of b; otherwise row i sums b's rows times a's nonzero codes."""
     add, mul = field._add, field._mul
-    out = []
-    for row in a:
-        acc = [0] * len(b[0])
-        for x, brow in zip(row, b):
-            if x:
-                mx = mul[x]
-                acc = [add[s][mx[y]] for s, y in zip(acc, brow)]
-        out.append(tuple(acc))
+    inner, out = len(b), []
+    if inner == 2:
+        cols = list(zip(*b))
+        for x0, x1 in a:
+            m0, m1 = mul[x0], mul[x1]
+            out.append(tuple([add[m0[c0]][m1[c1]] for c0, c1 in cols]))
+    elif inner == 3:
+        cols = list(zip(*b))
+        for x0, x1, x2 in a:
+            m0, m1, m2 = mul[x0], mul[x1], mul[x2]
+            out.append(tuple([add[add[m0[c0]][m1[c1]]][m2[c2]] for c0, c1, c2 in cols]))
+    else:
+        for row in a:
+            acc = [0] * len(b[0])
+            for x, brow in zip(row, b):
+                if x:
+                    mx = mul[x]
+                    acc = [add[s][mx[y]] for s, y in zip(acc, brow)]
+            out.append(tuple(acc))
     return tuple(out)
 
 

@@ -346,8 +346,10 @@ def power_reduction_check(x: GrpElem, y: GrpElem, sigma: GroupAut, r: int) -> bo
     kill sigma on the witness (e.g. the order of sigma).  The same witness
     then conjugates x^r to y^r, which is verified exactly; if the witness
     moves under sigma^r the plain conjugacy of the powers is decided from
-    scratch.
+    scratch.  r must be at least 1: x^0 = y^0 would certify any pair.
     """
+    if r < 1:
+        raise PreconditionFailed(f"power r = {r} is not positive")
     ctx = x.ctx
     if sigma(x) != x or sigma(y) != y:
         raise PreconditionFailed("inputs are not fixed by the automorphism")

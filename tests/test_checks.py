@@ -11,7 +11,8 @@ product and build no generator, the generators (once their table of
 root directions is checked for the kind and field) and the orthogonal
 witnesses over a localization are built with no membership test and no
 determinant, and the SL and Sp witnesses and the conjugator with no
-membership test and no matrix inverse."""
+membership test and no matrix inverse, and a member of a formed kind is
+inverted with no product and no elimination."""
 
 import ast
 import inspect
@@ -28,14 +29,23 @@ from chevtwist.polyring import RatFrac, RingDesc
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
+def _asserts(tree):
+    """Line of each assert statement."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
+
+
 def test_library_has_no_assert_statements():
     found = [
-        f"{path.relative_to(SRC)}:{node.lineno}"
+        f"{path.relative_to(SRC)}:{line}"
         for path in sorted(SRC.rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Assert)
+        for line in _asserts(ast.parse(path.read_text(), str(path)))
     ]
     assert not found, found
+
+
+def test_assert_scan_sees_an_assert():
+    tree = ast.parse("def f(x):\n    assert x, 'x'\n    return x\nassert_x = 1\nassert f(1)\n")
+    assert _asserts(tree) == [2, 5]
 
 
 def _raised_names(tree):
@@ -435,6 +445,48 @@ def test_conjugator_tests_no_membership(kind, n, monkeypatch):
     g = witness.explicit_conjugator((t + 1) ** 2 / t, 2 * t, kind, n, ring)
     assert calls == {"is_member": 0, "inverse": 0}
     assert is_member(g.ctx, g.mat)
+
+
+def _inverse_calls(members, monkeypatch):
+    """The calls that inverting each of members makes to Mat.__mul__,
+    Mat.inverse and the two product kernels; each inverse is then checked
+    against its member."""
+    calls = _count_calls(monkeypatch, [
+        (Mat, "__mul__"), (Mat, "inverse"), (matrices, "_code_product"), (matrices, "_frac_product"),
+    ])
+    inverses = [g.inverse() for g in members]
+    calls = dict(calls)
+    assert all(g * h == g.ctx.identity() == h * g for g, h in zip(members, inverses))
+    return calls
+
+
+@pytest.mark.parametrize("kind", [
+    groups.GroupKind.sp(2), groups.GroupKind.psp(2), groups.GroupKind.so_odd(2),
+    groups.GroupKind.so_even(3), groups.GroupKind.pso_even(3),
+], ids=repr)
+def test_form_inverses_make_no_product(kind, monkeypatch):
+    # J^-1 g^T J is a signed permutation of g^T; a projective kind then
+    # takes the coset representative, which may scale by a central scalar
+    # (a Mat.__mul__ by a scalar, through one table row, but no product)
+    ctx = groups.GroupCtx(kind, Fq(3))
+    gens = groups.generators(ctx)
+    members = gens + [g * h * k for g, h, k in zip(gens, gens[1:], gens[2:])]
+    calls = _inverse_calls(members, monkeypatch)
+    scalings = calls.pop("__mul__")
+    assert scalings == 0 or kind.projective and scalings <= len(members)
+    assert calls == {"inverse": 0, "_code_product": 0, "_frac_product": 0}
+
+
+def test_form_inverses_over_a_localization_make_no_product(monkeypatch):
+    F3 = Fq(3)
+    ring = RingDesc(F3, ["t"])
+    t = RatFrac.t(F3)
+    cfg = witness.WitnessConfig(ring=ring, s=t + 1 + t.inverse(), family=witness.FAMILY_SP, n=2)
+    members = [witness.witness_sp(m, cfg, 2) for m in (1, 2)]
+    for lam in (t, (t + 1) ** 2 / t):
+        members += [witness.witness_so(lam, "SOodd", 2, ring), witness.witness_so(lam, "SOeven", 3, ring)]
+    calls = _inverse_calls(members, monkeypatch)
+    assert calls == {"__mul__": 0, "inverse": 0, "_code_product": 0, "_frac_product": 0}
 
 
 def test_sl_and_sp_witnesses_test_no_membership_and_invert_no_matrix(monkeypatch):

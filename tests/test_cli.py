@@ -310,11 +310,12 @@ def test_empty_sweeps_are_refused(args):
     ("--cap", "-1", "x>=1"),
     ("--burnside-cap", "-1", "x>=0"),
     ("--p", "5", "not both"),
+    ("--e", "3", "not both"),
 ])
 def test_reidemeister_refuses_caps_out_of_range(flag, value, bound):
     # a cap below the trivial group's order is a usage error, not a
-    # CapExceeded naming it; so is a field named by both --q and --p,
-    # which would otherwise run over the --q field and ignore --p
+    # CapExceeded naming it; so is a field named by --q beside --p or
+    # --e, which would otherwise run over the --q field and ignore them
     res = run_cli("reidemeister", "--group", "SL", "--n", "2", "--q", "3", flag, value)
     assert res.exit_code == 2
     assert bound in res.output and "CapExceeded" not in res.output

@@ -284,6 +284,19 @@ def test_power_reduction_frobenius_pairs():
     assert checked
 
 
+@pytest.mark.parametrize("r", [0, -1, -3])
+def test_power_reduction_refuses_nonpositive_powers(r):
+    # x^0 = y^0 = I for every pair, and a negative r skips the sigma^r
+    # loop and takes the witness as fixed by sigma^r; this pair's first
+    # powers are not conjugate, yet r = 0 would certify it
+    frob = GroupAut(SL2_F9, ring=1)
+    fixed = [g for g in enumerate_group(SL2_F9).elements() if frob(g) == g]
+    x, y = next((x, y) for x in fixed for y in fixed
+                if are_twisted_conjugate(x, y, frob)[0] and not power_reduction_check(x, y, frob, 1))
+    with pytest.raises(PreconditionFailed, match="not positive"):
+        power_reduction_check(x, y, frob, r)
+
+
 def test_twisted_conjugacy_in_projective_quotient():
     # coset-level decision: -I collapses into the identity class downstairs
     ident = GroupAut.identity(PSL2_F3)
