@@ -15,16 +15,18 @@ Products over one field (every entry an FqElem of that field) run on the
 integer codes through the field's table rows; over one field's fractions
 (every entry a RatFrac), on polynomial numerators, each row of the left
 factor and column of the right one cleared over the lcm of its
-denominators.  Results are boxed once, at the end.
+denominators, and boxed once, at the end.
 Entries over two fields or of two scalar types raise MixedFields; any
 other entry raises TypeError.
-A Mat over one field keeps its code rows beside its entries: the code
-product, transpose, the small inverse, the scalar product and the code
-maps (_mapped, _permuted) fill them as they box, and the first scan of
-any other such Mat stores what it read, so a chain of products and small
-inverses unboxes nothing.  A Mat over fractions keeps False in the same
-slot, set by the fraction product and inverse or by its first scan, so it
-too is scanned at most once.  An inverse over one field of size n <= 3 is
+A Mat over one field is its code rows and its field.  The code product,
+the small inverse, the form inverse (groups.GrpElem.inverse), transpose,
+the scalar product on either side and the code maps (_mapped, _permuted)
+read and write codes only and leave the rows slot unset; the first read
+of rows (an entry, the hash, trace, det, str) boxes them once, through
+__getattr__, which only an unset slot reaches.  A Mat built from entries
+holds them in the slot and pays nothing for this; its first scan stores
+the codes it read beside them, or False over fractions, so a Mat is
+scanned at most once.  An inverse over one field of size n <= 3 is
 the adjugate times det^-1, with no pivots; larger ones and fractions go
 through _gauss_jordan.
 Powers go through gf.power, the library's one binary-power routine:
@@ -56,7 +58,7 @@ def one_like(x):
 
 
 class Mat:
-    __slots__ = ("rows", "_codes")
+    __slots__ = ("rows", "_codes", "_field")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -68,18 +70,27 @@ class Mat:
 
     @classmethod
     def _of(cls, rows, codes=None):
-        """A Mat on rows that are already a rectangular tuple of tuples, and
-        on their code rows when they lie over one field and codes is given
-        (False when they are fractions over one field)."""
+        """A Mat on rows that are already a rectangular tuple of tuples;
+        codes=False marks them as fractions over one field, never scanned."""
         m = object.__new__(cls)
         m.rows, m._codes = rows, codes
         return m
 
     @classmethod
     def _coded(cls, field, codes):
-        """The Mat over field with these code rows (a tuple of tuples)."""
-        box = field._elem
-        return cls._of(tuple([tuple([box[c] for c in row]) for row in codes]), codes)
+        """The Mat over field with these code rows (a tuple of tuples); its
+        rows are boxed on first read."""
+        m = object.__new__(cls)
+        m._field, m._codes = field, codes
+        return m
+
+    def __getattr__(self, name):
+        # only an unset slot gets here: the rows of a coded Mat, boxed once
+        if name != "rows":
+            raise AttributeError(name)
+        box = self._field._elem
+        self.rows = rows = tuple([tuple([box[c] for c in row]) for row in self._codes])
+        return rows
 
     def _mapped(self, table):
         """The Mat over one field whose codes are table[c] for its codes c."""
@@ -88,13 +99,15 @@ class Mat:
 
     def _permuted(self, perm):
         """Rows and columns alike reordered by perm: entry (i, j) is
-        self[perm[i], perm[j]].  Kept code rows are reordered with them."""
+        self[perm[i], perm[j]].  Kept code rows are reordered instead."""
 
         def permuted(rows):
             return tuple([tuple([rows[i][j] for j in perm]) for i in perm])
 
         codes = self._codes
-        return Mat._of(permuted(self.rows), permuted(codes) if codes else codes)
+        if codes:
+            return Mat._coded(self._field, permuted(codes))
+        return Mat._of(permuted(self.rows), codes)
 
     def _mode(self):
         """(field, code rows) over one field, (field, None) over one field's
@@ -102,16 +115,19 @@ class Mat:
         fractions, so a Mat is scanned at most once."""
         codes = self._codes
         if codes is None:
-            codes = self._codes = _scan(self.rows)[1] or False
-        return self.rows[0][0].field, codes or None
+            field, codes = _scan(self.rows)
+            self._field, self._codes = field, codes or False
+        if codes:
+            return self._field, codes
+        return self.rows[0][0].field, None
 
     @property
     def nrows(self):
-        return len(self.rows)
+        return len(self._codes or self.rows)
 
     @property
     def ncols(self):
-        return len(self.rows[0])
+        return len((self._codes or self.rows)[0])
 
     @property
     def is_square(self):
@@ -131,8 +147,8 @@ class Mat:
             # other case is checked (and refused) below
             a, b = self._codes, other._codes
             if a and b:
-                field = self.rows[0][0].field
-                if len(a[0]) == len(b) and other.rows[0][0].field is field:
+                field = self._field
+                if len(a[0]) == len(b) and other._field is field:
                     return Mat._coded(field, _code_product(field, a, b))
             if self.ncols != other.nrows:
                 raise SizeMismatch("inner dimensions differ")
@@ -144,12 +160,12 @@ class Mat:
                 return Mat._coded(field, _code_product(field, a, b))
             return Mat._of(_frac_product(field, self.rows, other.transpose().rows), False)
         # scalar on the right; over one field, one row of the product table
-        if self._codes and type(other) is FqElem and other.field is self.rows[0][0].field:
+        if self._codes and type(other) is FqElem and other.field is self._field:
             return self._mapped(other.field._mul[other.code])
         return Mat._of(tuple(tuple(x * other for x in row) for row in self.rows))
 
-    def __rmul__(self, other):
-        return Mat._of(tuple(tuple(other * x for x in row) for row in self.rows))
+    # a scalar on the left: every scalar type of the library commutes
+    __rmul__ = __mul__
 
     def __add__(self, other):
         if not isinstance(other, Mat):
@@ -180,7 +196,9 @@ class Mat:
 
     def transpose(self):
         codes = self._codes
-        return Mat._of(tuple(zip(*self.rows)), tuple(zip(*codes)) if codes else codes)
+        if codes:
+            return Mat._coded(self._field, tuple(zip(*codes)))
+        return Mat._of(tuple(zip(*self.rows)), codes)
 
     def trace(self):
         return _sum(self.rows[i][i] for i in range(self.nrows))
@@ -215,7 +233,12 @@ class Mat:
         return Mat._of(tuple(tuple(row[n:]) for row in a), None if codes else False)
 
     def __eq__(self, other):
-        return isinstance(other, Mat) and self.rows == other.rows
+        if not isinstance(other, Mat):
+            return False
+        a, b = self._codes, other._codes
+        if a and b and self._field is other._field:
+            return a == b
+        return self.rows == other.rows
 
     def __hash__(self):
         return hash(self.rows)

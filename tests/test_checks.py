@@ -11,8 +11,9 @@ product and build no generator, the generators (once their table of
 root directions is checked for the kind and field) and the orthogonal
 witnesses over a localization are built with no membership test and no
 determinant, and the SL and Sp witnesses and the conjugator with no
-membership test and no matrix inverse, and a member of a formed kind is
-inverted with no product and no elimination."""
+membership test and no matrix inverse, a member of a formed kind is
+inverted with no product and no elimination, and a chain of coded
+operations boxes no entry until one is read (the code kernels read none)."""
 
 import ast
 import inspect
@@ -21,7 +22,7 @@ import pathlib
 import pytest
 
 from chevtwist import groups, matrices, twist, witness
-from chevtwist.auts import GroupAut
+from chevtwist.auts import GroupAut, b_swap
 from chevtwist.gf import Fq
 from chevtwist.matrices import Mat
 from chevtwist.polyring import RatFrac, RingDesc
@@ -232,6 +233,67 @@ def test_library_has_one_elimination():
     )
     assert found == [("chevtwist/matrices.py", "_gauss_jordan")], found
     assert list(inspect.signature(matrices._gauss_jordan).parameters) == ["a", "ncols"]
+
+
+def _boxed(m):
+    """Whether the rows slot of m is set, read past __getattr__."""
+    try:
+        Mat.rows.__get__(m)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_coded_matrices_box_on_first_read():
+    # ten coded operations over F_9 make no FqElem entries, and neither do
+    # ==, nrows and ncols; str() and a read of .rows box one matrix each
+    ctx = groups.GroupCtx(groups.GroupKind.sp(2), Fq(3, 2))
+    field, c = ctx.field, ctx.field.elem((1, 1))
+    start = groups.codes_to_mat(field, groups.mat_to_codes(groups.generators(ctx)[5].mat))
+    g = groups.GrpElem._of(ctx, start)
+    chain = [start, (g * g).mat]  # a product
+    chain.append(groups.GrpElem._of(ctx, chain[-1]).inverse().mat)  # the form inverse
+    chain.append(chain[-1].transpose())
+    chain.append(chain[-1]._permuted(b_swap(2)))  # the B image
+    chain.append(GroupAut(ctx, ring=1)._apply_ring(chain[-1]))  # Frobenius
+    chain.append(c * chain[-1])
+    chain.append(chain[-1] * c)
+    chain.append(groups.codes_to_mat(field, groups.mat_to_codes(chain[-1])))
+    square = Mat([[c, field.one], [field.zero, c]]) * Mat([[c, c], [field.one, field.zero]])
+    chain += [square, square.inverse()]  # the small inverse
+    assert chain[-1] * square == chain[-2] * chain[-1] and chain[-3] == chain[-4]
+    assert (chain[-3].nrows, chain[-3].ncols, square.nrows, square.ncols) == (4, 4, 2, 2)
+    assert not any(_boxed(m) for m in chain)
+    text, rows = str(chain[-3]), chain[-1].rows
+    assert _boxed(chain[-3]) and _boxed(chain[-1]) and chain[-1].rows is rows
+    assert text == ";".join(",".join(str(x) for x in row) for row in chain[-3].rows)
+    assert not any(_boxed(m) for m in chain[:-3] + chain[-2:-1])
+
+
+def _entry_reads(tree, names):
+    """(function, attribute) of each .rows or ._elem read in the functions
+    of `tree` with these names."""
+    return [
+        (fn.name, node.attr)
+        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name in names
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr in ("rows", "_elem")
+    ]
+
+
+CODE_KERNELS = ("_code_product", "_small_inverse", "_map_codes")
+
+
+def test_code_kernels_read_no_entries():
+    tree = ast.parse(pathlib.Path(matrices.__file__).read_text())
+    assert {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)} >= set(CODE_KERNELS)
+    assert _entry_reads(tree, CODE_KERNELS) == []
+
+
+def test_entry_read_scan_sees_a_read():
+    tree = ast.parse("def _map_codes(t, m):\n    return m.rows, t._elem\n"
+                     "def other(m):\n    return m.rows\n")
+    assert _entry_reads(tree, CODE_KERNELS) == [("_map_codes", "rows"), ("_map_codes", "_elem")]
 
 
 def test_row_swap_scan_sees_a_swap():

@@ -6,7 +6,9 @@ inverse up to size 3, and products over one field's fractions on
 polynomial numerators; each is pinned here to dense references that do
 the arithmetic with the scalars' own operators (the operator path), a
 guard checks that these code and polynomial routines call no scalar
-operator, and any other entries are refused."""
+operator, and any other entries are refused.  A Mat over one field is its
+code rows: chains of the coded operations match references on lists of
+FqElem, and equal and hash as a Mat built from the same entries."""
 
 import copy
 import itertools
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 from chevtwist.auts import GroupAut, b_swap
 from chevtwist.errors import CertificateMismatch, MixedFields, Singular, SizeMismatch
-from chevtwist import matrices
+from chevtwist import groups, matrices
 from chevtwist.gf import Fq, FqElem
 from chevtwist.groups import GroupCtx, GroupKind, codes_to_mat, enumerate_group, generators
 from chevtwist.matrices import Mat, _exact, nullspace, one_like, zero_like
@@ -643,6 +645,7 @@ def test_kept_codes_are_the_codes_of_the_entries(field):
             assert _coded(m)
         lam = field.from_code(data.draw(st.integers(1, field.q - 1)))
         assert _coded(product * lam) and product * lam == Mat(product.rows) * lam
+        assert _coded(lam * product) and lam * product == product * lam
         if sq.det():  # the first scan stored the codes
             assert _coded(sq)
             if n <= 3:  # the adjugate boxes with codes; Gauss-Jordan does not
@@ -703,10 +706,9 @@ def test_coded_matrix_survives_copy_and_pickle():
     F9 = FIELDS[1]
     w = F9.elem((0, 1))
     a = Mat([[w, F9.one], [F9.elem(2), w * w]])
-    a = a * a
-    assert _coded(a)
+    a = a * a  # copied before its entries are boxed
     for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
-        assert b == a and _coded(b) and b.rows[0][0].field is F9
+        assert _coded(b) and b == a and _coded(a) and b.rows[0][0].field is F9
         assert b * b == a * a and b.inverse() == a.inverse()
 
 
@@ -721,3 +723,81 @@ def test_coded_factors_over_two_fields_are_refused():
         with pytest.raises(MixedFields):
             left * right
     assert coded3 != coded5
+
+
+# -- a Mat over one field is its code rows, boxed on first read: chains of
+# the coded operations against entrywise references on lists of FqElem
+
+# the formed kinds of dimension 4 to 6, for the form inverse; below that
+# the small inverse serves
+FORMED = {4: GroupKind.sp(2), 5: GroupKind.so_odd(2), 6: GroupKind.so_even(3)}
+CHAIN_STEPS = ("product", "left product", "small inverse", "form inverse", "transpose",
+               "permutation", "frobenius", "scalar", "left scalar")
+
+
+def _ref_mul(a, b):
+    return [[_dot(row, col) for col in zip(*b)] for row in a]
+
+
+def _ref_codes(ref):
+    return tuple(tuple(x.code for x in row) for row in ref)
+
+
+@pytest.mark.parametrize("field", FIELDS[:3], ids=lambda f: f"F{f.q}")
+def test_coded_chains_match_entrywise_references(field):
+    @SETTINGS
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 6))
+        ctx = GroupCtx(FORMED[n], field) if n in FORMED else None
+        frob = GroupAut(GroupCtx(GroupKind.sl(n), field), ring=data.draw(st.integers(1, 3)))
+        scalars = _field_scalars(field)
+        codes = st.lists(st.lists(st.integers(0, field.q - 1), min_size=n, max_size=n),
+                         min_size=n, max_size=n)
+
+        def square():
+            rows = data.draw(codes)
+            return codes_to_mat(field, np.array(rows)), [[field.from_code(c) for c in r] for r in rows]
+
+        m, ref = square()
+        for step in data.draw(st.lists(st.sampled_from(CHAIN_STEPS), min_size=1, max_size=8)):
+            if step in ("product", "left product"):
+                x, xref = square()
+                m, ref = (m * x, _ref_mul(ref, xref)) if step == "product" else (x * m, _ref_mul(xref, ref))
+            elif step == "small inverse" and n <= 3:
+                inv = _gauss_jordan_inverse(Mat(ref))
+                if inv is not None:
+                    m, ref = m.inverse(), inv.rows
+            elif step == "form inverse" and ctx is not None:
+                # a member h = x_r(a) x_s(b), inverted by the form
+                r, s = (groups.root_element(ctx, data.draw(st.sampled_from(
+                    groups.root_directions(ctx.kind))), data.draw(scalars.filter(bool)))
+                    for _ in range(2))
+                href = _ref_mul(r.mat.rows, s.mat.rows)
+                m, ref = m * (r * s).inverse().mat, _ref_mul(ref, _gauss_jordan_inverse(Mat(href)).rows)
+            elif step == "transpose":
+                m, ref = m.transpose(), list(zip(*ref))
+            elif step == "permutation":
+                # B, extended by a fixed last coordinate for odd n, or any other
+                b = b_swap(n // 2) + list(range(n // 2 * 2, n))
+                perm = data.draw(st.one_of(st.just(b), st.permutations(range(n))))
+                m, ref = m._permuted(perm), [[ref[i][j] for j in perm] for i in perm]
+            elif step == "frobenius":
+                k = frob.ring or 0
+                m, ref = frob._apply_ring(m), [[x.frobenius(k) for x in r] for r in ref]
+            elif step in ("scalar", "left scalar"):
+                c = data.draw(scalars)
+                if step == "scalar":
+                    m, ref = m * c, [[x * c for x in r] for r in ref]
+                else:
+                    m, ref = c * m, [[c * x for x in r] for r in ref]
+            assert m._codes == _ref_codes(ref)
+        # a coded Mat and Mat(rows) with the same entries, in both orders,
+        # then against the same entries once scanned
+        plain, fresh = Mat(ref), codes_to_mat(field, np.array(_ref_codes(ref)))
+        assert plain == fresh and hash(plain) == hash(fresh)
+        assert m == plain and hash(m) == hash(plain) and str(m) == str(plain)
+        plain._mode()
+        assert plain == m == fresh == plain
+
+    check()
