@@ -175,14 +175,13 @@ def _scalar_one_zero(scalars):
 class GroupCtx:
     """A group kind together with its scalar domain and form matrix."""
 
-    __slots__ = ("kind", "scalars", "form", "_center_cache", "_identity")
+    __slots__ = ("kind", "scalars", "form", "projective", "_center_cache", "_identity")
 
     def __init__(self, kind: GroupKind, scalars):
         field = scalars if isinstance(scalars, Fq) else scalars.field
         if field.p == 2:
             raise Unsupported("characteristic 2 is out of scope")
-        self.kind = kind
-        self.scalars = scalars
+        self.kind, self.scalars, self.projective = kind, scalars, kind.projective
         self.form = None
         if kind.formed:
             form = field_form(kind, field)
@@ -200,10 +199,6 @@ class GroupCtx:
     @property
     def dim(self) -> int:
         return self.kind.dim
-
-    @property
-    def projective(self) -> bool:
-        return self.kind.projective
 
     def scalar(self, value):
         """Coerce an int / field element / fraction into this ctx's scalars."""
@@ -304,22 +299,19 @@ def is_member(ctx: GroupCtx, mat: Mat) -> bool:
 
 
 def canonical_rep(ctx: GroupCtx, mat: Mat) -> Mat:
-    """Canonical coset representative modulo the scalar center."""
+    """Canonical coset representative modulo the scalar center: mat times the
+    first center scalar lam of least (lam * lead).sort_key(), lead its first
+    nonzero entry; kept code rows are read and scaled as codes."""
     lams = ctx.center_scalars()
     if len(lams) == 1:
         return mat
-    flat = [x for row in mat.rows for x in row]
-    lead = next(x for x in flat if x)
-    best = None
-    best_key = None
-    for lam in lams:
-        key = (lam * lead).sort_key()
-        if best_key is None or key < best_key:
-            best_key = key
-            best = lam
-    if best == ctx.one:
-        return mat
-    return mat * best
+    field, codes = mat._mode()
+    if codes:
+        lead = field._elem[next(c for row in codes for c in row if c)]
+    else:
+        lead = next(x for row in mat.rows for x in row if x)
+    best = min(lams, key=lambda lam: (lam * lead).sort_key())
+    return mat if best == ctx.one else mat * best
 
 
 class GrpElem:

@@ -1,23 +1,21 @@
 """Small exact matrices over a field (FqElem or RatFrac entries).
 
 Everything is immutable and hashable; a matrix has at least one row and
-one column.  One Gauss-Jordan reduction, _gauss_jordan, drives det,
-inverse and nullspace with the scalars' own operators; entries are field
-elements, so no pivoting strategy beyond "first nonzero" is needed.
-Products over one field with an inner dimension of 2 or 3 read every
-term, in column form; the row loop of the other code products,
-_frac_product and elimination skip the terms with a zero factor (the
-group witnesses are the identity plus a few entries).  Zero is the
-additive identity of normalised scalars, so every value is the same
-either way.
-Mat._mode reads the entries' field and scalar type off them (see _scan).
-Products over one field (every entry an FqElem of that field) run on the
-integer codes through the field's table rows; over one field's fractions
-(every entry a RatFrac), on polynomial numerators, each row of the left
+one column.  Mat._mode reads the entries' field and scalar type off them
+(see _scan): entries over two fields or of two scalar types raise
+MixedFields, any other entry TypeError.
+Every product over one field runs on the integer codes, in column form,
+by one kernel per inner dimension (_code_product).  A product over one
+field's fractions runs on polynomial numerators, each row of the left
 factor and column of the right one cleared over the lcm of its
-denominators, and boxed once, at the end.
-Entries over two fields or of two scalar types raise MixedFields; any
-other entry raises TypeError.
+denominators, and boxed once, at the end.  Only this fraction product
+and the elimination skip zero factors (the group witnesses are the
+identity plus a few entries); zero is the additive identity of
+normalised scalars, so every value is the same either way.
+One Gauss-Jordan reduction, _gauss_jordan, drives det, inverse and
+nullspace with the scalars' own operators, pivoting on the first nonzero
+entry; an inverse over one field of size n <= 3 is the adjugate times
+det^-1, with no pivots.
 A Mat over one field is its code rows and its field.  The code product,
 the small inverse, the form inverse (groups.GrpElem.inverse), transpose,
 the scalar product on either side and the code maps (_mapped, _permuted)
@@ -26,9 +24,7 @@ of rows (an entry, the hash, trace, det, str) boxes them once, through
 __getattr__, which only an unset slot reaches.  A Mat built from entries
 holds them in the slot and pays nothing for this; its first scan stores
 the codes it read beside them, or False over fractions, so a Mat is
-scanned at most once.  An inverse over one field of size n <= 3 is
-the adjugate times det^-1, with no pivots; larger ones and fractions go
-through _gauss_jordan.
+scanned at most once.
 Powers go through gf.power, the library's one binary-power routine:
 M^k makes floor(log2 k) squarings plus popcount(k) - 1 products, and the
 identity is built only for k = 0.
@@ -272,30 +268,36 @@ def _scan(rows):
 
 
 def _code_product(field, a, b):
-    """Code rows of a b.  For an inner dimension of 2 or 3, each row of a
-    hoists the table rows of its codes and reads every term of each
-    column of b; otherwise row i sums b's rows times a's nonzero codes."""
-    add, mul = field._add, field._mul
-    inner, out = len(b), []
-    if inner == 2:
-        cols = list(zip(*b))
-        for x0, x1 in a:
-            m0, m1 = mul[x0], mul[x1]
-            out.append(tuple([add[m0[c0]][m1[c1]] for c0, c1 in cols]))
-    elif inner == 3:
-        cols = list(zip(*b))
-        for x0, x1, x2 in a:
-            m0, m1, m2 = mul[x0], mul[x1], mul[x2]
-            out.append(tuple([add[add[m0[c0]][m1[c1]]][m2[c2]] for c0, c1, c2 in cols]))
-    else:
-        for row in a:
-            acc = [0] * len(b[0])
-            for x, brow in zip(row, b):
-                if x:
-                    mx = mul[x]
-                    acc = [add[s][mx[y]] for s, y in zip(acc, brow)]
-            out.append(tuple(acc))
+    """Code rows of a b, by the kernel for the inner dimension k = len(b),
+    compiled once from _kernel_source(k), whose only value is the int k."""
+    kernel = _KERNELS.get(len(b))
+    if kernel is None:
+        scope = {}
+        exec(_kernel_source(len(b)), scope)
+        kernel = _KERNELS[len(b)] = scope["kernel"]
+    return kernel(field._add, field._mul, a, b)
+
+
+# each row of a looks up the table rows of its k codes once, and each
+# column of b is summed left to right through the add table
+_KERNELS = {}
+_KERNEL = """def kernel(add, mul, a, b):
+    cols, out = list(zip(*b)), []
+    for {xs} in a:
+        {ms}
+        out.append(tuple([{terms} for {cs} in cols]))
     return tuple(out)
+"""
+
+
+def _kernel_source(k):
+    """Source of the code product kernel for the inner dimension k."""
+    terms = "m0[c0]"
+    for i in range(1, k):
+        terms = f"add[{terms}][m{i}[c{i}]]"
+    ms = "; ".join(f"m{i} = mul[x{i}]" for i in range(k))
+    xs, cs = ("".join(f"{v}{i}," for i in range(k)) for v in "xc")
+    return _KERNEL.format(xs=xs, ms=ms, terms=terms, cs=cs)
 
 
 def _small_inverse(field, a):

@@ -4,16 +4,17 @@ somewhere and no builtin ValueError is, no call passes a `check=` switch,
 binary powering, row elimination, the breadth-first closure on code
 stacks and the root pair x_a(u) x_-a(-u) are each written once, fields
 are compared by identity, scalar field arithmetic stays off the numpy
-tables, and the quadratic Cayley table serves the tests only, and only
-a caller's matrix runs the membership test.  Guards that run the
-library: the twisted orbits of an enumerated group make no matrix
-product and build no generator, the generators (once their table of
-root directions is checked for the kind and field) and the orthogonal
-witnesses over a localization are built with no membership test and no
-determinant, and the SL and Sp witnesses and the conjugator with no
-membership test and no matrix inverse, a member of a formed kind is
-inverted with no product and no elimination, and a chain of coded
-operations boxes no entry until one is read (the code kernels read none)."""
+tables, the quadratic Cayley table serves the tests only, only a
+caller's matrix runs the membership test, and only the product kernel
+builder compiles source.  Guards that run the library: the twisted
+orbits of an enumerated group make no matrix product and build no
+generator, the generators (once their table of root directions is
+checked for the kind and field) and the orthogonal witnesses over a
+localization are built with no membership test and no determinant, and
+the SL and Sp witnesses and the conjugator with no membership test and
+no matrix inverse, a member of a formed kind is inverted with no
+product and no elimination, and a chain of coded operations boxes no
+entry until one is read (the code kernels read none)."""
 
 import ast
 import inspect
@@ -288,6 +289,57 @@ def test_code_kernels_read_no_entries():
     tree = ast.parse(pathlib.Path(matrices.__file__).read_text())
     assert {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)} >= set(CODE_KERNELS)
     assert _entry_reads(tree, CODE_KERNELS) == []
+    # the compiled product kernels, one per inner dimension
+    for k in range(1, 9):
+        kernel = ast.parse(matrices._kernel_source(k))
+        assert [fn.name for fn in kernel.body] == ["kernel"]
+        assert _entry_reads(kernel, ("kernel",)) == []
+
+
+# the one function of src/ that may compile source: the product kernel
+# builder, whose source is _kernel_source(k) for an int k
+DYNAMIC_CODE = ("exec", "eval", "compile")
+KERNEL_BUILDER = ("chevtwist/matrices.py", "_code_product")
+
+
+def _dynamic_code(tree, path):
+    """(path, function or None, name) of each call of exec, eval or
+    compile in tree outside the kernel builder."""
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in DYNAMIC_CODE and (path, fn) != KERNEL_BUILDER):
+            found.append((path, fn, node.func.id))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_kernel_builder_compiles_source():
+    found = [
+        hit for path in sorted(SRC.rglob("*.py"))
+        for hit in _dynamic_code(ast.parse(path.read_text()), path.relative_to(SRC).as_posix())
+    ]
+    assert not found, found
+    # the builder formats nothing but ints into the template
+    with pytest.raises(TypeError):
+        matrices._kernel_source("0]; import os; [0")
+
+
+def test_dynamic_code_scan_sees_an_exec():
+    tree = ast.parse("def _code_product(f, a, b):\n    exec(s)\n"
+                     "def other(s):\n    exec(s)\n    return eval(s)\n"
+                     "compile(s, 'x', 'exec')\n")
+    assert _dynamic_code(tree, KERNEL_BUILDER[0]) == [
+        (KERNEL_BUILDER[0], "other", "exec"), (KERNEL_BUILDER[0], "other", "eval"),
+        (KERNEL_BUILDER[0], None, "compile"),
+    ]
+    assert _dynamic_code(tree, "chevtwist/groups.py")[0] == ("chevtwist/groups.py", "_code_product", "exec")
 
 
 def test_entry_read_scan_sees_a_read():

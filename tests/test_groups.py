@@ -281,6 +281,50 @@ def test_projective_canonicalize_scalar_invariance():
         assert canonical_rep(ctx, scaled) == scaled  # idempotent
 
 
+def _entry_canonical_rep(ctx, mat):
+    """The coset representative read off the entries: mat times the center
+    scalar that gives its first nonzero entry the least sort_key."""
+    lead = next(x for row in mat.rows for x in row if x)
+    best = min(ctx.center_scalars(), key=lambda lam: (lam * lead).sort_key())
+    return Mat([[best * x for x in row] for row in mat.rows])
+
+
+def _boxed(m):
+    """Whether the rows slot of m is set, read past __getattr__."""
+    try:
+        Mat.rows.__get__(m)
+    except AttributeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("kind, q", [
+    (GroupKind.psl(2), (3, 2)), (GroupKind.psl(3), (3, 1)),
+    (GroupKind.psp(2), (3, 1)), (GroupKind.pso_even(3), (5, 1)),
+], ids=lambda v: repr(v) if isinstance(v, GroupKind) else f"F{v[0] ** v[1]}")
+def test_canonical_rep_of_code_rows_matches_the_entries(kind, q):
+    # every center multiple of a few members, coded and from entries
+    rng = random.Random(3)
+    ctx = GroupCtx(kind, Fq(*q))
+    gens = generators(ctx)
+    for _ in range(6):
+        g = ctx.identity()
+        for _ in range(5):
+            g = g * rng.choice(gens)
+        for lam in ctx.center_scalars():
+            coded = g.mat * lam
+            rep = canonical_rep(ctx, coded)
+            assert not _boxed(rep)
+            assert rep == _entry_canonical_rep(ctx, coded) == g.mat
+            assert canonical_rep(ctx, Mat(coded.rows)) == rep
+
+
+def test_projective_products_stay_coded():
+    ctx = GroupCtx(GroupKind.psl(2), Fq(3, 2))
+    g, h = generators(ctx)[:2]
+    assert len(ctx.center_scalars()) == 2 and not _boxed((g * h).mat)
+
+
 def test_psl3_f3_center_scalars_trivial():
     # cube roots of unity over F_3: only 1, so canonicalization is identity
     ctx = GroupCtx(GroupKind.psl(3), F3)

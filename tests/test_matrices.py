@@ -321,7 +321,8 @@ def test_code_path_matches_dense_references(field):
     @SETTINGS
     @given(st.data())
     def check(data):
-        m, k, n = (data.draw(st.integers(1, 4)) for _ in range(3))
+        # every inner dimension up to SO_8's, between rectangular factors
+        m, k, n = (data.draw(st.integers(1, top)) for top in (4, 8, 4))
         sparse = data.draw(st.booleans())
         a = data.draw(_matrices(field, m, k, sparse))
         b = data.draw(_matrices(field, k, n, sparse))
