@@ -215,11 +215,9 @@ class GroupCtx:
         return self.scalar(0)
 
     def identity_mat(self) -> Mat:
-        """The identity, built and scanned once, so products with it read
-        its kept codes."""
+        """The identity, built once."""
         if self._identity is None:
             self._identity = Mat.identity(self.dim, self.one, self.zero)
-            self._identity._mode()
         return self._identity
 
     def identity(self) -> "GrpElem":
@@ -305,9 +303,9 @@ def canonical_rep(ctx: GroupCtx, mat: Mat) -> Mat:
     lams = ctx.center_scalars()
     if len(lams) == 1:
         return mat
-    field, codes = mat._mode()
+    codes = mat._codes
     if codes:
-        lead = field._elem[next(c for row in codes for c in row if c)]
+        lead = mat._field._elem[next(c for row in codes for c in row if c)]
     else:
         lead = next(x for row in mat.rows for x in row if x)
     best = min(lams, key=lambda lam: (lam * lead).sort_key())
@@ -360,11 +358,11 @@ class GrpElem:
         if ctx.form is None:
             return GrpElem._of(ctx, self.mat.inverse())
         n, signed = ctx.kind.n, ctx.kind.family in ("Sp", "PSp")
-        field, codes = self.mat._mode()
+        field, codes = self.mat._field, self.mat._codes
         if codes is not None:
             inv = Mat._coded(field, _form_inverse(codes, n, signed, field._neg.__getitem__))
         else:
-            inv = Mat._of(_form_inverse(self.mat.rows, n, signed, operator.neg), False)
+            inv = Mat._fractions(field, _form_inverse(self.mat.rows, n, signed, operator.neg))
         return GrpElem._of(ctx, inv)
 
     def __pow__(self, k: int):
@@ -499,7 +497,7 @@ def generators(ctx: GroupCtx):
 
 
 def mat_to_codes(mat: Mat) -> np.ndarray:
-    return np.array(mat._mode()[1], dtype=np.uint8)
+    return np.array(mat._codes, dtype=np.uint8)
 
 
 def codes_to_mat(field: Fq, arr: np.ndarray) -> Mat:
@@ -936,6 +934,15 @@ def _cached_per_group(build):
     return call
 
 
+def _order_text(order: int) -> str:
+    """The digits of order, or its size, about 10^k, past the digit limit
+    of int-to-str conversion."""
+    try:
+        return str(order)
+    except ValueError:
+        return f"about 10^{round(math.log10(order))}"
+
+
 @_cached_per_group
 def enumerate_group(ctx: GroupCtx, cap: int = ENUM_CAP) -> FiniteGroup:
     """Breadth-first closure of the root generators; deterministic order.
@@ -963,8 +970,8 @@ def enumerate_group(ctx: GroupCtx, cap: int = ENUM_CAP) -> FiniteGroup:
     field = ctx.field
     order, exact = expected_order(ctx.kind, field.q)
     if order > cap:
-        raise CapExceeded(f"group enumeration exceeded cap {cap}: {ctx.kind!r} over "
-                          f"F_{field.q} has order {'' if exact else 'at least '}{order}")
+        raise CapExceeded(f"group enumeration exceeded cap {cap}: {ctx.kind!r} over F_{field.q} "
+                          f"has order {'' if exact else 'at least '}{_order_text(order)}")
     gens = np.stack([mat_to_codes(g.mat) for g in generators(ctx)])
     # x_r(p^k) sits where p^k does among the nonzero scalars of field.elements()
     nonzero = [a.code for a in field.elements() if a]

@@ -1,9 +1,12 @@
 """Small exact matrices over a field (FqElem or RatFrac entries).
 
 Everything is immutable and hashable; a matrix has at least one row and
-one column.  Mat._mode reads the entries' field and scalar type off them
-(see _scan): entries over two fields or of two scalar types raise
-MixedFields, any other entry TypeError.
+one column.  A Mat knows its field and mode from construction: Mat(rows)
+scans the entries once (_scan) and keeps the field beside the code rows
+over one field, or beside None over one field's fractions; entries over
+two fields or of two scalar types raise MixedFields there, any other
+entry TypeError.  Operations read these two slots and build results of
+a known mode with _coded or _fractions, others through Mat(rows).
 Every product over one field runs on the integer codes, in column form,
 by one kernel per inner dimension (_code_product).  A product over one
 field's fractions runs on polynomial numerators, each row of the left
@@ -16,15 +19,12 @@ One Gauss-Jordan reduction, _gauss_jordan, drives det, inverse and
 nullspace with the scalars' own operators, pivoting on the first nonzero
 entry; an inverse over one field of size n <= 3 is the adjugate times
 det^-1, with no pivots.
-A Mat over one field is its code rows and its field.  The code product,
-the small inverse, the form inverse (groups.GrpElem.inverse), transpose,
-the scalar product on either side and the code maps (_mapped, _permuted)
-read and write codes only and leave the rows slot unset; the first read
-of rows (an entry, the hash, trace, det, str) boxes them once, through
-__getattr__, which only an unset slot reaches.  A Mat built from entries
-holds them in the slot and pays nothing for this; its first scan stores
-the codes it read beside them, or False over fractions, so a Mat is
-scanned at most once.
+The code product, the small inverse, the form inverse
+(groups.GrpElem.inverse), transpose, the scalar product on either side
+and the code maps (_mapped, _permuted) read and write codes only and
+leave the rows slot unset; the first read of rows (an entry, the hash,
+trace, det, str) boxes them once, through __getattr__, which only an
+unset slot reaches.
 Powers go through gf.power, the library's one binary-power routine:
 M^k makes floor(log2 k) squarings plus popcount(k) - 1 products, and the
 identity is built only for k = 0.
@@ -62,14 +62,15 @@ class Mat:
             raise SizeMismatch("matrix with no entries")
         if any(len(r) != len(rows[0]) for r in rows):
             raise SizeMismatch("ragged rows")
-        self.rows, self._codes = rows, None
+        self.rows = rows
+        self._field, self._codes = _scan(rows)
 
     @classmethod
-    def _of(cls, rows, codes=None):
-        """A Mat on rows that are already a rectangular tuple of tuples;
-        codes=False marks them as fractions over one field, never scanned."""
+    def _fractions(cls, field, rows):
+        """The Mat on rows of RatFrac over field that are already a
+        rectangular tuple of tuples."""
         m = object.__new__(cls)
-        m.rows, m._codes = rows, codes
+        m.rows, m._field, m._codes = rows, field, None
         return m
 
     @classmethod
@@ -90,8 +91,7 @@ class Mat:
 
     def _mapped(self, table):
         """The Mat over one field whose codes are table[c] for its codes c."""
-        field, codes = self._mode()
-        return Mat._coded(field, _map_codes(table, codes))
+        return Mat._coded(self._field, _map_codes(table, self._codes))
 
     def _permuted(self, perm):
         """Rows and columns alike reordered by perm: entry (i, j) is
@@ -100,22 +100,9 @@ class Mat:
         def permuted(rows):
             return tuple([tuple([rows[i][j] for j in perm]) for i in perm])
 
-        codes = self._codes
-        if codes:
-            return Mat._coded(self._field, permuted(codes))
-        return Mat._of(permuted(self.rows), codes)
-
-    def _mode(self):
-        """(field, code rows) over one field, (field, None) over one field's
-        fractions; see _scan.  The slot keeps the code rows, or False over
-        fractions, so a Mat is scanned at most once."""
-        codes = self._codes
-        if codes is None:
-            field, codes = _scan(self.rows)
-            self._field, self._codes = field, codes or False
-        if codes:
-            return self._field, codes
-        return self.rows[0][0].field, None
+        if self._codes is None:
+            return Mat._fractions(self._field, permuted(self.rows))
+        return Mat._coded(self._field, permuted(self._codes))
 
     @property
     def nrows(self):
@@ -139,26 +126,18 @@ class Mat:
 
     def __mul__(self, other):
         if isinstance(other, Mat):
-            # kept code rows on both sides: the kernel, with no scan; any
-            # other case is checked (and refused) below
-            a, b = self._codes, other._codes
-            if a and b:
-                field = self._field
-                if len(a[0]) == len(b) and other._field is field:
-                    return Mat._coded(field, _code_product(field, a, b))
+            a, b, field = self._codes, other._codes, self._field
+            if a and b and len(a[0]) == len(b) and other._field is field:
+                return Mat._coded(field, _code_product(field, a, b))
             if self.ncols != other.nrows:
                 raise SizeMismatch("inner dimensions differ")
-            field, a = self._mode()
-            other_field, b = other._mode()
-            if other_field is not field or (a is None) is not (b is None):
+            if other._field is not field or a or b:  # two fields, or codes beside fractions
                 raise MixedFields("factors over two fields or of two scalar types")
-            if a is not None:
-                return Mat._coded(field, _code_product(field, a, b))
-            return Mat._of(_frac_product(field, self.rows, other.transpose().rows), False)
+            return Mat._fractions(field, _frac_product(field, self.rows, other.transpose().rows))
         # scalar on the right; over one field, one row of the product table
         if self._codes and type(other) is FqElem and other.field is self._field:
             return self._mapped(other.field._mul[other.code])
-        return Mat._of(tuple(tuple(x * other for x in row) for row in self.rows))
+        return Mat(tuple(x * other for x in row) for row in self.rows)
 
     # a scalar on the left: every scalar type of the library commutes
     __rmul__ = __mul__
@@ -168,9 +147,7 @@ class Mat:
             return NotImplemented
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise SizeMismatch("shapes differ")
-        return Mat._of(
-            tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(self.rows, other.rows))
-        )
+        return Mat(tuple(x + y for x, y in zip(r, s)) for r, s in zip(self.rows, other.rows))
 
     def __sub__(self, other):
         if not isinstance(other, Mat):
@@ -178,7 +155,7 @@ class Mat:
         return self + (-other)
 
     def __neg__(self):
-        return Mat._of(tuple(tuple(-x for x in row) for row in self.rows))
+        return Mat(tuple(-x for x in row) for row in self.rows)
 
     def __pow__(self, k: int):
         if not self.is_square:
@@ -191,23 +168,23 @@ class Mat:
         return Mat.identity(self.nrows, one_like(x), zero_like(x))
 
     def transpose(self):
-        codes = self._codes
-        if codes:
-            return Mat._coded(self._field, tuple(zip(*codes)))
-        return Mat._of(tuple(zip(*self.rows)), codes)
+        if self._codes is None:
+            return Mat._fractions(self._field, tuple(zip(*self.rows)))
+        return Mat._coded(self._field, tuple(zip(*self._codes)))
 
     def trace(self):
+        if not self.is_square:
+            raise SizeMismatch("trace of a non-square matrix")
         return _sum(self.rows[i][i] for i in range(self.nrows))
 
     def map(self, fn):
-        return Mat._of(tuple(tuple(fn(x) for x in row) for row in self.rows))
+        return Mat(tuple(fn(x) for x in row) for row in self.rows)
 
     def det(self):
         """Product of the pivots, negated for an odd number of row swaps."""
         if not self.is_square:
             raise SizeMismatch("determinant of a non-square matrix")
         n = self.nrows
-        self._mode()  # refuses mixed and unsupported entries
         pivots, product, swaps = _gauss_jordan(list(self.rows), n)
         if len(pivots) < n:
             return zero_like(self.rows[0][0])
@@ -219,14 +196,15 @@ class Mat:
         if not self.is_square:
             raise SizeMismatch("inverse of a non-square matrix")
         n = self.nrows
-        field, codes = self._mode()
+        field, codes = self._field, self._codes
         if codes is not None and n <= 3:
             return Mat._coded(field, _small_inverse(field, codes))
         one, zero = one_like(self.rows[0][0]), zero_like(self.rows[0][0])
         a = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(self.rows)]
         if len(_gauss_jordan(a, n)[0]) < n:
             raise Singular("matrix is singular")
-        return Mat._of(tuple(tuple(row[n:]) for row in a), None if codes else False)
+        rows = tuple(tuple(row[n:]) for row in a)
+        return Mat(rows) if codes else Mat._fractions(field, rows)
 
     def __eq__(self, other):
         if not isinstance(other, Mat):

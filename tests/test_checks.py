@@ -5,8 +5,9 @@ binary powering, row elimination, the breadth-first closure on code
 stacks and the root pair x_a(u) x_-a(-u) are each written once, fields
 are compared by identity, scalar field arithmetic stays off the numpy
 tables, the quadratic Cayley table serves the tests only, only a
-caller's matrix runs the membership test, and only the product kernel
-builder compiles source.  Guards that run the library: the twisted
+caller's matrix runs the membership test, only the product kernel
+builder compiles source, and matrix entries are scanned only where they
+come in (Mat.__init__, nullspace).  Guards that run the library: the twisted
 orbits of an enumerated group make no matrix product and build no
 generator, the generators (once their table of root directions is
 checked for the kind and field) and the orthogonal witnesses over a
@@ -340,6 +341,57 @@ def test_dynamic_code_scan_sees_an_exec():
         (KERNEL_BUILDER[0], None, "compile"),
     ]
     assert _dynamic_code(tree, "chevtwist/groups.py")[0] == ("chevtwist/groups.py", "_code_product", "exec")
+
+
+def _name_uses(tree, name):
+    """Qualified name (Class.method) of the function around each bare or
+    attribute use of `name`, and of each function or class named `name`."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                if child.name == name:
+                    found.append(".".join(scope + [name]))
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.Attribute) and child.attr == name):
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_entries_are_scanned_only_where_they_come_in():
+    # a Mat knows its field and mode from construction: the scan runs where
+    # entries come in from outside, Mat.__init__ and nullspace, and no
+    # lazily filled mode is left
+    found = {
+        name: sorted(
+            (path.relative_to(SRC).as_posix(), scope)
+            for path in SRC.rglob("*.py")
+            for scope in _name_uses(ast.parse(path.read_text(), str(path)), name)
+        )
+        for name in ("_scan", "_mode")
+    }
+    assert found == {
+        "_scan": [("chevtwist/matrices.py", "Mat.__init__"), ("chevtwist/matrices.py", "_scan"),
+                  ("chevtwist/matrices.py", "nullspace")],
+        "_mode": [],
+    }, found
+
+
+def test_name_use_scan_sees_a_planted_use():
+    tree = ast.parse(
+        "def _scan(rows):\n    return rows\n"
+        "class Mat:\n    def __init__(self, rows):\n        _scan(rows)\n"
+        "    def det(self):\n        return matrices._scan(self.rows)\n"
+        "def f(m):\n    return m._mode()\n"
+    )
+    assert _name_uses(tree, "_scan") == ["_scan", "Mat.__init__", "Mat.det"]
+    assert _name_uses(tree, "_mode") == ["f"]
 
 
 def test_entry_read_scan_sees_a_read():

@@ -258,6 +258,16 @@ def test_reidemeister_even_orthogonal_refused_up_front(group, monkeypatch):
     assert f"has order {order}" in res.output
 
 
+@pytest.mark.parametrize("group, n, size", [("SL", "100", "10^4771"), ("Sp", "80", "10^6145")])
+def test_reidemeister_refuses_an_order_past_the_digit_limit(group, n, size):
+    # the order has more digits than int-to-str converts: the refusal
+    # names its size instead of raising ValueError while formatting it
+    res = run_cli("reidemeister", "--group", group, "--n", n, "--q", "3")
+    assert res.exit_code == 1
+    assert "chevtwist.errors.CapExceeded" in res.output and f"has order about {size}" in res.output
+    assert "builtins" not in res.output
+
+
 @pytest.mark.parametrize("args, error", [
     (("reidemeister", "--group", "SL", "--n", "1", "--q", "3"), "BadRank"),
     (("witness-check", "--group", "SOeven", "--n", "2", "--p", "3", "--f", "t"), "BadRank"),

@@ -392,14 +392,10 @@ def test_one_field_matrices_make_no_scalar_operator_call(monkeypatch):
 
 
 def _refused_everywhere(rows, error):
-    """*, det, inverse and nullspace of rows all raise error."""
-    a = Mat(rows)
+    """Mat(rows), so every operation on it, and nullspace of rows raise
+    error."""
     with pytest.raises(error):
-        a * a.transpose()
-    with pytest.raises(error):
-        a.det()
-    with pytest.raises(error):
-        a.inverse()
+        Mat(rows)
     with pytest.raises(error):
         nullspace(rows)
 
@@ -561,11 +557,10 @@ def test_one_field_fractions_make_no_scalar_operator_call(monkeypatch):
 
 
 def test_fraction_matrix_is_scanned_once(monkeypatch):
-    # the first scan keeps the fraction mode in the code slot, and the
-    # fraction product, transpose and inverse carry it: x^8 (three
+    # the scan at construction keeps the field and the fraction mode, and
+    # the fraction product, transpose and inverse carry them: x^8 (three
     # squarings), its det and its inverse read the entries of x once
     t = Poly.t(F3)
-    x = Mat([[RatFrac(t, t + 1), RatFrac(t + 2)], [RatFrac(Poly.one(F3), t), RatFrac(t * t)]])
     scans = []
     plain_scan = matrices._scan
 
@@ -574,6 +569,8 @@ def test_fraction_matrix_is_scanned_once(monkeypatch):
         return plain_scan(rows)
 
     monkeypatch.setattr(matrices, "_scan", scan)
+    x = Mat([[RatFrac(t, t + 1), RatFrac(t + 2)], [RatFrac(Poly.one(F3), t), RatFrac(t * t)]])
+    assert scans == [x.rows]
     x8 = x ** 8
     assert scans == [x.rows]
     assert x8.det() and x8.inverse() * x8 == x8 * x8.inverse()
@@ -603,6 +600,15 @@ def test_matrix_without_entries_is_refused():
     assert nullspace([]) == nullspace([[]]) == []
 
 
+def test_trace_of_a_non_square_matrix_is_refused():
+    # neither the leading square's trace (2 x 3) nor an IndexError (3 x 2)
+    wide = Mat([[F3.one, F3.zero, F3.one], [F3.zero, F3.one, F3.one]])
+    for m in (wide, wide.transpose(), Mat(wide.rows)):
+        with pytest.raises(SizeMismatch, match="trace of a non-square matrix"):
+            m.trace()
+    assert (wide * wide.transpose()).trace() == F3.elem(4)
+
+
 def test_matrix_sum_with_a_non_matrix_is_a_type_error():
     a = Mat([[Fq(3).one]])
     for other in (1, Fq(3).one, "1"):
@@ -616,7 +622,8 @@ def test_matrix_sum_with_a_non_matrix_is_a_type_error():
 
 
 # -- kept codes: a Mat over one field carries its code rows, filled by the
-# code paths and by the first scan, and the small inverse is the adjugate
+# code paths and by the scan at construction, and the small inverse is the
+# adjugate
 
 def _codes_of(m):
     return tuple(tuple(x.code for x in row) for row in m.rows)
@@ -636,21 +643,20 @@ def test_kept_codes_are_the_codes_of_the_entries(field):
     def check(data):
         n = data.draw(st.integers(1, 4))
         a = data.draw(_matrices(field, n, data.draw(st.integers(1, 4)), data.draw(st.booleans())))
-        assert a._codes is None
+        # the scan at construction stored what it read
+        assert _coded(a)
         b = data.draw(_matrices(field, a.ncols, n, False))
         product = a * b
-        # the first scan of each factor stored what it read
-        assert _coded(a) and _coded(b) and _coded(product)
+        assert _coded(b) and _coded(product)
         sq = data.draw(_matrices(field, n, n, False))
         for m in (product ** data.draw(st.integers(1, 5)), product.transpose(), a.transpose()):
             assert _coded(m)
         lam = field.from_code(data.draw(st.integers(1, field.q - 1)))
         assert _coded(product * lam) and product * lam == Mat(product.rows) * lam
         assert _coded(lam * product) and lam * product == product * lam
-        if sq.det():  # the first scan stored the codes
-            assert _coded(sq)
-            if n <= 3:  # the adjugate boxes with codes; Gauss-Jordan does not
-                assert _coded(sq.inverse())
+        assert _coded(sq)
+        if sq.det():
+            assert _coded(sq.inverse())
         arr = np.array(_codes_of(sq), dtype=np.uint8)
         assert _coded(codes_to_mat(field, arr)) and codes_to_mat(field, arr) == sq
         six = data.draw(_matrices(field, 6, 6, False))
@@ -660,7 +666,7 @@ def test_kept_codes_are_the_codes_of_the_entries(field):
             if m is not six:  # the Frobenius of F_p is the identity
                 assert _coded(m)
         assert B._apply_graph(six) == Mat([[six[i, j] for j in b_swap(3)] for i in b_swap(3)])
-        assert B._apply_graph(Mat(six.rows))._codes is None
+        assert _coded(B._apply_graph(Mat(six.rows)))
         assert frob._apply_ring(six) == six.map(lambda x: x.frobenius(k))
 
     check()
@@ -793,12 +799,10 @@ def test_coded_chains_match_entrywise_references(field):
                 else:
                     m, ref = c * m, [[c * x for x in r] for r in ref]
             assert m._codes == _ref_codes(ref)
-        # a coded Mat and Mat(rows) with the same entries, in both orders,
-        # then against the same entries once scanned
+        # a coded Mat and Mat(rows) with the same entries, in both orders
         plain, fresh = Mat(ref), codes_to_mat(field, np.array(_ref_codes(ref)))
-        assert plain == fresh and hash(plain) == hash(fresh)
+        assert _coded(plain) and plain == fresh and hash(plain) == hash(fresh)
         assert m == plain and hash(m) == hash(plain) and str(m) == str(plain)
-        plain._mode()
         assert plain == m == fresh == plain
 
     check()
